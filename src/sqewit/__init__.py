@@ -11,7 +11,6 @@ from .errors import (  # noqa: F401
     InvalidDimensionError,
     OptimizerFailure,
     ProjectionAnnihilatedError,
-    ResourceCapError,
     SqewitError,
     TruncationLossError,
 )

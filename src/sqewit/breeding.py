@@ -36,9 +36,9 @@ _DP_PERIOD = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 
 
-def breed_round(a: FockState, b: FockState, allow_large: bool = False) -> GateOutcome:
+def breed_round(a: FockState, b: FockState) -> GateOutcome:
     """One breeding step: balanced beam splitter, then p = 0 on mode 1."""
-    return gates.couple_and_condition(a, b, "BS", allow_large=allow_large)
+    return gates.couple_and_condition(a, b, "BS")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class BreedingRun:
         return self.outputs_per_round[-1] if self.outputs_per_round else self.input
 
 
-def breed_protocol(state: FockState, rounds: int, allow_large: bool = False) -> BreedingRun:
+def breed_protocol(state: FockState, rounds: int) -> BreedingRun:
     """rounds breeding steps, pairing identical copies of the previous output.
 
     The schedule is the binary tree consuming 2^rounds copies of the input;
@@ -67,7 +67,7 @@ def breed_protocol(state: FockState, rounds: int, allow_large: bool = False) -> 
     norms: list[float] = []
     current = state
     for _ in range(rounds):
-        outcome = breed_round(current, current, allow_large=allow_large)
+        outcome = breed_round(current, current)
         current = outcome.output
         outputs.append(current)
         norms.append(outcome.success_norm)
@@ -194,14 +194,13 @@ def gkp_squeezing_db(state: FockState, witness: GkpWitness | None = None) -> flo
     return 10.0 * math.log10(value / witness.gaussian_min)
 
 
-def breeding_report(state: FockState, rounds: int, allow_large: bool = False) -> dict:
-    """Per-round GKP squeezing and success norms for a breeding cascade."""
-    run = breed_protocol(state, rounds, allow_large=allow_large)
-    wit = gkp_witness(state.dim)
+def breeding_report(run: BreedingRun) -> dict:
+    """Per-round GKP squeezing and success norms of a breeding cascade."""
+    wit = gkp_witness(run.input.dim)
     return {
-        "rounds": rounds,
-        "dim": state.dim,
-        "input_gkp_db": gkp_squeezing_db(state, wit),
+        "rounds": run.rounds,
+        "dim": run.input.dim,
+        "input_gkp_db": gkp_squeezing_db(run.input, wit),
         "per_round_gkp_db": [gkp_squeezing_db(s, wit) for s in run.outputs_per_round],
         "success_norms": run.success_norms,
         "gaussian_min_q0": wit.gaussian_min,

@@ -3,8 +3,7 @@
 Every command is a pure function of its flags, config file, and seed.
 Flags win over config-file values; the effective configuration is echoed
 into each output's metadata. Exit codes: 0 ok, 2 input error, 3 contract
-violation, 4 resource cap. The two-mode memory cap can be raised with the
-SQEWIT_TWO_MODE_CAP environment variable.
+violation.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from .errors import (
     InvalidDimensionError,
     OptimizerFailure,
     ProjectionAnnihilatedError,
-    ResourceCapError,
     SqewitError,
     TruncationLossError,
 )
 
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
-EXIT_RESOURCE = 4
 
 _INPUT_ERRORS = (InputFormatError,)
 _CONTRACT_ERRORS = (
@@ -47,8 +44,6 @@ _CONTRACT_ERRORS = (
 def _exit_code_for(exc: SqewitError) -> int:
     if isinstance(exc, _INPUT_ERRORS):
         return EXIT_INPUT
-    if isinstance(exc, ResourceCapError):
-        return EXIT_RESOURCE
     if isinstance(exc, _CONTRACT_ERRORS):
         return EXIT_CONTRACT
     return 1
@@ -96,10 +91,6 @@ def _echo_or_write(payload: dict, out: str | None) -> None:
         click.echo(text)
 
 
-def _load_state(path: str) -> tuple[fock.FockState, dict]:
-    return serialize.load_state(path)
-
-
 @click.group()
 def main():
     """Nonlinear-squeezing toolkit for quadrature-eigenstate superpositions."""
@@ -121,7 +112,7 @@ def cmd_witness(ctx, state_path, config_path, u, phi, c, k, dim, out):
     cfg = _apply_config(
         ctx, {"u": u, "phi": phi, "c": c, "k": k, "dim": dim}, config_path
     )
-    state, _ = _load_state(state_path)
+    state, _ = serialize.load_state(state_path)
     if cfg["dim"] is not None and cfg["dim"] != state.dim:
         raise ContractViolationError(
             f"state file dimension {state.dim} does not match requested dim {cfg['dim']}"
@@ -183,15 +174,14 @@ def cmd_ground(ctx, config_path, u, phi, c, k, dims, out_dir):
 @click.option("--kind", type=click.Choice(["BS", "QND"], case_sensitive=False), default="BS", show_default=True)
 @click.option("--u", type=float, default=3.0, show_default=True)
 @click.option("--phi", type=float, default=0.0, show_default=True)
-@click.option("--allow-large", is_flag=True, default=False, help="bypass the two-mode memory cap")
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
 @_command
-def cmd_gate(ctx, state_path, config_path, kind, u, phi, allow_large, out):
+def cmd_gate(ctx, state_path, config_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
     cfg = _apply_config(ctx, {"kind": kind, "u": u, "phi": phi}, config_path)
-    state, _ = _load_state(state_path)
-    report = gates.gate_report(state, cfg["kind"], cfg["u"], cfg["phi"], allow_large=allow_large)
+    state, _ = serialize.load_state(state_path)
+    report = gates.gate_report(state, cfg["kind"], cfg["u"], cfg["phi"])
     report["metadata"] = {"config": cfg, "state_file": str(state_path)}
     _echo_or_write(report, out)
 
@@ -200,30 +190,21 @@ def cmd_gate(ctx, state_path, config_path, kind, u, phi, allow_large, out):
 @click.option("--state", "state_path", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--rounds", type=int, default=2, show_default=True)
-@click.option("--allow-large", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), default=None, help="report path (stdout otherwise)")
 @click.option("--state-out", type=click.Path(), default=None, help="final state file path")
 @click.pass_context
 @_command
-def cmd_breed(ctx, state_path, config_path, rounds, allow_large, out, state_out):
+def cmd_breed(ctx, state_path, config_path, rounds, out, state_out):
     """Breeding cascade: per-round GKP squeezing, success norms, final state."""
     cfg = _apply_config(ctx, {"rounds": rounds}, config_path)
-    state, _ = _load_state(state_path)
-    run = breeding.breed_protocol(state, cfg["rounds"], allow_large=allow_large)
-    wit = breeding.gkp_witness(state.dim)
+    state, _ = serialize.load_state(state_path)
+    run = breeding.breed_protocol(state, cfg["rounds"])
     if state_out is None:
         state_out = str(Path(state_path).with_suffix("")) + f".bred{cfg['rounds']}.json"
     serialize.save_state(state_out, run.final, {"config": json.dumps(cfg, sort_keys=True)})
-    report = {
-        "rounds": cfg["rounds"],
-        "dim": state.dim,
-        "input_gkp_db": breeding.gkp_squeezing_db(state, wit),
-        "per_round_gkp_db": [breeding.gkp_squeezing_db(s, wit) for s in run.outputs_per_round],
-        "success_norms": run.success_norms,
-        "gaussian_min_q0": wit.gaussian_min,
-        "final_state_file": str(state_out),
-        "metadata": {"config": cfg, "state_file": str(state_path)},
-    }
+    report = breeding.breeding_report(run)
+    report["final_state_file"] = str(state_out)
+    report["metadata"] = {"config": cfg, "state_file": str(state_path)}
     _echo_or_write(report, out)
 
 
@@ -308,7 +289,7 @@ def cmd_frontier(ctx, config_path, problem, u, phi, c, dim, k, pop, gens, rounds
 def cmd_wigner(ctx, state_path, config_path, xmax, pmax, step, out):
     """Wigner function on a symmetric grid, as plot-ready CSV."""
     cfg = _apply_config(ctx, {"xmax": xmax, "pmax": pmax, "step": step}, config_path)
-    state, _ = _load_state(state_path)
+    state, _ = serialize.load_state(state_path)
     if cfg["step"] <= 0 or cfg["xmax"] <= 0 or cfg["pmax"] <= 0:
         raise InputFormatError("xmax, pmax, and step must be positive")
     xs = _symmetric_grid(cfg["xmax"], cfg["step"])

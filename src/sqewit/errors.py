@@ -14,10 +14,6 @@ class ContractViolationError(SqewitError, ValueError):
     mismatched dimensions, invalid parameter range)."""
 
 
-class ResourceCapError(SqewitError, RuntimeError):
-    """A two-mode build would exceed the configured memory cap."""
-
-
 class InputFormatError(SqewitError, ValueError):
     """A state file or config file does not match its schema."""
 

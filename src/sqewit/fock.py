@@ -5,11 +5,13 @@ quadratures x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2), vacuum variance 1/2
 Operator functions of exponential type are built in a padded dimension and
 cropped back, which keeps the low-photon block accurate despite truncation.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
+Two-mode couplers reach the gate and breeding paths only as N x N x N
+kernels already contracted with <p = 0| on mode 1 (`p0_kernel`); the dense
+N² x N² unitary (`two_mode_coupler`) is kept as a reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -17,16 +19,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import (
-    ContractViolationError,
-    InvalidDimensionError,
-    ResourceCapError,
-)
+from .errors import ContractViolationError, InvalidDimensionError
 
 HERMITICITY_TOL = 1e-12
-
-DEFAULT_TWO_MODE_CAP = 64
-TWO_MODE_CAP_ENV = "SQEWIT_TWO_MODE_CAP"
 
 COUPLER_KINDS = ("QND", "BS")
 
@@ -210,21 +205,8 @@ def phase_rotation(theta: float, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-mode couplers
+# Two-mode couplers and their p = 0 kernels
 # ---------------------------------------------------------------------------
-
-
-def two_mode_cap() -> int:
-    """Single-mode dimension cap for two-mode builds (env-overridable)."""
-    env = os.environ.get(TWO_MODE_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ContractViolationError(
-                f"{TWO_MODE_CAP_ENV} must be an integer, got {env!r}"
-            ) from exc
-    return DEFAULT_TWO_MODE_CAP
 
 
 def coupler_generator(kind: str, dim: int) -> np.ndarray:
@@ -241,63 +223,83 @@ def coupler_generator(kind: str, dim: int) -> np.ndarray:
     raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
 
 
-def _qnd_coupler(dim: int) -> np.ndarray:
+def _check_coupler_args(kind: str, dim: int) -> None:
+    if kind not in COUPLER_KINDS:
+        raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
+    if dim < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+
+
+def _qnd_factors(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # exp(-i x1 p2): the generator's eigenbasis is the Kronecker product of
     # the single-mode x and p eigenbases, so the big eigensolve factorizes.
     x, p = quadratures(dim)
     mu, w = np.linalg.eigh((x + x.conj().T) / 2)
     lam, v = np.linalg.eigh((p + p.conj().T) / 2)
-    k = np.kron(w, v)
-    phases = np.exp(-1j * np.outer(mu, lam).ravel())
-    return (k * phases) @ k.conj().T
+    return mu, w, lam, v
 
 
-def _photon_sector_indices(dim: int, total: int) -> np.ndarray:
-    lo = max(0, total - dim + 1)
-    hi = min(total, dim - 1)
-    n1 = np.arange(lo, hi + 1)
-    return n1 * dim + (total - n1)
+def _bs_sector_blocks(dim: int):
+    """Yield (s, n1, block) for each photon sector n1 + n2 = s of exp(+i H).
 
-
-def _bs_coupler(dim: int) -> np.ndarray:
-    # exp(+i H); H conserves total photon number, so it is exactly
-    # block-diagonal over the sectors n1 + n2 = s and each block is small.
-    h = coupler_generator("BS", dim)
-    out = np.zeros_like(h)
+    H conserves total photon number, so the unitary is exactly
+    block-diagonal over the sectors. Block rows and columns run over the
+    mode-1 counts n1 (mode 2 holds s - n1); sectors with s >= dim keep only
+    the pairs with both counts below dim.
+    """
+    x, p = quadratures(dim)
     for s in range(2 * dim - 1):
-        idx = _photon_sector_indices(dim, s)
-        block = h[np.ix_(idx, idx)]
+        n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
+        a, b = np.ix_(n1, n1), np.ix_(s - n1, s - n1)
+        block = (np.pi / 4.0) * (p[a] * x[b] - x[a] * p[b])
         lam, z = np.linalg.eigh((block + block.conj().T) / 2)
-        out[np.ix_(idx, idx)] = (z * np.exp(1j * lam)) @ z.conj().T
+        yield s, n1, (z * np.exp(1j * lam)) @ z.conj().T
+
+
+def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
+    """Dense dim² x dim² unitary coupler: the O(N⁴)-memory reference.
+
+    Assembled, uncached, from the same BS sector blocks and QND factors as
+    `p0_kernel`, which is what the gate and breeding paths use.
+    """
+    kind = kind.upper()
+    _check_coupler_args(kind, dim)
+    if kind == "QND":
+        mu, w, lam, v = _qnd_factors(dim)
+        k = np.kron(w, v)
+        phases = np.exp(-1j * np.outer(mu, lam).ravel())
+        return (k * phases) @ k.conj().T
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for s, n1, block in _bs_sector_blocks(dim):
+        idx = n1 * dim + (s - n1)
+        out[np.ix_(idx, idx)] = block
     return out
 
 
 @lru_cache(maxsize=8)
-def _coupler_cached(kind: str, dim: int) -> np.ndarray:
-    u = _qnd_coupler(dim) if kind == "QND" else _bs_coupler(dim)
-    u.flags.writeable = False
-    return u
+def p0_kernel(kind: str, dim: int) -> np.ndarray:
+    """Coupler contracted with <p = 0| on mode 1, as a read-only dim³ tensor.
 
-
-def two_mode_coupler(kind: str, dim: int, allow_large: bool = False) -> np.ndarray:
-    """Unitary two-mode coupler of dimension dim² x dim².
-
-    Cached read-only per (kind, dim). Builds above the memory cap (default
-    single-mode dim 64, override via SQEWIT_TWO_MODE_CAP or allow_large)
-    are refused.
+    T[k, n1, n2] = sum_j <p=0|j> <j, k|U|n1, n2>, so the unnormalized mode-2
+    state conditioned on p = 0 from |a> ⊗ |b> is
+    T.reshape(dim, dim²) @ kron(a, b). Cached per (kind, dim); kind is "QND"
+    or "BS" exactly.
     """
-    kind = kind.upper()
-    if kind not in COUPLER_KINDS:
-        raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    cap = two_mode_cap()
-    if dim > cap and not allow_large:
-        raise ResourceCapError(
-            f"two-mode build at single-mode dim {dim} exceeds the cap {cap}; "
-            f"set {TWO_MODE_CAP_ENV} or pass allow_large=True"
-        )
-    return _coupler_cached(kind, dim)
+    _check_coupler_args(kind, dim)
+    bra = momentum_eigenbra(0.0, dim)
+    if kind == "QND":
+        # U = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)†; the bra folds into w,
+        # leaving d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
+        mu, w, lam, v = _qnd_factors(dim)
+        d = (w.conj() * (bra @ w)) @ np.exp(-1j * np.outer(mu, lam))
+        kernel = (v[:, None, :] * d[None, :, :]) @ v.conj().T
+    else:
+        # Within sector s, output row k1 leaves k = s - k1 photons in mode 2.
+        kernel = np.zeros((dim, dim, dim), dtype=complex)
+        for s, n1, block in _bs_sector_blocks(dim):
+            kernel[(s - n1)[:, None], n1, s - n1] = bra[n1][:, None] * block
+    kernel.flags.writeable = False
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A resource in mode 1 is coupled to a target mode by a QND or balanced
 beam-splitter unitary; homodyne detection of mode 1 conditioned on p = 0 is
 an exact contraction against the momentum eigenbra, leaving a normalized
-conditional state and a success amplitude in mode 2.
+conditional state and a success amplitude in mode 2. Both steps together are
+one dim³ kernel per coupler (`fock.p0_kernel`), shared by the gates and by
+every breeding round; the dim² x dim² unitary is never formed.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ class GateOutcome:
     success_norm: float
 
 
-def project_p0_mode1(two_mode_vec: np.ndarray, dim: int) -> GateOutcome:
-    """Contract mode 1 of a two-mode vector against <p = 0|."""
-    if two_mode_vec.shape != (dim * dim,):
-        raise ContractViolationError(
-            f"expected a flat two-mode vector of length {dim * dim}, got {two_mode_vec.shape}"
-        )
-    bra = fock.momentum_eigenbra(0.0, dim)
-    out = bra @ two_mode_vec.reshape(dim, dim)
+def couple_and_condition(mode1: FockState, mode2: FockState, kind: str) -> GateOutcome:
+    """Apply the coupler to mode1 ⊗ mode2 and post-select p = 0 on mode 1."""
+    if mode1.dim != mode2.dim:
+        raise ContractViolationError(f"mode dimensions differ: {mode1.dim} vs {mode2.dim}")
+    dim = mode1.dim
+    kernel = fock.p0_kernel(kind.upper(), dim)
+    out = kernel.reshape(dim, dim * dim) @ np.kron(mode1.amps, mode2.amps)
     success = float(np.linalg.norm(out))
     if success < ANNIHILATION_EPS:
         raise ProjectionAnnihilatedError(
@@ -43,43 +44,25 @@ def project_p0_mode1(two_mode_vec: np.ndarray, dim: int) -> GateOutcome:
     return GateOutcome(output=FockState(out), success_norm=success)
 
 
-def couple_and_condition(
-    mode1: FockState, mode2: FockState, kind: str, allow_large: bool = False
-) -> GateOutcome:
-    """Apply the coupler to mode1 ⊗ mode2 and post-select p = 0 on mode 1."""
-    if mode1.dim != mode2.dim:
-        raise ContractViolationError(f"mode dimensions differ: {mode1.dim} vs {mode2.dim}")
-    dim = mode1.dim
-    coupler = fock.two_mode_coupler(kind, dim, allow_large=allow_large)
-    joint = coupler @ np.kron(mode1.amps, mode2.amps)
-    return project_p0_mode1(joint, dim)
-
-
-def conditional_output(resource: FockState, kind: str, allow_large: bool = False) -> GateOutcome:
+def conditional_output(resource: FockState, kind: str) -> GateOutcome:
     """Conditional state prepared from |resource> ⊗ |0>."""
-    return couple_and_condition(resource, fock.vacuum(resource.dim), kind, allow_large)
+    return couple_and_condition(resource, fock.vacuum(resource.dim), kind)
 
 
-def interaction_fidelity(
-    resource: FockState, kind: str, u: float, phi: float, allow_large: bool = False
-) -> float:
+def interaction_fidelity(resource: FockState, kind: str, u: float, phi: float) -> float:
     """Overlap fidelity of the conditional output against the ideal target.
 
     The target is taken at the resource's dimension; when that space cannot
     hold the ideal state losslessly (small dims, large u) the normalized
     truncation stands in, keeping the figure comparable across pipelines.
     """
-    target = states.ideal_gate_target(kind, u, phi, resource.dim, max_loss=1.0)
-    outcome = conditional_output(resource, kind, allow_large)
-    return fock.overlap_fidelity(outcome.output, target)
+    return gate_report(resource, kind, u, phi)["fidelity"]
 
 
-def gate_report(
-    resource: FockState, kind: str, u: float, phi: float, allow_large: bool = False
-) -> dict:
+def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
     """Fidelity and success norm for one resource, as a flat record."""
     target = states.ideal_gate_target(kind, u, phi, resource.dim, max_loss=1.0)
-    outcome = conditional_output(resource, kind, allow_large)
+    outcome = conditional_output(resource, kind)
     return {
         "fidelity": fock.overlap_fidelity(outcome.output, target),
         "success_norm": outcome.success_norm,

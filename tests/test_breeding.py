@@ -174,7 +174,7 @@ class TestGkpSqueezing:
 
     def test_report_fields(self):
         cat = states.squeezed_cat(CatSpec(u=U_GRID, r=1.2, phi=0.0, dim=60))
-        report = breeding.breeding_report(cat, 2)
+        report = breeding.breeding_report(breeding.breed_protocol(cat, 2))
         assert report["rounds"] == 2
         assert len(report["per_round_gkp_db"]) == 2
         assert len(report["success_norms"]) == 2

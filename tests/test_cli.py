@@ -84,10 +84,14 @@ class TestGateCommand:
         assert payload["success_norm"] > 0
         assert payload["dim"] == 20
 
-    def test_resource_cap_exit_4(self, runner, tmp_path):
+    def test_seventy_levels_gate_and_breed(self, runner, tmp_path):
+        # Two-mode work has no dimension cap: both gates and a breeding
+        # round run on a 70-level state.
         big = tmp_path / "big.json"
-        serialize.save_state(big, fock.vacuum(65))
-        assert runner.invoke(main, ["gate", "--state", str(big)]).exit_code == 4
+        serialize.save_state(big, fock.vacuum(70))
+        for args in (["gate", "--kind", "BS"], ["gate", "--kind", "QND"], ["breed", "--rounds", "1"]):
+            result = runner.invoke(main, args + ["--state", str(big)])
+            assert result.exit_code == 0, (args, result.output)
 
 
 class TestBreedCommand:

@@ -5,11 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from sqewit import fock
-from sqewit.errors import (
-    ContractViolationError,
-    InvalidDimensionError,
-    ResourceCapError,
-)
+from sqewit.errors import ContractViolationError, InvalidDimensionError
 
 
 def test_annihilation_small():
@@ -196,15 +192,6 @@ def test_coupler_unitarity_on_low_total_photon_block():
         prod = u.conj().T @ u
         block = prod[np.ix_(low, low)] - np.eye(int(low.sum()))
         assert np.max(np.abs(block)) < 1e-8
-
-
-def test_two_mode_memory_cap(monkeypatch):
-    with pytest.raises(ResourceCapError):
-        fock.two_mode_coupler("BS", 65)
-    monkeypatch.setenv(fock.TWO_MODE_CAP_ENV, "4")
-    with pytest.raises(ResourceCapError):
-        fock.two_mode_coupler("BS", 5)
-    monkeypatch.delenv(fock.TWO_MODE_CAP_ENV)
 
 
 def test_momentum_eigenbra_values():

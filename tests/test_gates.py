@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
-from sqewit import fock, gates, states
+from sqewit import breeding, fock, gates, states
 from sqewit.errors import ContractViolationError, ProjectionAnnihilatedError
 from sqewit.states import CatSpec
 
@@ -28,10 +33,11 @@ class TestConditionalOutput:
         assert fock.overlap_fidelity(out.output, target) > 0.99
 
     def test_projection_annihilation(self):
-        # Mode 1 holding |1> alone is killed by <p=0| (odd Hermite zero).
-        vec = np.kron(fock.basis_state(6, 1).amps, fock.vacuum(6).amps)
+        # In two levels the n1 + n2 = 2 sector is |1,1> alone, which the beam
+        # splitter leaves in place; <p=0|1> = 0 (odd Hermite zero) kills it.
+        one = fock.basis_state(2, 1)
         with pytest.raises(ProjectionAnnihilatedError):
-            gates.project_p0_mode1(vec, 6)
+            gates.couple_and_condition(one, one, "BS")
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolationError):
@@ -44,6 +50,45 @@ class TestConditionalOutput:
             resource = fock.FockState(rng.standard_normal(14) + 1j * rng.standard_normal(14))
             out = gates.conditional_output(resource, "BS")
             assert 0.0 < out.success_norm <= bra_norm + 1e-12
+
+
+class TestP0Kernel:
+    """The p = 0 kernel: agreement with the dense route, and its footprint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 10), kind=st.sampled_from(fock.COUPLER_KINDS))
+    def test_matches_dense_expm_route(self, data, dim, kind):
+        parts = arrays(np.float64, (2, 2 * dim), elements=st.floats(-1.0, 1.0))
+        a, b = (v[:dim] + 1j * v[dim:] for v in data.draw(parts))
+        assume(min(np.linalg.norm(a), np.linalg.norm(b)) > 0.1)
+        mode1, mode2 = fock.FockState(a), fock.FockState(b)
+        sign = 1j if kind == "BS" else -1j
+        joint = expm(sign * fock.coupler_generator(kind, dim)) @ np.kron(mode1.amps, mode2.amps)
+        want = fock.momentum_eigenbra(0.0, dim) @ joint.reshape(dim, dim)
+        norm = np.linalg.norm(want)
+        assume(norm > 1e-3)
+        got = gates.couple_and_condition(mode1, mode2, kind)
+        assert np.max(np.abs(got.output.amps - want / norm)) <= 1e-12
+        assert abs(got.success_norm - norm) <= 1e-12
+
+    def test_gate_and_breed_peak_memory(self):
+        # At N = 80 the dense coupler alone would take 655 MB; each kernel
+        # is 80³ complex entries (8 MB).
+        cat = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=80))
+        fock.p0_kernel.cache_clear()
+        jobs = (
+            lambda: gates.conditional_output(cat, "BS"),
+            lambda: gates.conditional_output(cat, "QND"),
+            lambda: breeding.breed_protocol(cat, 2),
+        )
+        for job in jobs:
+            tracemalloc.start()
+            try:
+                job()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
 
 class TestXRepresentationOracle:
