@@ -12,10 +12,17 @@ amplitudes) decoded by normalization. Two frontier problems are built in:
 
 Both objectives are minimized internally; maximized quantities enter with
 their sign flipped. Runs are deterministic functions of the seed.
+
+Each generation sorts the 2n parents plus offspring once, with an
+O(n log n) two-objective sweep (``non_dominated_sort``); the survivors
+carry their ranks and crowding into the next tournament, so no generation
+re-sorts its parents. Per generation the cost is that sort, O(n log n)
+crowding, and n objective evaluations, which dominate at pop 200.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -121,7 +128,7 @@ class _GkpObjectives:
         z = float(np.real(np.vdot(amps, self.w @ amps)))
         current = amps
         for _ in range(self.rounds):
-            joint = self.coupler @ np.kron(current, current)
+            joint = self.coupler @ np.multiply.outer(current, current).ravel()
             out = self.bra @ joint.reshape(self.spec.dim, self.spec.dim)
             norm = np.linalg.norm(out)
             if norm < gates.ANNIHILATION_EPS:
@@ -152,23 +159,41 @@ def _make_objectives(problem: str, spec: WitnessSpec, breeding_rounds: int):
 
 
 def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Partition points into fronts by weak Pareto dominance (minimization)."""
+    """Partition n two-objective points into fronts by weak Pareto dominance.
+
+    Both objectives are minimized: i dominates j when it is no worse in both
+    and strictly better in one. Front r holds the points whose dominators
+    all lie in fronts 0..r-1, and each front is an array of point indices in
+    ascending order (``crowding_distance`` breaks ties by that order).
+    Equal points never dominate each other, so duplicates, including
+    ``(inf, inf)`` rows, share a front.
+
+    Runs in O(n log n): a sweep in (f1, f2) order puts each point in the
+    first front whose latest member does not dominate it, found by binary
+    search over the front tails (Jensen, IEEE TEC 7(5), 503-515, 2003).
+    NaN cannot be ordered and raises ``ContractViolationError``.
+    """
     objs = np.asarray(objectives, dtype=float)
-    n = objs.shape[0]
-    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
-    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
-    dominates = le & lt  # dominates[i, j]: i dominates j
-    n_dominators = dominates.sum(axis=0)
-    fronts: list[np.ndarray] = []
-    assigned = np.zeros(n, dtype=bool)
-    while not assigned.all():
-        current = np.nonzero((n_dominators == 0) & ~assigned)[0]
-        if current.size == 0:  # defensive; cannot happen with a finite poset
-            current = np.nonzero(~assigned)[0]
-        fronts.append(current)
-        assigned[current] = True
-        n_dominators = n_dominators - dominates[current].sum(axis=0)
-    return fronts
+    if objs.ndim != 2 or objs.shape[1] != 2:
+        raise ContractViolationError(f"expected an (n, 2) objective array, got shape {objs.shape}")
+    if np.isnan(objs).any():
+        raise ContractViolationError("objectives must not contain NaN")
+    f1, f2 = objs[:, 0].tolist(), objs[:, 1].tolist()
+    ranks = np.empty(objs.shape[0], dtype=int)
+    # tails[r] is (f2, f1) of front r's latest member. An earlier point in
+    # the sweep dominates the current one exactly when its (f2, f1) compares
+    # lower, so the tails increase strictly with r and bisect applies.
+    tails: list[tuple[float, float]] = []
+    for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
+        key = (f2[i], f1[i])
+        r = bisect.bisect_left(tails, key)
+        if r == len(tails):
+            tails.append(key)
+        else:
+            tails[r] = key
+        ranks[i] = r
+    order = np.argsort(ranks, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ranks))[:-1]) if order.size else []
 
 
 def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
@@ -256,30 +281,44 @@ def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) ->
 
 
 def _evaluate(genomes: np.ndarray, objective) -> np.ndarray:
+    """Objectives of each genome; invalid genomes get ``(inf, inf)``.
+
+    Each genome is decoded and normalized exactly as ``decode`` does, with
+    one norm and one division and no ``FockState`` around the amplitudes.
+    """
+    dim = genomes.shape[1] // 2
+    amps = genomes[:, :dim] + 1j * genomes[:, dim:]
     out = np.empty((genomes.shape[0], 2), dtype=float)
-    for i, genome in enumerate(genomes):
-        state = decode(genome)
-        if state is None:
-            out[i] = (math.inf, math.inf)
-        else:
-            out[i] = objective(state.amps)
+    for i, row in enumerate(amps):
+        norm = np.linalg.norm(row)
+        out[i] = objective(row / norm) if norm > DECODE_EPS else (math.inf, math.inf)
     return out
 
 
 def _select_next(genomes, objectives, target_size):
-    fronts = non_dominated_sort(objectives)
-    chosen: list[int] = []
-    for front in fronts:
-        if len(chosen) + front.size <= target_size:
-            chosen.extend(front.tolist())
-            continue
-        crowd = crowding_distance(objectives, front)
-        # Stable truncation: widest-spaced first, original index breaks ties.
-        order = np.lexsort((front, -crowd))
-        chosen.extend(front[order[: target_size - len(chosen)]].tolist())
-        break
-    idx = np.array(chosen, dtype=int)
-    return genomes[idx], objectives[idx]
+    """Elitist truncation of the pool to ``target_size`` survivors.
+
+    Returns the survivors' genomes, objectives, ranks and crowding. Every
+    dominator of a survivor also survives, so pool ranks are survivor
+    ranks, and whole fronts keep their relative order and so their
+    crowding; only the truncated front's crowding is recomputed.
+    """
+    kept, ranks, crowd = [], [], []
+    room = target_size
+    for r, front in enumerate(non_dominated_sort(objectives)):
+        if room == 0:
+            break
+        dist = crowding_distance(objectives, front)
+        if front.size > room:
+            # Stable truncation: widest-spaced first, original index breaks ties.
+            front = front[np.lexsort((front, -dist))[:room]]
+            dist = crowding_distance(objectives, front)
+        kept.append(front)
+        ranks.append(np.full(front.size, r))
+        crowd.append(dist)
+        room -= front.size
+    idx = np.concatenate(kept)
+    return genomes[idx], objectives[idx], np.concatenate(ranks), np.concatenate(crowd)
 
 
 @dataclass(frozen=True)
@@ -312,7 +351,12 @@ def evolve(
     cfg: NsgaConfig,
     breeding_rounds: int = 2,
 ) -> EvolveResult:
-    """Run NSGA-II and return the final rank-1 front sorted by objective 1."""
+    """Run NSGA-II and return the final rank-1 front sorted by objective 1.
+
+    Objectives are never NaN: genes are clipped to [-1, 1], amplitudes are
+    normalized, and invalid genomes and annihilated gates score ``inf``,
+    which ``non_dominated_sort`` orders like any other value.
+    """
     objective = _make_objectives(problem, spec, breeding_rounds)
     bound = witness.gaussian_bound(spec.u, spec.phi, spec.c)
     rng = np.random.default_rng(cfg.seed)
@@ -323,20 +367,19 @@ def evolve(
     evaluations = cfg.population
     history = [objectives.min(axis=0)]
 
+    ranks, crowd = _rank_and_crowd(objectives)
     for _ in range(cfg.generations):
-        ranks, crowd = _rank_and_crowd(objectives)
         parent_idx = _tournament(rng, ranks, crowd, cfg.population)
         offspring = variation(genomes[parent_idx], cfg, rng)
         off_objs = _evaluate(offspring, objective)
         evaluations += cfg.population
-        genomes, objectives = _select_next(
+        genomes, objectives, ranks, crowd = _select_next(
             np.vstack([genomes, offspring]),
             np.vstack([objectives, off_objs]),
             cfg.population,
         )
         history.append(objectives.min(axis=0))
 
-    ranks, crowd = _rank_and_crowd(objectives)
     front = np.nonzero(ranks == 0)[0]
     finite = front[np.isfinite(objectives[front]).all(axis=1)]
     order = np.lexsort((finite, objectives[finite, 1], objectives[finite, 0]))

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqewit import fock, pareto, witness
 from sqewit.errors import ContractViolationError
@@ -26,6 +30,42 @@ def brute_force_rank1(objs):
         if not dominated:
             rank1.append(i)
     return sorted(rank1)
+
+
+def reference_non_dominated_sort(objectives):
+    """The O(n²) peeling sort: fronts of ascending indices, the sweep's oracle."""
+    objs = np.asarray(objectives, dtype=float)
+    n = objs.shape[0]
+    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
+    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
+    dominates = le & lt  # dominates[i, j]: i dominates j
+    n_dominators = dominates.sum(axis=0)
+    fronts = []
+    assigned = np.zeros(n, dtype=bool)
+    while not assigned.all():
+        current = np.nonzero((n_dominators == 0) & ~assigned)[0]
+        fronts.append(current)
+        assigned[current] = True
+        n_dominators = n_dominators - dominates[current].sum(axis=0)
+    return fronts
+
+
+def as_lists(fronts):
+    return [f.tolist() for f in fronts]
+
+
+# Small integer grids force ties in one objective and exact duplicates;
+# infinite entries stand in for invalid genomes and annihilated gates.
+GRID_VALUE = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([math.inf, -math.inf]),
+)
+
+
+def objective_clouds(min_size=0, max_size=80):
+    return st.lists(st.tuples(GRID_VALUE, GRID_VALUE), min_size=min_size, max_size=max_size).map(
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), 2)
+    )
 
 
 class TestDecode:
@@ -64,18 +104,33 @@ class TestNonDominatedSort:
 
     def test_identical_points_single_front(self):
         objs = np.ones((6, 2))
-        fronts = pareto.non_dominated_sort(objs)
-        assert len(fronts) == 1
-        assert sorted(fronts[0].tolist()) == list(range(6))
+        assert as_lists(pareto.non_dominated_sort(objs)) == [list(range(6))]
 
     def test_random_cloud_against_brute_force(self):
         rng = np.random.default_rng(5)
         objs = rng.random((100, 2))
         fronts = pareto.non_dominated_sort(objs)
-        assert sorted(fronts[0].tolist()) == brute_force_rank1(objs)
-        # Every point lands in exactly one front.
-        all_idx = np.concatenate(fronts)
-        assert sorted(all_idx.tolist()) == list(range(100))
+        assert fronts[0].tolist() == brute_force_rank1(objs)
+        assert as_lists(fronts) == as_lists(reference_non_dominated_sort(objs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(objs=objective_clouds())
+    @example(objs=np.empty((0, 2)))
+    @example(objs=np.array([[1.0, 2.0]]))
+    @example(objs=np.array([[math.inf, math.inf]] * 3 + [[0.0, math.inf], [math.inf, 0.0]]))
+    def test_matches_quadratic_oracle(self, objs):
+        # Same fronts, same order of indices inside each front.
+        assert as_lists(pareto.non_dominated_sort(objs)) == as_lists(reference_non_dominated_sort(objs))
+
+    @pytest.mark.parametrize("row", [[math.nan, 0.0], [0.0, math.nan], [math.nan, math.nan]])
+    def test_nan_objective_rejected(self, row):
+        objs = np.array([[0.0, 1.0], row, [1.0, 0.0]])
+        with pytest.raises(ContractViolationError, match="NaN"):
+            pareto.non_dominated_sort(objs)
+
+    def test_rejects_other_objective_counts(self):
+        with pytest.raises(ContractViolationError):
+            pareto.non_dominated_sort(np.zeros((4, 3)))
 
 
 class TestCrowdingDistance:
@@ -98,6 +153,22 @@ class TestCrowdingDistance:
     def test_single_point_front(self):
         dist = pareto.crowding_distance(np.array([[1.0, 2.0]]), np.array([0]))
         assert np.isinf(dist[0])
+
+
+class TestSelectNext:
+    @settings(max_examples=200, deadline=None)
+    @given(pool=objective_clouds(min_size=2, max_size=80).map(lambda o: o[: o.shape[0] // 2 * 2]))
+    def test_carried_ranks_and_crowding_match_recomputation(self, pool):
+        target = pool.shape[0] // 2
+        genomes = np.arange(pool.shape[0], dtype=float)[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf in crowding spans
+            kept_genomes, kept_objs, ranks, crowd = pareto._select_next(genomes, pool, target)
+            fresh_ranks, fresh_crowd = pareto._rank_and_crowd(kept_objs)
+        assert kept_objs.shape == (target, 2)
+        assert np.array_equal(pool[kept_genomes[:, 0].astype(int)], kept_objs)
+        assert np.array_equal(ranks, fresh_ranks)
+        # Bitwise, NaN crowding (an infinite span) included.
+        assert crowd.tobytes() == fresh_crowd.tobytes()
 
 
 class TestVariation:
@@ -179,6 +250,26 @@ class TestEvolve:
         objective = pareto._FidelityObjectives(SPEC6)
         objs = pareto._evaluate(np.zeros((3, 12)), objective)
         assert np.all(np.isinf(objs))
+
+    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
+    def test_evaluate_matches_decoded_states(self, problem):
+        objective = pareto._make_objectives(problem, SPEC6, 2)
+        genomes = np.random.default_rng(21).uniform(-1, 1, (40, 12))
+        want = np.array([objective(pareto.decode(g).amps) for g in genomes])
+        assert pareto._evaluate(genomes, objective).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
+    def test_bitwise_pin(self, problem):
+        # float.hex of history and of each front point's (objective_1,
+        # objective_2, crowding), recorded with the O(n²) sort re-run on
+        # every generation's parents. Any change of arithmetic or of the
+        # NSGA-II trajectory shows here.
+        pin = json.loads(Path(__file__).with_name("pareto_pin.json").read_text())[problem]
+        spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=4, k=100)
+        res = pareto.evolve(problem, spec, NsgaConfig(seed=3, population=20, generations=20))
+        assert [[float(v).hex() for v in row] for row in res.history] == pin["history"]
+        got = [[p.objective_1.hex(), p.objective_2.hex(), p.crowding.hex()] for p in res.points]
+        assert got == pin["front"]
 
     def test_gkp_problem_runs(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=8, k=100)
