@@ -9,7 +9,6 @@ benchmarked against its numerically minimized Gaussian expectation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,10 +19,11 @@ from . import fock, gates
 from .errors import ContractViolationError, OptimizerFailure
 from .fock import FockState
 from .gates import GateOutcome
+from .witness import ratio_db
 
-Q0_PAD_DEFAULT = 40
-GKP_BENCHMARK_DIM = 80
-EXPECTATION_FLOOR = 1e-14
+# Levels added above the requested dimension for Q0 and the Gaussian
+# candidates, enough for quadrature eigenvalues well past one grid period.
+_Q0_PAD = 40
 
 # Gaussian search box: squeezing plus one period of each displacement comb.
 _R_BOX = (-3.0, 3.0)
@@ -79,15 +79,14 @@ def breed_protocol(state: FockState, rounds: int) -> BreedingRun:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def build_q0(dim: int, pad: int = Q0_PAD_DEFAULT) -> np.ndarray:
+def build_q0(dim: int) -> np.ndarray:
     """Grid witness 2 sin²(x sqrt(pi)/2) + 2 sin²(p sqrt(pi)), cropped to dim.
 
-    Spectrum lies in [0, 4] up to truncation-level rounding. The default
-    padding keeps quadrature eigenvalue coverage well beyond one grid
-    period in each direction.
+    Built in a padded dimension and returned read-only; the spectrum lies
+    in [0, 4] up to truncation-level rounding. Uncached: `gkp_witness`
+    holds the matrix per dimension.
     """
-    x, p = fock.quadratures(dim + pad)
+    x, p = fock.quadratures(dim + _Q0_PAD)
     term_x = fock.matrix_function(x, lambda lam: 2.0 * np.sin(lam * math.sqrt(math.pi) / 2.0) ** 2)
     term_p = fock.matrix_function(p, lambda lam: 2.0 * np.sin(lam * math.sqrt(math.pi)) ** 2)
     q0 = fock.crop(term_x, dim) + fock.crop(term_p, dim)
@@ -95,9 +94,9 @@ def build_q0(dim: int, pad: int = Q0_PAD_DEFAULT) -> np.ndarray:
     return q0
 
 
-def _gaussian_candidate_weights(dim: int, pad: int):
-    """Cached spectral machinery for squeezed-displaced vacuum candidates."""
-    big = dim + pad
+def _gaussian_candidate_weights(dim: int):
+    """Spectral machinery for squeezed-displaced vacuum candidates."""
+    big = dim + _Q0_PAD
     x, p = fock.quadratures(big)
     xeig = fock.hermitian_eig(x)
     peig = fock.hermitian_eig(p)
@@ -118,17 +117,9 @@ def _make_candidate(params, dim, xeig, peig, seig, s_seed) -> FockState:
     return FockState(vec[:dim])
 
 
-@lru_cache(maxsize=8)
-def gaussian_min_q0(dim: int = GKP_BENCHMARK_DIM, pad: int = Q0_PAD_DEFAULT) -> float:
-    """Minimum grid-witness expectation over squeezed displaced vacuum states.
-
-    Multi-start grid over squeezing in [-3, 3] and displacements over one
-    comb period in each quadrature, refined by Nelder-Mead. States are
-    built numerically at the padded dimension and cropped, so the benchmark
-    shares the truncation behavior of everything it is compared against.
-    """
-    q0 = build_q0(dim, pad)
-    machinery = _gaussian_candidate_weights(dim, pad)
+def _gaussian_min(q0: np.ndarray) -> float:
+    dim = q0.shape[0]
+    machinery = _gaussian_candidate_weights(dim)
 
     def objective(params) -> float:
         r = min(max(params[0], _R_BOX[0]), _R_BOX[1])
@@ -170,8 +161,21 @@ class GkpWitness:
 
 
 @lru_cache(maxsize=16)
-def gkp_witness(dim: int, pad: int = Q0_PAD_DEFAULT) -> GkpWitness:
-    return GkpWitness(dim=dim, matrix=build_q0(dim, pad), gaussian_min=gaussian_min_q0(dim, pad))
+def gkp_witness(dim: int) -> GkpWitness:
+    """Q0 at dim and its Gaussian benchmark, built once per dimension."""
+    q0 = build_q0(dim)
+    return GkpWitness(dim=dim, matrix=q0, gaussian_min=_gaussian_min(q0))
+
+
+def gaussian_min_q0(dim: int) -> float:
+    """Minimum grid-witness expectation over squeezed displaced vacuum states.
+
+    Multi-start grid over squeezing in [-3, 3] and displacements over one
+    comb period in each quadrature, refined by Nelder-Mead. States are
+    built numerically at the padded dimension and cropped, so the benchmark
+    shares the truncation behavior of everything it is compared against.
+    """
+    return gkp_witness(dim).gaussian_min
 
 
 def gkp_squeezing_db(state: FockState, witness: GkpWitness | None = None) -> float:
@@ -183,15 +187,7 @@ def gkp_squeezing_db(state: FockState, witness: GkpWitness | None = None) -> flo
         raise ContractViolationError(
             f"state dimension {state.dim} does not match witness dimension {witness.dim}"
         )
-    value = fock.expectation(witness.matrix, state)
-    if value <= EXPECTATION_FLOOR:
-        warnings.warn(
-            f"grid-witness expectation {value:.3e} at or below the positivity floor; clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        value = EXPECTATION_FLOOR
-    return 10.0 * math.log10(value / witness.gaussian_min)
+    return ratio_db(fock.expectation(witness.matrix, state), witness.gaussian_min)
 
 
 def breeding_report(run: BreedingRun) -> dict:

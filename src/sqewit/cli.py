@@ -62,7 +62,12 @@ def _command(func):
 
 
 def _apply_config(ctx: click.Context, params: dict, config_path: str | None) -> dict:
-    """Merge config-file values under explicit flags; reject unknown keys."""
+    """Merge config-file values under explicit flags; reject unknown keys.
+
+    Each value is read as its option's command-line text would be (JSON
+    numbers and literals by their JSON spelling), so a config value is
+    accepted exactly when the same flag would be.
+    """
     if config_path is None:
         return params
     try:
@@ -76,10 +81,16 @@ def _apply_config(ctx: click.Context, params: dict, config_path: str | None) -> 
     unknown = sorted(set(payload) - set(params))
     if unknown:
         raise InputFormatError(f"unknown config keys: {', '.join(unknown)}")
+    options = {param.name: param for param in ctx.command.params}
     merged = dict(params)
     for key, value in payload.items():
-        if ctx.get_parameter_source(key) != click.core.ParameterSource.COMMANDLINE:
-            merged[key] = value
+        if ctx.get_parameter_source(key) == click.core.ParameterSource.COMMANDLINE:
+            continue
+        text = value if isinstance(value, str) or value is None else json.dumps(value)
+        try:
+            merged[key] = options[key].process_value(ctx, text)
+        except click.BadParameter as exc:
+            raise InputFormatError(f"config file: {exc.format_message()}") from exc
     return merged
 
 

@@ -2,8 +2,10 @@
 
 Conventions used throughout the package: natural units with [x, p] = i,
 quadratures x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2), vacuum variance 1/2.
-Operator functions of exponential type are built in a padded dimension and
-cropped back, which keeps the low-photon block accurate despite truncation.
+The Gaussian gates `displacement_x` and `squeeze` are built max(20, N // 2)
+levels above the requested N and cropped back, which keeps the low-photon
+block accurate despite truncation; the padding is internal, and
+`displacement_x_exact` gives the closed-form block where that matters.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
 Two-mode couplers reach the gate and breeding paths only as N x N x N
 kernels already contracted with <p = 0| on mode 1 (`p0_kernel`); the dense
@@ -29,8 +31,9 @@ HERMITICITY_TOL = 1e-12
 COUPLER_KINDS = ("QND", "BS")
 
 
-def default_pad(dim: int) -> int:
-    """Default padding for exponential-generated gates."""
+def _pad(dim: int) -> int:
+    # Levels added above dim before exponentiating, for the Gaussian gates
+    # and the squeezed cats built from them; recorded outputs depend on it.
     return max(20, dim // 2)
 
 
@@ -141,13 +144,9 @@ def matrix_function(
 # ---------------------------------------------------------------------------
 
 
-def displacement_x(u: float, dim: int, pad: int | None = None) -> np.ndarray:
-    """x-displacement exp(-i u p), built at dim+pad and cropped to dim."""
-    if pad is None:
-        pad = default_pad(dim)
-    if pad < 0:
-        raise ContractViolationError("pad must be >= 0")
-    _, p = quadratures(dim + pad)
+def displacement_x(u: float, dim: int) -> np.ndarray:
+    """x-displacement exp(-i u p), built in a padded dimension and cropped to dim."""
+    _, p = quadratures(dim + _pad(dim))
     full = matrix_function(p, lambda lam: np.exp(-1j * u * lam))
     return crop(full, dim)
 
@@ -181,30 +180,16 @@ def displacement_x_exact(s: float, dim: int) -> np.ndarray:
     return sign * np.exp(log_mag) * lag
 
 
-def displacement_p(v: float, dim: int, pad: int | None = None) -> np.ndarray:
-    """p-displacement exp(i v x), built at dim+pad and cropped to dim."""
-    if pad is None:
-        pad = default_pad(dim)
-    x, _ = quadratures(dim + pad)
-    full = matrix_function(x, lambda lam: np.exp(1j * v * lam))
-    return crop(full, dim)
+def squeeze(r: float, dim: int) -> np.ndarray:
+    """Squeezing exp[(r/2)(a² - a†²)]; r > 0 narrows the x quadrature.
 
-
-def squeeze(r: float, dim: int, pad: int | None = None) -> np.ndarray:
-    """Squeezing exp[(r/2)(a² - a†²)]; r > 0 narrows the x quadrature."""
-    if pad is None:
-        pad = default_pad(dim)
-    big = dim + pad
-    a = annihilation(big)
+    Built in a padded dimension and cropped to dim.
+    """
+    a = annihilation(dim + _pad(dim))
     # exp(r G) with anti-Hermitian G = (a² - a†²)/2, via the Hermitian -iG.
     h = -0.5j * (a @ a - a.conj().T @ a.conj().T)
     full = matrix_function(h, lambda lam: np.exp(1j * r * lam))
     return crop(full, dim)
-
-
-def phase_rotation(theta: float, dim: int) -> np.ndarray:
-    """Fock-diagonal rotation exp(i theta n)."""
-    return np.diag(np.exp(1j * theta * np.arange(dim))).astype(complex)
 
 
 # ---------------------------------------------------------------------------

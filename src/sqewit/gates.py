@@ -61,7 +61,7 @@ def interaction_fidelity(resource: FockState, kind: str, u: float, phi: float) -
 
 def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
     """Fidelity and success norm for one resource, as a flat record."""
-    target = states.ideal_gate_target(kind, u, phi, resource.dim, max_loss=1.0)
+    target = states.ideal_gate_target(kind, u, phi, resource.dim)
     outcome = conditional_output(resource, kind)
     return {
         "fidelity": fock.overlap_fidelity(outcome.output, target),

@@ -88,16 +88,16 @@ def decode(genome: np.ndarray) -> FockState | None:
 class _FidelityObjectives:
     metric_name = "fidelity"
 
-    def __init__(self, spec: WitnessSpec, kind: str = "BS"):
+    def __init__(self, spec: WitnessSpec):
         self.spec = spec
         self.w = witness.build_witness(spec)
         self.coupler_cols = np.ascontiguousarray(
-            fock.two_mode_coupler(kind, spec.dim)[:, 0 :: spec.dim]
+            fock.two_mode_coupler("BS", spec.dim)[:, 0 :: spec.dim]
         )  # action on c ⊗ |0>
         self.bra = fock.momentum_eigenbra(0.0, spec.dim)
         # Normalized truncation of the ideal target; small frontier
         # dimensions cannot hold it losslessly.
-        self.target = states.ideal_gate_target(kind, spec.u, spec.phi, spec.dim, max_loss=1.0).amps
+        self.target = states.ideal_gate_target("BS", spec.u, spec.phi, spec.dim).amps
 
     def __call__(self, amps: np.ndarray) -> tuple[float, float]:
         z = float(np.real(np.vdot(amps, self.w @ amps)))
@@ -134,12 +134,8 @@ class _GkpObjectives:
             if norm < gates.ANNIHILATION_EPS:
                 return (z, math.inf)
             current = out / norm
-        value = max(
-            float(np.real(np.vdot(current, self.gkp.matrix @ current))),
-            breeding.EXPECTATION_FLOOR,
-        )
-        gkp_db = 10.0 * math.log10(value / self.gkp.gaussian_min)
-        return (z, -gkp_db)
+        value = float(np.real(np.vdot(current, self.gkp.matrix @ current)))
+        return (z, -witness.ratio_db(value, self.gkp.gaussian_min))
 
     def metric_value(self, objective_2: float) -> float:
         return -objective_2
@@ -358,7 +354,7 @@ def evolve(
     which ``non_dominated_sort`` orders like any other value.
     """
     objective = _make_objectives(problem, spec, breeding_rounds)
-    bound = witness.gaussian_bound(spec.u, spec.phi, spec.c)
+    bound = witness.gaussian_bound(spec.u, spec.c)
     rng = np.random.default_rng(cfg.seed)
     genes = 2 * spec.dim
 
@@ -391,7 +387,7 @@ def evolve(
                 genome=genomes[i].copy(),
                 objective_1=float(z),
                 objective_2=float(objectives[i, 1]),
-                xi_sqe_db=10.0 * math.log10(max(z, witness.EXPECTATION_FLOOR) / bound.value),
+                xi_sqe_db=witness.ratio_db(z, bound.value),
                 metric_name=objective.metric_name,
                 metric_value=float(objective.metric_value(objectives[i, 1])),
                 rank=0,

@@ -49,6 +49,8 @@ def state_from_dict(payload: dict) -> tuple[FockState, dict]:
         amps = np.array([complex(float(re), float(im)) for re, im in raw])
     except (TypeError, ValueError) as exc:
         raise InputFormatError("amplitudes must be [re, im] pairs of numbers") from exc
+    if not np.all(np.isfinite(amps)):
+        raise InputFormatError("amplitudes must be finite (no NaN or Infinity)")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise InputFormatError("state file holds the zero vector")

@@ -30,43 +30,42 @@ class CatSpec:
             raise ContractViolationError(f"cat dimension must be >= 2, got {self.dim}")
 
 
-def squeezed_cat(
-    spec: CatSpec,
-    pad: int | None = None,
-    max_loss: float = TRUNCATION_LOSS_MAX,
-) -> FockState:
+def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockState:
     """Superposition (D(u) + e^{i phi} D(-u)) S(r) |0> cropped to spec.dim.
 
     Built in a padded dimension with the same displacement and squeeze
     matrices used elsewhere in the package, then cropped and renormalized.
-    If the crop discards more than max_loss of the norm the state does not
-    fit and a TruncationLossError names the dimension that would.
+    The crop loss is measured against the exact squared norm of the cat,
+    2 + 2 cos(phi) exp(-u² e^{2r}). If the crop discards max_loss of it or
+    more, the state does not fit and a TruncationLossError names the
+    dimension that would.
     """
     dim = spec.dim
-    if pad is None:
-        pad = fock.default_pad(dim)
-    big = dim + pad
+    big = dim + fock._pad(dim)
+    # 2 + 2 cos(phi) e^{-t}, arranged so an odd cat near u = 0 keeps its digits.
+    cos_phi = math.cos(spec.phi)
+    t = spec.u * spec.u * math.exp(2.0 * spec.r)
+    total = 2.0 * (1.0 + cos_phi) + 2.0 * cos_phi * math.expm1(-t)
+    if total == 0.0:
+        raise ContractViolationError(
+            "cat construction produced the zero vector (destructive interference)"
+        )
     sq = fock.squeeze(spec.r, big)
     d_plus = fock.displacement_x(spec.u, big)
     d_minus = fock.displacement_x(-spec.u, big)
     seed = np.zeros(big, dtype=complex)
     seed[0] = 1.0
     vec = (d_plus + np.exp(1j * spec.phi) * d_minus) @ (sq @ seed)
-    norm2 = float(np.sum(np.abs(vec) ** 2))
-    if norm2 == 0.0:
-        raise ContractViolationError(
-            "cat construction produced the zero vector (destructive interference)"
-        )
-    probs = np.abs(vec) ** 2 / norm2
-    loss = float(np.sum(probs[dim:]))
-    if loss >= max_loss:
-        # Lower bound on the dimension that would fit: the padded build is
-        # itself truncated, so the true requirement can only be larger.
-        tail = np.cumsum(probs[::-1])[::-1]
-        fits = np.nonzero(tail < max_loss)[0]
-        required = int(fits[0]) if fits.size else big
+    # loss[n - 1] is the share of the exact norm outside the first n levels.
+    loss = 1.0 - np.cumsum(np.abs(vec) ** 2) / total
+    if loss[dim - 1] >= max_loss:
+        # Levels well inside the padded build are accurate, so its first crop
+        # under max_loss is the required dimension; if no crop of it fits,
+        # its size is a lower bound.
+        fits = np.nonzero(loss < max_loss)[0]
+        required = int(fits[0]) + 1 if fits.size else big
         raise TruncationLossError(
-            f"cropping to dim {dim} loses {loss:.3e} of the norm (>= {max_loss:.1e}); "
+            f"cropping to dim {dim} loses {loss[dim - 1]:.3e} of the norm (>= {max_loss:.1e}); "
             f"a dimension of at least {required} is required",
             required_dim=required,
         )
@@ -201,22 +200,21 @@ def ground_state_sweep(
 # ---------------------------------------------------------------------------
 
 
-def ideal_gate_target(
-    kind: str, u: float, phi: float, dim: int, max_loss: float = TRUNCATION_LOSS_MAX
-) -> FockState:
+def ideal_gate_target(kind: str, u: float, phi: float, dim: int) -> FockState:
     """Exact conditional output for an ideal quadrature-eigenstate resource.
 
     QND coupling leaves (D(u) + e^{i phi} D(-u))|0>; the balanced beam
     splitter leaves the same superposition contracted by sqrt(2):
-    displacement u/sqrt(2) on a vacuum squeezed by ln(2)/2. Pass a relaxed
-    max_loss to accept the normalized truncation at small dimensions.
+    displacement u/sqrt(2) on a vacuum squeezed by ln(2)/2. Returned as the
+    normalized truncation to dim, however much of the norm the crop drops,
+    so fidelities stay comparable at small dimensions.
     """
     kind = kind.upper()
     if kind == "QND":
-        return squeezed_cat(CatSpec(u=u, r=0.0, phi=phi, dim=dim), max_loss=max_loss)
+        return squeezed_cat(CatSpec(u=u, r=0.0, phi=phi, dim=dim), max_loss=1.0)
     if kind == "BS":
         return squeezed_cat(
             CatSpec(u=u / math.sqrt(2.0), r=math.log(2.0) / 2.0, phi=phi, dim=dim),
-            max_loss=max_loss,
+            max_loss=1.0,
         )
     raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {fock.COUPLER_KINDS}")

@@ -260,13 +260,13 @@ def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
     return quartic + (u * c / math.pi) * theta3_half_pi(nome)
 
 
-def gaussian_bound(u: float, phi: float, c: float) -> GaussianBound:
+def gaussian_bound(u: float, c: float) -> GaussianBound:
     """Benchmark minimum of the witness expectation over Gaussian states.
 
     Two candidate optima: a centered squeezed vacuum (minimized over the
     squeezing parameter by golden section) and the infinitely squeezed
     state displaced to u, whose expectation is u*c/pi. The comb offset phi
-    does not move either optimum, so the bound depends on (u, c) only.
+    moves neither optimum, so the bound depends on (u, c) only.
     For the degenerate c = 0 family only the squeezed-vacuum branch is a
     meaningful benchmark (the displaced branch collapses to zero together
     with the comb weight) and it is returned unconditionally.
@@ -291,6 +291,21 @@ def gaussian_bound(u: float, phi: float, c: float) -> GaussianBound:
     return GaussianBound(value=e_a, branch="squeezed-vacuum", argmin_r=r_star)
 
 
+def ratio_db(value: float, benchmark: float) -> float:
+    """10 log10(value / benchmark), with value raised to EXPECTATION_FLOOR.
+
+    Witness expectations are nonnegative, but rounding can leave them at or
+    below zero, where the log is undefined; such a clamp warns.
+    """
+    if value <= EXPECTATION_FLOOR:
+        warnings.warn(
+            f"witness expectation {value:.3e} at or below the positivity floor; clamped",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return 10.0 * math.log10(max(value, EXPECTATION_FLOOR) / benchmark)
+
+
 def sqe_squeezing_db(
     state: FockState, spec: WitnessSpec, bound: GaussianBound | None = None
 ) -> float:
@@ -305,21 +320,13 @@ def sqe_squeezing_db(
             f"state dimension {state.dim} does not match witness dimension {spec.dim}"
         )
     if bound is None:
-        bound = gaussian_bound(spec.u, spec.phi, spec.c)
-    value = fock.expectation(build_witness(spec), state)
-    if value <= EXPECTATION_FLOOR:
-        warnings.warn(
-            f"witness expectation {value:.3e} at or below the positivity floor; clamped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        value = EXPECTATION_FLOOR
-    return 10.0 * math.log10(value / bound.value)
+        bound = gaussian_bound(spec.u, spec.c)
+    return ratio_db(fock.expectation(build_witness(spec), state), bound.value)
 
 
 def witness_report(state: FockState, spec: WitnessSpec) -> dict:
     """Expectation, Gaussian benchmark, and squeezing in dB as one record."""
-    bound = gaussian_bound(spec.u, spec.phi, spec.c)
+    bound = gaussian_bound(spec.u, spec.c)
     expect = fock.expectation(build_witness(spec), state)
     return {
         "u": spec.u,
@@ -331,7 +338,7 @@ def witness_report(state: FockState, spec: WitnessSpec) -> dict:
         "gaussian_bound": bound.value,
         "branch": bound.branch,
         "argmin_r": bound.argmin_r,
-        "xi_db": sqe_squeezing_db(state, spec, bound),
+        "xi_db": ratio_db(expect, bound.value),
     }
 
 

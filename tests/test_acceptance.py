@@ -3,11 +3,12 @@
 Run with `pytest -s tests/test_acceptance.py` to see every line, or check
 the captured output of failing criteria. Every check runs at its stated
 tolerance and compares like with like: finite-k witness values with
-references that carry the same sin^2k comb, and gate fidelities at a
-dimension the truncation guard accepts. One clause fails on a known program
-fault: ACCEPT-04's F_QND = F_BS equality, which the unpadded QND kernel
-(`fock.p0_kernel`) misses by 2.7e-4 on the 60-level r = 2 cat; it waits on
-the exact QND kernel (ROADMAP item 2).
+references that carry the same sin^2k comb, and gate fidelities at the
+dimension the truncation guard accepts (N = 215 for ACCEPT-04's u = 3 cats,
+the first crop that keeps 1 - 1e-4 of their exact norm). One clause fails on
+a known program fault: ACCEPT-04's F_QND = F_BS equality, which the unpadded
+QND kernel (`fock.p0_kernel`) misses by 2.7e-4 on the 60-level r = 2 cat; it
+waits on the exact QND kernel (ROADMAP item 2).
 """
 
 import math
@@ -30,8 +31,8 @@ def _report(num: int, ok: bool, detail: str) -> str:
 
 def test_criterion_01_gaussian_bound_oracle():
     started = time.time()
-    b0 = witness.gaussian_bound(3.0, 0.0, 0.0)
-    b10 = witness.gaussian_bound(3.0, 0.0, 10.0)
+    b0 = witness.gaussian_bound(3.0, 0.0)
+    b10 = witness.gaussian_bound(3.0, 10.0)
     elapsed = time.time() - started
     ok = (
         abs(b0.value - 54.0) <= 1e-6
@@ -180,6 +181,8 @@ def test_criterion_04_gate_limit_fidelity():
     grid = (0.0, 0.5, 1.0, 1.5, 2.0)
     # F_BS is judged at the dimension the default truncation guard accepts
     # for every grid cat; at N = 60 the r = 1.5 and r = 2 cats are cropped.
+    # The guard measures the crop loss against the exact norm of the cat, so
+    # the chain of required dimensions runs 60 -> 90 -> 135 -> 202 -> 215.
     dim = _guard_accepted_dim(3.0, grid, 60)
     f_bs = [
         gates.interaction_fidelity(states.squeezed_cat(CatSpec(u=3.0, r=r, phi=0.0, dim=dim)), "BS", 3.0, 0.0)
@@ -222,7 +225,7 @@ def test_criterion_05_witness_fires():
     # smallest eigenvalue of that block (its position floor): where the floor
     # sits at or above the Gaussian bound the witness cannot fire.
     started = time.time()
-    bound = witness.gaussian_bound(3.0, 0.0, 10.0)
+    bound = witness.gaussian_bound(3.0, 10.0)
     rows = []
     for dim in range(4, 17):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)

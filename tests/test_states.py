@@ -30,10 +30,24 @@ class TestSqueezedCat:
     def test_truncation_guard_names_required_dim(self):
         with pytest.raises(TruncationLossError) as err:
             states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=60))
-        assert err.value.required_dim is not None
-        assert err.value.required_dim > 60  # lower bound on the fitting dim
-        # A deep enough build does fit (true requirement is ~215 levels).
-        states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=220), pad=200)
+        # The padded 90-level build holds no crop that fits, so its size is
+        # named: a lower bound on the fitting dim (215).
+        assert err.value.required_dim == 90
+        states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=220))
+
+    def test_guard_measures_loss_against_exact_norm(self):
+        # Exact squared norm 2 + 2 exp(-9 e^4): the 213-level crop loses
+        # 1.008e-4 of it, the 215-level crop 9.56e-5. Measured against the
+        # padded build's own norm, 213 looked like 9.9e-5 and passed.
+        with pytest.raises(TruncationLossError) as err:
+            states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=213))
+        assert err.value.required_dim == 215
+        states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=215))
+
+    def test_destructive_interference_rejected(self):
+        # u = 0, phi = pi: D(0) - D(0) = 0, exact norm 0.
+        with pytest.raises(ContractViolationError):
+            states.squeezed_cat(CatSpec(u=0.0, r=0.5, phi=math.pi, dim=10))
 
     def test_peak_positions_in_x(self):
         st = states.squeezed_cat(CatSpec(u=3.0, r=0.8, phi=0.0, dim=50))

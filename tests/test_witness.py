@@ -138,7 +138,7 @@ class TestBuildWitness:
     def test_ground_below_gaussian_bound_at_dim_20(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=20, k=100)
         lam = fock.hermitian_eig(np.asarray(witness.build_witness(spec))).values[0]
-        bound = witness.gaussian_bound(3.0, 0.0, 10.0).value
+        bound = witness.gaussian_bound(3.0, 10.0).value
         assert lam < bound
 
     def test_psd_with_scaled_floor(self):
@@ -176,13 +176,13 @@ class TestGaussianBound:
 
     def test_c_zero_calculus_oracle(self):
         # Stationary point e^{-2r} = 2u²/3 gives min = 2u⁴/3.
-        b = witness.gaussian_bound(3.0, 0.0, 0.0)
+        b = witness.gaussian_bound(3.0, 0.0)
         assert b.value == pytest.approx(54.0, abs=1e-6)
         assert b.branch == "squeezed-vacuum"
         assert math.exp(-2 * b.argmin_r) == pytest.approx(6.0, rel=1e-5)
 
     def test_displaced_branch_wins_at_c10(self):
-        b = witness.gaussian_bound(3.0, 0.0, 10.0)
+        b = witness.gaussian_bound(3.0, 10.0)
         assert b.value == pytest.approx(30.0 / math.pi, abs=1e-12)
         assert b.value == pytest.approx(9.54930, abs=1e-5)
         assert b.branch == "infinitely-squeezed"
@@ -193,12 +193,12 @@ class TestGaussianBound:
         # over c > 0. (The degenerate c = 0 point reports the squeezed-vacuum
         # branch instead of the collapsed displaced branch and sits above its
         # small-c neighbors by construction.)
-        values = [witness.gaussian_bound(3.0, 0.0, c).value for c in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0)]
+        values = [witness.gaussian_bound(3.0, c).value for c in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_rejects_negative_c(self):
         with pytest.raises(ContractViolationError):
-            witness.gaussian_bound(3.0, 0.0, -1.0)
+            witness.gaussian_bound(3.0, -1.0)
 
     def test_lower_bound_over_random_gaussians(self):
         # 500 squeezed-displaced-rotated vacuums at N=60 must sit above the
@@ -216,7 +216,7 @@ class TestGaussianBound:
 
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)
         w = np.asarray(witness.build_witness(spec))
-        bound = witness.gaussian_bound(3.0, 0.0, 10.0).value
+        bound = witness.gaussian_bound(3.0, 10.0).value
 
         rng = np.random.default_rng(42)
         worst = np.inf
@@ -235,7 +235,7 @@ class TestGaussianBound:
 class TestSqueezingDb:
     def test_zero_for_ratio_one(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=12)
-        bound = witness.gaussian_bound(3.0, 0.0, 10.0)
+        bound = witness.gaussian_bound(3.0, 10.0)
         # A state whose expectation equals the bound would read exactly 0 dB;
         # check the formula through a synthetic bound.
         vac = fock.vacuum(12)
@@ -260,8 +260,16 @@ class TestSqueezingDb:
         with pytest.raises(ContractViolationError):
             witness.sqe_squeezing_db(fock.vacuum(10), spec)
 
+    def test_clamp_at_positivity_floor_warns(self):
+        # A PSD expectation that rounds to zero or below is read at the floor.
+        floor_db = 10.0 * math.log10(witness.EXPECTATION_FLOOR / 2.0)
+        for value in (-1e-3, 0.0, witness.EXPECTATION_FLOOR):
+            with pytest.warns(RuntimeWarning, match="positivity floor"):
+                assert witness.ratio_db(value, 2.0) == floor_db
+        assert witness.ratio_db(4.0, 2.0) == 10.0 * math.log10(2.0)
+
     def test_ground_xi_nonincreasing_in_dim(self):
-        bound = witness.gaussian_bound(3.0, 0.0, 10.0)
+        bound = witness.gaussian_bound(3.0, 10.0)
         xis = []
         for dim in range(3, 17):
             spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)
