@@ -100,9 +100,7 @@ def _gaussian_candidate_weights(dim: int):
     x, p = fock.quadratures(big)
     xeig = fock.hermitian_eig(x)
     peig = fock.hermitian_eig(p)
-    a = fock.annihilation(big)
-    h_sq = -0.5j * (a @ a - a.conj().T @ a.conj().T)
-    seig = fock.hermitian_eig(h_sq)
+    seig = fock.hermitian_eig(fock._squeeze_generator(big))
     seed = np.zeros(big, dtype=complex)
     seed[0] = 1.0
     s_seed = seig.vectors.conj().T @ seed

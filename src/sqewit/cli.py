@@ -1,15 +1,19 @@
 """Command-line surface: witness, ground, gate, breed, frontier, wigner, opaccuracy.
 
 Every command is a pure function of its flags, config file, and seed.
-Flags win over config-file values; the effective configuration is echoed
-into each output's metadata. Exit codes: 0 ok, 2 input error, 3 contract
-violation.
+A `--config` JSON object supplies flag values through click's default map:
+an explicit flag wins over the config, the config over the declared
+default, and each config value passes the same type check as its flag
+(float flags refuse NaN and ±inf). The effective configuration, every
+parameter but the file paths, is echoed into each output's metadata.
+Exit codes: 0 ok, 2 input error, 3 contract violation.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -61,37 +65,61 @@ def _command(func):
     return wrapper
 
 
-def _apply_config(ctx: click.Context, params: dict, config_path: str | None) -> dict:
-    """Merge config-file values under explicit flags; reject unknown keys.
+# Parameters that name files: given on the command line, never in a config.
+_PATH_PARAMS = frozenset({"config", "state_path", "out", "out_dir", "state_out"})
 
-    Each value is read as its option's command-line text would be (JSON
-    numbers and literals by their JSON spelling), so a config value is
-    accepted exactly when the same flag would be.
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float flag that refuses NaN and ±inf."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
+_FLOAT = _FiniteFloat()
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a JSON config file the command's default map; reject unknown keys.
+
+    Values reach click as their flag's command-line text (non-strings by
+    their JSON spelling), so each passes exactly when the same flag would;
+    a null leaves the flag at its default.
     """
-    if config_path is None:
-        return params
+    if path is None:
+        return
     try:
-        payload = json.loads(Path(config_path).read_text())
-    except FileNotFoundError as exc:
-        raise InputFormatError(f"config file not found: {config_path}") from exc
+        payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise InputFormatError(f"config file is not valid JSON: {exc}") from exc
+        raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise InputFormatError("config file must hold a JSON object")
-    unknown = sorted(set(payload) - set(params))
+        raise click.BadParameter("config file must hold a JSON object")
+    unknown = sorted(set(payload) - ({p.name for p in ctx.command.params} - _PATH_PARAMS))
     if unknown:
-        raise InputFormatError(f"unknown config keys: {', '.join(unknown)}")
-    options = {param.name: param for param in ctx.command.params}
-    merged = dict(params)
-    for key, value in payload.items():
-        if ctx.get_parameter_source(key) == click.core.ParameterSource.COMMANDLINE:
-            continue
-        text = value if isinstance(value, str) or value is None else json.dumps(value)
-        try:
-            merged[key] = options[key].process_value(ctx, text)
-        except click.BadParameter as exc:
-            raise InputFormatError(f"config file: {exc.format_message()}") from exc
-    return merged
+        raise click.BadParameter(f"unknown config keys: {', '.join(unknown)}")
+    ctx.default_map = {
+        key: value if isinstance(value, str) else json.dumps(value)
+        for key, value in payload.items()
+        if value is not None
+    }
+
+
+_config_option = click.option(
+    "--config",
+    type=click.Path(exists=True, dir_okay=False),
+    is_eager=True,
+    expose_value=False,
+    callback=_load_config,
+    help="JSON object of flag values, used where a flag is not given",
+)
+
+
+def _effective_config(ctx: click.Context) -> dict:
+    """Every parameter value except the file paths, as echoed into outputs."""
+    return {key: value for key, value in ctx.params.items() if key not in _PATH_PARAMS}
 
 
 def _echo_or_write(payload: dict, out: str | None) -> None:
@@ -107,30 +135,30 @@ def main():
     """Nonlinear-squeezing toolkit for quadrature-eigenstate superpositions."""
 
 
+
+
 @main.command("witness")
 @click.option("--state", "state_path", required=True, type=click.Path(), help="input state file")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--u", type=float, default=3.0, show_default=True)
-@click.option("--phi", type=float, default=0.0, show_default=True)
-@click.option("--c", type=float, default=10.0, show_default=True)
+@_config_option
+@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
+@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
+@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
 @click.option("--k", type=int, default=100, show_default=True)
 @click.option("--dim", type=int, default=None, help="expected dimension (checked against the file)")
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
 @_command
-def cmd_witness(ctx, state_path, config_path, u, phi, c, k, dim, out):
+def cmd_witness(ctx, state_path, u, phi, c, k, dim, out):
     """Witness expectation, Gaussian benchmark, and squeezing in dB."""
-    cfg = _apply_config(
-        ctx, {"u": u, "phi": phi, "c": c, "k": k, "dim": dim}, config_path
-    )
     state, _ = serialize.load_state(state_path)
-    if cfg["dim"] is not None and cfg["dim"] != state.dim:
+    if dim is not None and dim != state.dim:
         raise ContractViolationError(
-            f"state file dimension {state.dim} does not match requested dim {cfg['dim']}"
+            f"state file dimension {state.dim} does not match requested dim {dim}"
         )
-    spec = witness.WitnessSpec(u=cfg["u"], phi=cfg["phi"], c=cfg["c"], dim=state.dim, k=cfg["k"])
+    spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=state.dim, k=k)
     report = witness.witness_report(state, spec)
-    report["metadata"] = {"config": {**cfg, "dim": state.dim}, "state_file": str(state_path)}
+    config = {**_effective_config(ctx), "dim": state.dim}
+    report["metadata"] = {"config": config, "state_file": str(state_path)}
     _echo_or_write(report, out)
 
 
@@ -148,25 +176,25 @@ def _parse_dims(text: str) -> list[int]:
 
 
 @main.command("ground")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--u", type=float, default=3.0, show_default=True)
-@click.option("--phi", type=float, default=0.0, show_default=True)
-@click.option("--c", type=float, default=10.0, show_default=True)
+@_config_option
+@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
+@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
+@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
 @click.option("--k", type=int, default=100, show_default=True)
 @click.option("--dims", type=str, default="3:12", show_default=True, help="LO:HI or comma list")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="output directory")
 @click.pass_context
 @_command
-def cmd_ground(ctx, config_path, u, phi, c, k, dims, out_dir):
+def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     """Optimal approximations over a dimension range: state files + index CSV."""
-    cfg = _apply_config(ctx, {"u": u, "phi": phi, "c": c, "k": k, "dims": dims}, config_path)
-    dim_list = _parse_dims(cfg["dims"])
+    dim_list = _parse_dims(dims)
+    config = json.dumps(_effective_config(ctx), sort_keys=True)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for dim, report in states.ground_state_sweep(cfg["u"], cfg["phi"], cfg["c"], dim_list, cfg["k"]):
+    for dim, report in states.ground_state_sweep(u, phi, c, dim_list, k):
         meta = {
-            "config": json.dumps(cfg, sort_keys=True),
+            "config": config,
             "dim": dim,
             "eigenvalue": f"{report.eigenvalue:.17g}",
             "xi_db": f"{report.xi_db:.17g}",
@@ -181,50 +209,49 @@ def cmd_ground(ctx, config_path, u, phi, c, k, dims, out_dir):
 
 @main.command("gate")
 @click.option("--state", "state_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 @click.option("--kind", type=click.Choice(["BS", "QND"], case_sensitive=False), default="BS", show_default=True)
-@click.option("--u", type=float, default=3.0, show_default=True)
-@click.option("--phi", type=float, default=0.0, show_default=True)
+@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
+@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
 @_command
-def cmd_gate(ctx, state_path, config_path, kind, u, phi, out):
+def cmd_gate(ctx, state_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
-    cfg = _apply_config(ctx, {"kind": kind, "u": u, "phi": phi}, config_path)
     state, _ = serialize.load_state(state_path)
-    report = gates.gate_report(state, cfg["kind"], cfg["u"], cfg["phi"])
-    report["metadata"] = {"config": cfg, "state_file": str(state_path)}
+    report = gates.gate_report(state, kind, u, phi)
+    report["metadata"] = {"config": _effective_config(ctx), "state_file": str(state_path)}
     _echo_or_write(report, out)
 
 
 @main.command("breed")
 @click.option("--state", "state_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 @click.option("--rounds", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="report path (stdout otherwise)")
 @click.option("--state-out", type=click.Path(), default=None, help="final state file path")
 @click.pass_context
 @_command
-def cmd_breed(ctx, state_path, config_path, rounds, out, state_out):
+def cmd_breed(ctx, state_path, rounds, out, state_out):
     """Breeding cascade: per-round GKP squeezing, success norms, final state."""
-    cfg = _apply_config(ctx, {"rounds": rounds}, config_path)
+    config = _effective_config(ctx)
     state, _ = serialize.load_state(state_path)
-    run = breeding.breed_protocol(state, cfg["rounds"])
+    run = breeding.breed_protocol(state, rounds)
     if state_out is None:
-        state_out = str(Path(state_path).with_suffix("")) + f".bred{cfg['rounds']}.json"
-    serialize.save_state(state_out, run.final, {"config": json.dumps(cfg, sort_keys=True)})
+        state_out = str(Path(state_path).with_suffix("")) + f".bred{rounds}.json"
+    serialize.save_state(state_out, run.final, {"config": json.dumps(config, sort_keys=True)})
     report = breeding.breeding_report(run)
     report["final_state_file"] = str(state_out)
-    report["metadata"] = {"config": cfg, "state_file": str(state_path)}
+    report["metadata"] = {"config": config, "state_file": str(state_path)}
     _echo_or_write(report, out)
 
 
 @main.command("frontier")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 @click.option("--problem", type=click.Choice(["fidelity", "gkp"]), default="fidelity", show_default=True)
-@click.option("--u", type=float, default=3.0, show_default=True)
-@click.option("--phi", type=float, default=0.0, show_default=True)
-@click.option("--c", type=float, default=10.0, show_default=True)
+@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
+@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
+@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
 @click.option("--dim", type=int, default=6, show_default=True)
 @click.option("--k", type=int, default=100, show_default=True)
 @click.option("--pop", type=int, default=200, show_default=True)
@@ -234,32 +261,16 @@ def cmd_breed(ctx, state_path, config_path, rounds, out, state_out):
 @click.option("--out", required=True, type=click.Path(), help="frontier CSV path")
 @click.pass_context
 @_command
-def cmd_frontier(ctx, config_path, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
+def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
     """NSGA-II Pareto frontier (CSV + genome sidecar + metadata JSON)."""
-    cfg = _apply_config(
-        ctx,
-        {
-            "problem": problem,
-            "u": u,
-            "phi": phi,
-            "c": c,
-            "dim": dim,
-            "k": k,
-            "pop": pop,
-            "gens": gens,
-            "rounds": rounds,
-            "seed": seed,
-        },
-        config_path,
-    )
-    spec = witness.WitnessSpec(u=cfg["u"], phi=cfg["phi"], c=cfg["c"], dim=cfg["dim"], k=cfg["k"])
-    nsga = pareto.NsgaConfig(seed=cfg["seed"], population=cfg["pop"], generations=cfg["gens"])
+    spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)
+    nsga = pareto.NsgaConfig(seed=seed, population=pop, generations=gens)
     started = time.time()
-    result = pareto.evolve(cfg["problem"], spec, nsga, breeding_rounds=cfg["rounds"])
+    result = pareto.evolve(problem, spec, nsga, breeding_rounds=rounds)
     wall = time.time() - started
 
     metric = result.points[0].metric_name if result.points else (
-        "fidelity" if cfg["problem"] == "fidelity" else "gkp_db"
+        "fidelity" if problem == "fidelity" else "gkp_db"
     )
     serialize.write_csv(
         out,
@@ -269,17 +280,17 @@ def cmd_frontier(ctx, config_path, problem, u, phi, c, dim, k, pop, gens, rounds
     genome_path = str(Path(out).with_suffix("")) + ".genomes.csv"
     serialize.write_csv(
         genome_path,
-        tuple(f"g{i}" for i in range(2 * cfg["dim"])),
+        tuple(f"g{i}" for i in range(2 * dim)),
         [tuple(p.genome) for p in result.points],
     )
     meta_path = str(Path(out).with_suffix("")) + ".meta.json"
     serialize.dump_json(
         meta_path,
         {
-            "config": cfg,
-            "seed": cfg["seed"],
+            "config": _effective_config(ctx),
+            "seed": seed,
             "wall_time_s": wall,
-            "generations_completed": cfg["gens"],
+            "generations_completed": gens,
             "evaluations": result.evaluations,
             "front_size": len(result.points),
             "genome_sidecar": genome_path,
@@ -290,21 +301,19 @@ def cmd_frontier(ctx, config_path, problem, u, phi, c, dim, k, pop, gens, rounds
 
 @main.command("wigner")
 @click.option("--state", "state_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--xmax", type=float, default=5.0, show_default=True)
-@click.option("--pmax", type=float, default=5.0, show_default=True)
-@click.option("--step", type=float, default=0.1, show_default=True)
+@_config_option
+@click.option("--xmax", type=_FLOAT, default=5.0, show_default=True)
+@click.option("--pmax", type=_FLOAT, default=5.0, show_default=True)
+@click.option("--step", type=_FLOAT, default=0.1, show_default=True)
 @click.option("--out", required=True, type=click.Path(), help="long-form CSV: x, p, w")
-@click.pass_context
 @_command
-def cmd_wigner(ctx, state_path, config_path, xmax, pmax, step, out):
+def cmd_wigner(state_path, xmax, pmax, step, out):
     """Wigner function on a symmetric grid, as plot-ready CSV."""
-    cfg = _apply_config(ctx, {"xmax": xmax, "pmax": pmax, "step": step}, config_path)
     state, _ = serialize.load_state(state_path)
-    if cfg["step"] <= 0 or cfg["xmax"] <= 0 or cfg["pmax"] <= 0:
+    if step <= 0 or xmax <= 0 or pmax <= 0:
         raise InputFormatError("xmax, pmax, and step must be positive")
-    xs = _symmetric_grid(cfg["xmax"], cfg["step"])
-    ps = _symmetric_grid(cfg["pmax"], cfg["step"])
+    xs = _symmetric_grid(xmax, step)
+    ps = _symmetric_grid(pmax, step)
     w = fock.wigner(state, xs, ps)
     rows = [
         (float(xs[i]), float(ps[j]), float(w[i, j]))
@@ -321,17 +330,15 @@ def _symmetric_grid(extent: float, step: float) -> np.ndarray:
 
 
 @main.command("opaccuracy")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--u", type=float, default=3.0, show_default=True)
+@_config_option
+@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
 @click.option("--k", type=int, default=100, show_default=True)
 @click.option("--nmax", type=int, default=30, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-@click.pass_context
 @_command
-def cmd_opaccuracy(ctx, config_path, u, k, nmax, out):
+def cmd_opaccuracy(u, k, nmax, out):
     """Comb-approximation accuracy table: n, exact, approx, rel_error."""
-    cfg = _apply_config(ctx, {"u": u, "k": k, "nmax": nmax}, config_path)
-    rows = witness.accuracy_scan(cfg["u"], cfg["k"], cfg["nmax"])
+    rows = witness.accuracy_scan(u, k, nmax)
     serialize.write_csv(out, ("n", "exact", "approx", "rel_error"), rows)
     click.echo(f"wrote {len(rows)} accuracy rows to {out}")
 

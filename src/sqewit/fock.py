@@ -52,11 +52,6 @@ def annihilation(dim: int) -> np.ndarray:
     return a
 
 
-def creation(dim: int) -> np.ndarray:
-    """Truncated creation operator (conjugate transpose of annihilation)."""
-    return annihilation(dim).conj().T
-
-
 def number_operator(dim: int) -> np.ndarray:
     """diag(0, 1, ..., dim-1)."""
     if dim < 1:
@@ -93,13 +88,13 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Hermiticity check with a scale-aware tolerance."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """Hermiticity check within HERMITICITY_TOL, relative to the largest entry."""
     scale = max(1.0, float(np.max(np.abs(matrix))))
-    return hermiticity_defect(matrix) <= tol * scale
+    return hermiticity_defect(matrix) <= HERMITICITY_TOL * scale
 
 
-def hermitian_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
 
     The input is symmetrized as (M + M†)/2 before solving to absorb the
@@ -109,7 +104,7 @@ def hermitian_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDeco
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {matrix.shape}")
-    if not is_hermitian(matrix, tol):
+    if not is_hermitian(matrix):
         raise ContractViolationError(
             f"matrix is not Hermitian within tolerance (defect {hermiticity_defect(matrix):.3e})"
         )
@@ -118,11 +113,7 @@ def hermitian_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDeco
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def matrix_function(
-    matrix: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = HERMITICITY_TOL,
-) -> np.ndarray:
+def matrix_function(matrix: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Returns V f(L) V†. The result is Hermitian whenever f is real-valued;
@@ -130,7 +121,7 @@ def matrix_function(
     operator function of the same eigenbasis. Raises if f is undefined
     (NaN/inf) at an eigenvalue.
     """
-    eig = hermitian_eig(matrix, tol)
+    eig = hermitian_eig(matrix)
     fvals = np.asarray(f(eig.values))
     if fvals.shape != eig.values.shape:
         raise ContractViolationError("scalar function must map eigenvalues elementwise")
@@ -180,15 +171,18 @@ def displacement_x_exact(s: float, dim: int) -> np.ndarray:
     return sign * np.exp(log_mag) * lag
 
 
+def _squeeze_generator(dim: int) -> np.ndarray:
+    # The Hermitian -iG of the anti-Hermitian squeeze generator G = (a² - a†²)/2.
+    a = annihilation(dim)
+    return -0.5j * (a @ a - a.conj().T @ a.conj().T)
+
+
 def squeeze(r: float, dim: int) -> np.ndarray:
     """Squeezing exp[(r/2)(a² - a†²)]; r > 0 narrows the x quadrature.
 
-    Built in a padded dimension and cropped to dim.
+    Built in a padded dimension as exp(i r (-iG)) and cropped to dim.
     """
-    a = annihilation(dim + _pad(dim))
-    # exp(r G) with anti-Hermitian G = (a² - a†²)/2, via the Hermitian -iG.
-    h = -0.5j * (a @ a - a.conj().T @ a.conj().T)
-    full = matrix_function(h, lambda lam: np.exp(1j * r * lam))
+    full = matrix_function(_squeeze_generator(dim + _pad(dim)), lambda lam: np.exp(1j * r * lam))
     return crop(full, dim)
 
 
@@ -319,20 +313,16 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def momentum_wavefunction_coeffs(p0: float, dim: int) -> np.ndarray:
-    """Fock coefficients psi_n(p0) = <p0|n> with the (-i)^n phase convention."""
-    phi = hermite_functions(dim - 1, np.array([p0]))[:, 0]
-    return (-1j) ** np.arange(dim) * phi
-
-
 def momentum_eigenbra(p0: float, dim: int) -> np.ndarray:
     """Row vector representing <p = p0| on the truncated Fock basis.
 
-    Entry n is conj(psi_n(p0)); contracting it against a mode evaluates the
-    (unnormalizable) momentum-eigenstate overlap used by homodyne
-    post-selection at outcome p0.
+    Entry n is conj(psi_n(p0)), where psi_n(p0) = (-i)^n phi_n(p0) is the
+    momentum wavefunction of Fock level n; contracting it against a mode
+    evaluates the (unnormalizable) momentum-eigenstate overlap used by
+    homodyne post-selection at outcome p0.
     """
-    return momentum_wavefunction_coeffs(p0, dim).conj()
+    phi = hermite_functions(dim - 1, np.array([p0]))[:, 0]
+    return ((-1j) ** np.arange(dim) * phi).conj()
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +392,6 @@ def position_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
     """<x|psi> on a grid (real Hermite-function expansion)."""
     phi = hermite_functions(state.dim - 1, xs)
     return state.amps @ phi.astype(complex)
-
-
-def momentum_wavefunction(state: FockState, ps: np.ndarray) -> np.ndarray:
-    """<p|psi> on a grid, carrying the (-i)^n momentum phase convention."""
-    phi = hermite_functions(state.dim - 1, ps).astype(complex)
-    phases = (-1j) ** np.arange(state.dim)
-    return (state.amps * phases) @ phi
 
 
 # ---------------------------------------------------------------------------

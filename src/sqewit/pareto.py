@@ -37,6 +37,8 @@ GENE_LOW = -1.0
 GENE_HIGH = 1.0
 DECODE_EPS = 1e-9
 PROBLEMS = ("fidelity", "gkp")
+CROSSOVER_ETA = 15.0  # SBX distribution index
+MUTATION_ETA = 20.0  # polynomial-mutation distribution index
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,7 @@ class NsgaConfig:
     population: int = 200
     generations: int = 500
     crossover_prob: float = 0.9
-    crossover_eta: float = 15.0
     mutation_prob: float | None = None  # default 1 / (2 * dim)
-    mutation_eta: float = 20.0
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2:
@@ -60,8 +60,8 @@ class NsgaConfig:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ContractViolationError(f"{name} must lie in [0, 1], got {v}")
-        if not -(2**63) <= self.seed < 2**64:
-            raise ContractViolationError("seed must fit in 64 bits")
+        if not 0 <= self.seed < 2**64:
+            raise ContractViolationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def decode(genome: np.ndarray) -> FockState | None:
@@ -252,8 +252,8 @@ def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) ->
     u = rng.random((half, genes))
     beta = np.where(
         u <= 0.5,
-        (2.0 * u) ** (1.0 / (cfg.crossover_eta + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (cfg.crossover_eta + 1.0)),
+        (2.0 * u) ** (1.0 / (CROSSOVER_ETA + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (CROSSOVER_ETA + 1.0)),
     )
     mask = do_pair[:, None] & do_gene
     c1 = np.where(mask, 0.5 * ((1 + beta) * p1 + (1 - beta) * p2), p1)
@@ -269,8 +269,8 @@ def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) ->
     um = rng.random((n, genes))
     delta = np.where(
         um < 0.5,
-        (2.0 * um) ** (1.0 / (cfg.mutation_eta + 1.0)) - 1.0,
-        1.0 - (2.0 * (1.0 - um)) ** (1.0 / (cfg.mutation_eta + 1.0)),
+        (2.0 * um) ** (1.0 / (MUTATION_ETA + 1.0)) - 1.0,
+        1.0 - (2.0 * (1.0 - um)) ** (1.0 / (MUTATION_ETA + 1.0)),
     )
     offspring = offspring + mut_mask * delta * (GENE_HIGH - GENE_LOW)
     return np.clip(offspring, GENE_LOW, GENE_HIGH)
@@ -353,6 +353,8 @@ def evolve(
     normalized, and invalid genomes and annihilated gates score ``inf``,
     which ``non_dominated_sort`` orders like any other value.
     """
+    if breeding_rounds < 0:
+        raise ContractViolationError(f"breeding_rounds must be >= 0, got {breeding_rounds}")
     objective = _make_objectives(problem, spec, breeding_rounds)
     bound = witness.gaussian_bound(spec.u, spec.c)
     rng = np.random.default_rng(cfg.seed)

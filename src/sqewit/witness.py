@@ -81,11 +81,11 @@ def comb_prefactor(u: float, k: int) -> float:
     return u / math.sqrt(math.pi) * math.exp(gammaln(k + 1) - gammaln(k + 0.5))
 
 
-def _sin_power_harmonics(k: int, rel_cut: float = 1e-20) -> tuple[np.ndarray, np.ndarray]:
+def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fourier weights of sin^2k: sum over m of c_m e^{i 2 m theta}.
 
     c_m = (-1)^m C(2k, k+m) / 4^k; returns (m >= 0, c_m) with the tail below
-    rel_cut * c_0 dropped. Evaluated through log-gamma so k = 100 and far
+    1e-20 c_0 dropped. Evaluated through log-gamma so k = 100 and far
     beyond stay exact to rounding.
     """
     log4k = 2.0 * k * math.log(2.0)
@@ -94,7 +94,7 @@ def _sin_power_harmonics(k: int, rel_cut: float = 1e-20) -> tuple[np.ndarray, np
     cs = [math.exp(log_c0)]
     for m in range(1, k + 1):
         log_cm = gammaln(2 * k + 1) - gammaln(k + m + 1) - gammaln(k - m + 1) - log4k
-        if log_cm - log_c0 < math.log(rel_cut):
+        if log_cm - log_c0 < math.log(1e-20):
             break
         ms.append(m)
         cs.append((-1.0) ** m * math.exp(log_cm))
@@ -167,22 +167,18 @@ class AccuracyRow(NamedTuple):
     rel_error: float
 
 
-def accuracy_scan(
-    u: float,
-    k: int,
-    n_max: int,
-    phi: float = 0.0,
-) -> list[AccuracyRow]:
+def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     """Per-level relative error of the sin^2k comb against the exact comb sum.
 
-    The approximate diagonal is read from a build at twice the scanned depth
-    so the quoted error reflects the ridge approximation, not truncation.
+    Both combs are taken at phi = 0. The approximate diagonal is read from
+    a build at twice the scanned depth so the quoted error reflects the
+    ridge approximation, not truncation.
     """
     build_dim = 2 * n_max + 2
-    approx = np.real(np.diag(momentum_comb(u, phi, k, build_dim)))
+    approx = np.real(np.diag(momentum_comb(u, 0.0, k, build_dim)))
     rows = []
     for n in range(n_max + 1):
-        exact = comb_diagonal_exact(u, phi, n)
+        exact = comb_diagonal_exact(u, 0.0, n)
         rel = abs(1.0 - approx[n] / exact)
         rows.append(AccuracyRow(n=n, exact=exact, approx=float(approx[n]), rel_error=float(rel)))
     return rows
@@ -385,35 +381,14 @@ def min_over_g(
 ) -> GMin:
     """Minimum rescaled-witness expectation over the squeezing scale g > 0.
 
-    Scans a logarithmic grid and refines the winner by golden section. The
-    position part is evaluated through spectral weights of the state against
-    the fixed x eigenbasis (an O(dim) job per candidate g); the comb part
-    sums exact displacement expectations over the sin^2k harmonics.
+    Scans a logarithmic grid and refines the winner by golden section. Each
+    candidate g is scored as the expectation of the full
+    `rescaled_witness(g, phi, c, dim, k)`, so the comb harmonics are built
+    and skipped by `momentum_comb` alone.
     """
-    dim = state.dim
-    x, _ = fock.quadratures(dim + 4)
-    xeig = fock.hermitian_eig(x)
-    wx = np.abs(xeig.vectors.conj().T @ state.padded(dim + 4).amps) ** 2
-    tx = xeig.values**2
-
-    ms, cs = _sin_power_harmonics(k)
-
-    def comb_expectation(u_eff: float) -> float:
-        total = cs[0]
-        for m, cm in zip(ms[1:], cs[1:]):
-            xarg = 2.0 * (m * u_eff) ** 2
-            if _displacement_negligible(xarg, dim):
-                continue
-            d = fock.displacement_x_exact(-2.0 * m * u_eff, dim)
-            chi = np.vdot(state.amps, d @ state.amps)
-            total += float(2.0 * cm * np.real(np.exp(1j * m * phi) * chi))
-        return comb_prefactor(u_eff, k) * total
 
     def value(g: float) -> float:
-        val = float(wx @ (g * g * tx - 1.0) ** 2)
-        if c != 0.0:
-            val += c * comb_expectation(1.0 / g)
-        return val
+        return fock.expectation(rescaled_witness(g, phi, c, state.dim, k), state)
 
     grid = np.geomspace(g_range[0], g_range[1], grid_points)
     vals = np.array([value(g) for g in grid])

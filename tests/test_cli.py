@@ -145,6 +145,24 @@ class TestFrontierCommand:
     def test_requires_seed(self, runner, tmp_path):
         result = runner.invoke(main, ["frontier", "--out", str(tmp_path / "f.csv")])
         assert result.exit_code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gens": 0}))
+        result = runner.invoke(main, ["frontier", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+        assert result.exit_code == 2
+
+    def test_config_seed_counts(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "dim": 2, "pop": 4, "gens": 1}))
+        result = runner.invoke(main, ["frontier", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "f.meta.json").read_text())["seed"] == 3
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--seed", "1", "--rounds", "-1"]])
+    def test_out_of_range_search_inputs_exit_3(self, runner, tmp_path, flags):
+        args = ["frontier", "--dim", "2", "--pop", "4", "--gens", "0", "--out", str(tmp_path / "f.csv")]
+        result = runner.invoke(main, args + flags)
+        assert result.exit_code == 3, result.output
+        assert not (tmp_path / "f.csv").exists()
 
     def test_deterministic_rerun(self, runner, tmp_path):
         args = ["frontier", "--dim", "6", "--pop", "20", "--gens", "5", "--seed", "1"]
@@ -214,6 +232,21 @@ class TestConfigMerge:
         result = runner.invoke(main, ["witness", "--state", str(vacuum_file), "--config", str(cfg)])
         assert result.exit_code == 2
 
+    def test_null_config_value_leaves_the_default(self, runner, vacuum_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u": None, "dim": None}))
+        by_config = runner.invoke(main, ["witness", "--state", str(vacuum_file), "--config", str(cfg)])
+        assert by_config.exit_code == 0, by_config.output
+        assert by_config.output == runner.invoke(main, ["witness", "--state", str(vacuum_file)]).output
+
+    @pytest.mark.parametrize("key", ["state", "state_path", "out", "config"])
+    def test_file_path_config_key_rejected(self, runner, vacuum_file, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "x.json"}))
+        result = runner.invoke(main, ["witness", "--state", str(vacuum_file), "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"unknown config keys: {key}" in result.output
+
     @pytest.mark.parametrize(
         "command, key, value, code",
         [("frontier", "pop", "x", 2), ("gate", "u", "three", 2), ("ground", "dims", 5, 0)],
@@ -236,3 +269,76 @@ class TestConfigMerge:
         assert by_config.exit_code == by_flag.exit_code == code, by_config.output
         if code == 0:
             assert (tmp_path / "config" / "index.csv").read_text() == (tmp_path / "flag" / "index.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("witness", {"u": 2.5, "phi": 0.3, "c": 7, "k": 50, "dim": 20}),
+            ("ground", {"u": 2.5, "phi": 0.3, "c": 7, "k": 50, "dims": "5,7"}),
+            ("gate", {"kind": "qnd", "u": 2, "phi": 0.1}),
+            ("breed", {"rounds": 1}),
+            ("frontier", {"problem": "gkp", "u": 2.5, "c": 8, "dim": 3, "k": 60, "pop": 6, "gens": 2, "rounds": 1, "seed": 5}),
+        ],
+    )
+    def test_config_run_writes_the_flag_run_bytes(self, runner, vacuum_file, tmp_path, command, config):
+        state, t = str(vacuum_file), str(tmp_path)
+        args, outputs = {
+            "witness": (["--state", state, "--out", f"{t}/r.json"], ["r.json"]),
+            "ground": (["--out", f"{t}/g"], ["g/state_N5.json", "g/state_N7.json", "g/index.csv"]),
+            "gate": (["--state", state, "--out", f"{t}/r.json"], ["r.json"]),
+            "breed": (["--state", state, "--out", f"{t}/r.json", "--state-out", f"{t}/s.json"], ["r.json", "s.json"]),
+            "frontier": (["--out", f"{t}/f.csv"], ["f.csv", "f.genomes.csv", "f.meta.json"]),
+        }[command]
+        args = [command] + args
+
+        def written():
+            files = {name: (tmp_path / name).read_bytes() for name in outputs}
+            if "f.meta.json" in files:
+                meta = json.loads(files["f.meta.json"])
+                del meta["wall_time_s"]
+                files["f.meta.json"] = meta
+            return files
+
+        flags = [f for key, value in config.items() for f in (f"--{key}", str(value))]
+        assert runner.invoke(main, args + flags).exit_code == 0
+        by_flag = written()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, args + ["--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert written() == by_flag
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("witness", "u", math.nan),
+        ("gate", "phi", math.inf),
+        ("frontier", "c", math.nan),
+        ("opaccuracy", "u", math.nan),
+        ("wigner", "xmax", math.nan),
+        ("wigner", "step", math.inf),
+        ("wigner", "pmax", -math.inf),
+    ],
+)
+def test_non_finite_float_exit_2(runner, vacuum_file, tmp_path, via, command, key, value):
+    # Rejected at parsing: a NaN u would otherwise write "expectation": NaN,
+    # which is not JSON, and a NaN wigner extent would raise inside numpy.
+    args = {
+        "witness": ["witness", "--state", str(vacuum_file)],
+        "gate": ["gate", "--state", str(vacuum_file)],
+        "frontier": ["frontier", "--seed", "1", "--dim", "2", "--pop", "4", "--gens", "0"],
+        "opaccuracy": ["opaccuracy", "--nmax", "2"],
+        "wigner": ["wigner", "--state", str(vacuum_file)],
+    }[command] + ["--out", str(tmp_path / "out.csv")]
+    if via == "flag":
+        args += [f"--{key}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "finite" in result.output
+    assert not (tmp_path / "out.csv").exists()

@@ -88,5 +88,20 @@ def test_no_public_padding_knobs():
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_no_knobs_without_callers():
+    # Parameters no caller ever set are module constants, and functions no
+    # caller used are gone.
+    for func in (fock.is_hermitian, fock.hermitian_eig, fock.matrix_function):
+        assert "tol" not in inspect.signature(func).parameters, func.__name__
+    assert "rel_cut" not in inspect.signature(witness._sin_power_harmonics).parameters
+    assert "phi" not in inspect.signature(witness.accuracy_scan).parameters
+    fields = pareto.NsgaConfig.__dataclass_fields__
+    assert "crossover_eta" not in fields and "mutation_eta" not in fields
+    assert (pareto.CROSSOVER_ETA, pareto.MUTATION_ETA) == (15.0, 20.0)
+    for name in ("creation", "momentum_wavefunction", "momentum_wavefunction_coeffs"):
+        assert not hasattr(fock, name), name
+    assert not hasattr(cli, "_apply_config")
+
+
 if __name__ == "__main__":
     print(json.dumps(construction_values(), indent=1))

@@ -213,6 +213,19 @@ class TestConfigValidation:
         with pytest.raises(ContractViolationError):
             NsgaConfig(seed=1, generations=-1)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64])
+    def test_seed_outside_generator_range(self, seed):
+        # numpy's default_rng refuses negative seeds with a bare ValueError.
+        with pytest.raises(ContractViolationError):
+            NsgaConfig(seed=seed)
+        NsgaConfig(seed=0)
+        NsgaConfig(seed=2**64 - 1)
+
+    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
+    def test_negative_breeding_rounds(self, problem):
+        with pytest.raises(ContractViolationError):
+            pareto.evolve(problem, SPEC6, NsgaConfig(seed=1, population=4, generations=0), breeding_rounds=-1)
+
 
 class TestEvolve:
     def test_zero_generations_front_is_nondominated(self):
