@@ -5,7 +5,8 @@ A `--config` JSON object supplies flag values through click's default map:
 an explicit flag wins over the config, the config over the declared
 default, and each config value passes the same type check as its flag
 (float flags refuse NaN and ±inf). The effective configuration, every
-parameter but the file paths, is echoed into each output's metadata.
+parameter but the file paths, is echoed into the JSON outputs (reports,
+state files, frontier .meta.json); the CSV tables carry none.
 Exit codes: 0 ok, 2 input error, 3 contract violation.
 """
 
@@ -95,6 +96,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.BadParameter(f"cannot read config file: {exc}") from exc
     if not isinstance(payload, dict):
         raise click.BadParameter("config file must hold a JSON object")
     unknown = sorted(set(payload) - ({p.name for p in ctx.command.params} - _PATH_PARAMS))
@@ -117,17 +120,32 @@ _config_option = click.option(
 )
 
 
+# Flags shared by several commands, each declared once.
+_state_option = click.option("--state", "state_path", required=True, type=click.Path(), help="input state file")
+_u_option = click.option("--u", type=_FLOAT, default=3.0, show_default=True)
+_phi_option = click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
+_c_option = click.option("--c", type=_FLOAT, default=10.0, show_default=True)
+_k_option = click.option("--k", type=int, default=100, show_default=True)
+
+
+def _witness_options(func):
+    """--u, --phi, --c and --k: the witness W(u, phi, c) and its comb order."""
+    return _u_option(_phi_option(_c_option(_k_option(func))))
+
+
 def _effective_config(ctx: click.Context) -> dict:
     """Every parameter value except the file paths, as echoed into outputs."""
     return {key: value for key, value in ctx.params.items() if key not in _PATH_PARAMS}
 
 
-def _echo_or_write(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
+def _emit(ctx: click.Context, report: dict, out: str | None, **config) -> None:
+    """Attach the config and input file to a report; write it to `out` or stdout."""
+    config = {**_effective_config(ctx), **config}
+    report["metadata"] = {"config": config, "state_file": ctx.params["state_path"]}
     if out:
-        Path(out).write_text(text + "\n")
+        serialize.dump_json(out, report)
     else:
-        click.echo(text)
+        click.echo(serialize.json_text(report), nl=False)
 
 
 @click.group()
@@ -135,15 +153,10 @@ def main():
     """Nonlinear-squeezing toolkit for quadrature-eigenstate superpositions."""
 
 
-
-
 @main.command("witness")
-@click.option("--state", "state_path", required=True, type=click.Path(), help="input state file")
+@_state_option
 @_config_option
-@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
-@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
-@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
-@click.option("--k", type=int, default=100, show_default=True)
+@_witness_options
 @click.option("--dim", type=int, default=None, help="expected dimension (checked against the file)")
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
@@ -156,10 +169,7 @@ def cmd_witness(ctx, state_path, u, phi, c, k, dim, out):
             f"state file dimension {state.dim} does not match requested dim {dim}"
         )
     spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=state.dim, k=k)
-    report = witness.witness_report(state, spec)
-    config = {**_effective_config(ctx), "dim": state.dim}
-    report["metadata"] = {"config": config, "state_file": str(state_path)}
-    _echo_or_write(report, out)
+    _emit(ctx, witness.witness_report(state, spec), out, dim=state.dim)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -177,10 +187,7 @@ def _parse_dims(text: str) -> list[int]:
 
 @main.command("ground")
 @_config_option
-@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
-@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
-@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
-@click.option("--k", type=int, default=100, show_default=True)
+@_witness_options
 @click.option("--dims", type=str, default="3:12", show_default=True, help="LO:HI or comma list")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="output directory")
 @click.pass_context
@@ -208,24 +215,22 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
 
 
 @main.command("gate")
-@click.option("--state", "state_path", required=True, type=click.Path())
+@_state_option
 @_config_option
-@click.option("--kind", type=click.Choice(["BS", "QND"], case_sensitive=False), default="BS", show_default=True)
-@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
-@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
+@click.option("--kind", type=click.Choice(fock.COUPLER_KINDS, case_sensitive=False), default="BS", show_default=True)
+@_u_option
+@_phi_option
 @click.option("--out", type=click.Path(), default=None)
 @click.pass_context
 @_command
 def cmd_gate(ctx, state_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
     state, _ = serialize.load_state(state_path)
-    report = gates.gate_report(state, kind, u, phi)
-    report["metadata"] = {"config": _effective_config(ctx), "state_file": str(state_path)}
-    _echo_or_write(report, out)
+    _emit(ctx, gates.gate_report(state, kind, u, phi), out)
 
 
 @main.command("breed")
-@click.option("--state", "state_path", required=True, type=click.Path())
+@_state_option
 @_config_option
 @click.option("--rounds", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="report path (stdout otherwise)")
@@ -234,26 +239,22 @@ def cmd_gate(ctx, state_path, kind, u, phi, out):
 @_command
 def cmd_breed(ctx, state_path, rounds, out, state_out):
     """Breeding cascade: per-round GKP squeezing, success norms, final state."""
-    config = _effective_config(ctx)
     state, _ = serialize.load_state(state_path)
     run = breeding.breed_protocol(state, rounds)
     if state_out is None:
         state_out = str(Path(state_path).with_suffix("")) + f".bred{rounds}.json"
-    serialize.save_state(state_out, run.final, {"config": json.dumps(config, sort_keys=True)})
+    config = json.dumps(_effective_config(ctx), sort_keys=True)
+    serialize.save_state(state_out, run.final, {"config": config})
     report = breeding.breeding_report(run)
     report["final_state_file"] = str(state_out)
-    report["metadata"] = {"config": config, "state_file": str(state_path)}
-    _echo_or_write(report, out)
+    _emit(ctx, report, out)
 
 
 @main.command("frontier")
 @_config_option
-@click.option("--problem", type=click.Choice(["fidelity", "gkp"]), default="fidelity", show_default=True)
-@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
-@click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
-@click.option("--c", type=_FLOAT, default=10.0, show_default=True)
+@click.option("--problem", type=click.Choice(pareto.PROBLEMS), default="fidelity", show_default=True)
+@_witness_options
 @click.option("--dim", type=int, default=6, show_default=True)
-@click.option("--k", type=int, default=100, show_default=True)
 @click.option("--pop", type=int, default=200, show_default=True)
 @click.option("--gens", type=int, default=500, show_default=True)
 @click.option("--rounds", type=int, default=2, show_default=True, help="breeding rounds (gkp problem)")
@@ -269,12 +270,9 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
     result = pareto.evolve(problem, spec, nsga, breeding_rounds=rounds)
     wall = time.time() - started
 
-    metric = result.points[0].metric_name if result.points else (
-        "fidelity" if problem == "fidelity" else "gkp_db"
-    )
     serialize.write_csv(
         out,
-        ("xi_sqe_db", metric),
+        ("xi_sqe_db", result.metric_name),
         [(p.xi_sqe_db, p.metric_value) for p in result.points],
     )
     genome_path = str(Path(out).with_suffix("")) + ".genomes.csv"
@@ -300,7 +298,7 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
 
 
 @main.command("wigner")
-@click.option("--state", "state_path", required=True, type=click.Path())
+@_state_option
 @_config_option
 @click.option("--xmax", type=_FLOAT, default=5.0, show_default=True)
 @click.option("--pmax", type=_FLOAT, default=5.0, show_default=True)
@@ -331,8 +329,8 @@ def _symmetric_grid(extent: float, step: float) -> np.ndarray:
 
 @main.command("opaccuracy")
 @_config_option
-@click.option("--u", type=_FLOAT, default=3.0, show_default=True)
-@click.option("--k", type=int, default=100, show_default=True)
+@_u_option
+@_k_option
 @click.option("--nmax", type=int, default=30, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @_command

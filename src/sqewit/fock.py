@@ -8,8 +8,9 @@ block accurate despite truncation; the padding is internal, and
 `displacement_x_exact` gives the closed-form block where that matters.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
 Two-mode couplers reach the gate and breeding paths only as N x N x N
-kernels already contracted with <p = 0| on mode 1 (`p0_kernel`); the dense
-N² x N² unitary (`two_mode_coupler`) is kept as a reference. The BS kernel is
+kernels already contracted with <p = 0| on mode 1 (`p0_kernel`). The dense
+N² x N² unitary (`two_mode_coupler`) is built only by the `pareto` frontier
+objectives, once per run at their few-level N. The BS kernel is
 exact for N-level inputs with a vacuum ancilla. The QND kernel is not: it is
 the unpadded N-level exponential, whose error grows as the input fills the
 space (see `p0_kernel`).
@@ -28,7 +29,7 @@ from .errors import ContractViolationError, InvalidDimensionError
 
 HERMITICITY_TOL = 1e-12
 
-COUPLER_KINDS = ("QND", "BS")
+COUPLER_KINDS = ("BS", "QND")
 
 
 def _pad(dim: int) -> int:
@@ -50,13 +51,6 @@ def annihilation(dim: int) -> np.ndarray:
     n = np.arange(1, dim)
     a[n - 1, n] = np.sqrt(n)
     return a
-
-
-def number_operator(dim: int) -> np.ndarray:
-    """diag(0, 1, ..., dim-1)."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +233,11 @@ def _bs_sector_blocks(dim: int):
 
 
 def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
-    """Dense dim² x dim² unitary coupler: the O(N⁴)-memory reference.
+    """Dense dim² x dim² unitary coupler, O(N⁴) in memory.
 
     Assembled, uncached, from the same BS sector blocks and QND factors as
-    `p0_kernel`, which is what the gate and breeding paths use.
+    `p0_kernel`, which is what the gate and breeding paths use; the `pareto`
+    frontier objectives build this one.
     """
     kind = kind.upper()
     _check_coupler_args(kind, dim)
@@ -350,14 +345,6 @@ class FockState:
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    def padded(self, dim: int) -> "FockState":
-        """The same state embedded in a larger space."""
-        if dim < self.dim:
-            raise InvalidDimensionError("padded dimension smaller than state dimension")
-        amps = np.zeros(dim, dtype=complex)
-        amps[: self.dim] = self.amps
-        return FockState(amps)
 
 
 def basis_state(dim: int, n: int) -> FockState:

@@ -5,7 +5,8 @@ beam-splitter unitary; homodyne detection of mode 1 conditioned on p = 0 is
 an exact contraction against the momentum eigenbra, leaving a normalized
 conditional state and a success amplitude in mode 2. Both steps together are
 one dim³ kernel per coupler (`fock.p0_kernel`), shared by the gates and by
-every breeding round; the dim² x dim² unitary is never formed.
+every breeding round, which never form the dim² x dim² unitary; only the
+`pareto` frontier objectives still build it (`fock.two_mode_coupler`).
 """
 
 from __future__ import annotations
@@ -49,18 +50,14 @@ def conditional_output(resource: FockState, kind: str) -> GateOutcome:
     return couple_and_condition(resource, fock.vacuum(resource.dim), kind)
 
 
-def interaction_fidelity(resource: FockState, kind: str, u: float, phi: float) -> float:
-    """Overlap fidelity of the conditional output against the ideal target.
-
-    The target is taken at the resource's dimension; when that space cannot
-    hold the ideal state losslessly (small dims, large u) the normalized
-    truncation stands in, keeping the figure comparable across pipelines.
-    """
-    return gate_report(resource, kind, u, phi)["fidelity"]
-
-
 def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
-    """Fidelity and success norm for one resource, as a flat record."""
+    """Fidelity and success norm for one resource, as a flat record.
+
+    The fidelity is the overlap of the conditional output with the ideal
+    target at the resource's dimension; when that space cannot hold the
+    ideal state losslessly (small dims, large u) the normalized truncation
+    stands in, keeping the figure comparable across pipelines.
+    """
     target = states.ideal_gate_target(kind, u, phi, resource.dim)
     outcome = conditional_output(resource, kind)
     return {

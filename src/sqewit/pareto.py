@@ -37,6 +37,7 @@ GENE_LOW = -1.0
 GENE_HIGH = 1.0
 DECODE_EPS = 1e-9
 PROBLEMS = ("fidelity", "gkp")
+CROSSOVER_PROB = 0.9  # per pair; each gene then mutates with probability 1 / genes
 CROSSOVER_ETA = 15.0  # SBX distribution index
 MUTATION_ETA = 20.0  # polynomial-mutation distribution index
 
@@ -48,18 +49,12 @@ class NsgaConfig:
     seed: int
     population: int = 200
     generations: int = 500
-    crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # default 1 / (2 * dim)
 
     def __post_init__(self):
         if self.population < 2 or self.population % 2:
             raise ContractViolationError(f"population must be even and >= 2, got {self.population}")
         if self.generations < 0:
             raise ContractViolationError(f"generations must be >= 0, got {self.generations}")
-        for name in ("crossover_prob", "mutation_prob"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ContractViolationError(f"{name} must lie in [0, 1], got {v}")
         if not 0 <= self.seed < 2**64:
             raise ContractViolationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -85,11 +80,17 @@ def decode(genome: np.ndarray) -> FockState | None:
 # ---------------------------------------------------------------------------
 
 
+def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> np.ndarray | None:
+    """Normalized mode-2 state after <p = 0| on mode 1; None if annihilated."""
+    out = bra @ joint.reshape(bra.size, bra.size)
+    norm = np.linalg.norm(out)
+    return None if norm < gates.ANNIHILATION_EPS else out / norm
+
+
 class _FidelityObjectives:
     metric_name = "fidelity"
 
     def __init__(self, spec: WitnessSpec):
-        self.spec = spec
         self.w = witness.build_witness(spec)
         self.coupler_cols = np.ascontiguousarray(
             fock.two_mode_coupler("BS", spec.dim)[:, 0 :: spec.dim]
@@ -101,13 +102,10 @@ class _FidelityObjectives:
 
     def __call__(self, amps: np.ndarray) -> tuple[float, float]:
         z = float(np.real(np.vdot(amps, self.w @ amps)))
-        joint = self.coupler_cols @ amps
-        out = self.bra @ joint.reshape(self.spec.dim, self.spec.dim)
-        norm = np.linalg.norm(out)
-        if norm < gates.ANNIHILATION_EPS:
+        out = _condition_p0(self.bra, self.coupler_cols @ amps)
+        if out is None:
             return (z, math.inf)
-        fid = float(abs(np.vdot(self.target, out / norm)) ** 2)
-        return (z, fid)
+        return (z, float(abs(np.vdot(self.target, out)) ** 2))
 
     def metric_value(self, objective_2: float) -> float:
         return objective_2
@@ -117,7 +115,6 @@ class _GkpObjectives:
     metric_name = "gkp_db"
 
     def __init__(self, spec: WitnessSpec, rounds: int = 2):
-        self.spec = spec
         self.rounds = rounds
         self.w = witness.build_witness(spec)
         self.coupler = fock.two_mode_coupler("BS", spec.dim)
@@ -128,12 +125,9 @@ class _GkpObjectives:
         z = float(np.real(np.vdot(amps, self.w @ amps)))
         current = amps
         for _ in range(self.rounds):
-            joint = self.coupler @ np.multiply.outer(current, current).ravel()
-            out = self.bra @ joint.reshape(self.spec.dim, self.spec.dim)
-            norm = np.linalg.norm(out)
-            if norm < gates.ANNIHILATION_EPS:
+            current = _condition_p0(self.bra, self.coupler @ np.multiply.outer(current, current).ravel())
+            if current is None:
                 return (z, math.inf)
-            current = out / norm
         value = float(np.real(np.vdot(current, self.gkp.matrix @ current)))
         return (z, -witness.ratio_db(value, self.gkp.gaussian_min))
 
@@ -233,12 +227,8 @@ def _tournament(rng: np.random.Generator, ranks, crowd, picks: int) -> np.ndarra
     return np.array(winners[:picks], dtype=int)
 
 
-def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) -> np.ndarray:
-    """Simulated-binary crossover plus polynomial mutation, clipped to bounds.
-
-    With both probabilities zero the offspring are exact clones of the
-    parents.
-    """
+def variation(parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Simulated-binary crossover plus polynomial mutation, clipped to bounds."""
     parents = np.asarray(parents, dtype=float)
     n, genes = parents.shape
     if n % 2:
@@ -247,7 +237,7 @@ def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) ->
     p1 = parents[0::2].copy()
     p2 = parents[1::2].copy()
 
-    do_pair = rng.random(half) < cfg.crossover_prob
+    do_pair = rng.random(half) < CROSSOVER_PROB
     do_gene = rng.random((half, genes)) < 0.5
     u = rng.random((half, genes))
     beta = np.where(
@@ -264,8 +254,7 @@ def variation(parents: np.ndarray, cfg: NsgaConfig, rng: np.random.Generator) ->
 
     offspring = np.clip(offspring, GENE_LOW, GENE_HIGH)
 
-    p_mut = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / genes
-    mut_mask = rng.random((n, genes)) < p_mut
+    mut_mask = rng.random((n, genes)) < 1.0 / genes
     um = rng.random((n, genes))
     delta = np.where(
         um < 0.5,
@@ -325,9 +314,7 @@ class ParetoPoint:
     objective_1: float  # witness expectation (minimized)
     objective_2: float  # internal second objective (minimized)
     xi_sqe_db: float
-    metric_name: str
-    metric_value: float
-    rank: int
+    metric_value: float  # named by EvolveResult.metric_name
     crowding: float
 
 
@@ -336,6 +323,7 @@ class EvolveResult:
     points: list[ParetoPoint]
     history: np.ndarray  # per-generation best of each internal objective
     problem: str
+    metric_name: str  # "fidelity" or "gkp_db"
     spec: WitnessSpec
     config: NsgaConfig
     evaluations: int
@@ -368,7 +356,7 @@ def evolve(
     ranks, crowd = _rank_and_crowd(objectives)
     for _ in range(cfg.generations):
         parent_idx = _tournament(rng, ranks, crowd, cfg.population)
-        offspring = variation(genomes[parent_idx], cfg, rng)
+        offspring = variation(genomes[parent_idx], rng)
         off_objs = _evaluate(offspring, objective)
         evaluations += cfg.population
         genomes, objectives, ranks, crowd = _select_next(
@@ -390,9 +378,7 @@ def evolve(
                 objective_1=float(z),
                 objective_2=float(objectives[i, 1]),
                 xi_sqe_db=witness.ratio_db(z, bound.value),
-                metric_name=objective.metric_name,
                 metric_value=float(objective.metric_value(objectives[i, 1])),
-                rank=0,
                 crowding=float(crowd[i]),
             )
         )
@@ -400,6 +386,7 @@ def evolve(
         points=points,
         history=np.array(history),
         problem=problem,
+        metric_name=objective.metric_name,
         spec=spec,
         config=cfg,
         evaluations=evaluations,
@@ -427,11 +414,6 @@ def hypervolume(objectives: np.ndarray, reference: np.ndarray) -> float:
             hv += (ref[0] - x) * (best_y - y)
             best_y = y
     return float(hv)
-
-
-def worst_corner(*objective_sets: np.ndarray) -> np.ndarray:
-    stacked = np.vstack(objective_sets)
-    return stacked.max(axis=0)
 
 
 def dominated_front_points(front_objs: np.ndarray, challenger_objs: np.ndarray) -> np.ndarray:

@@ -36,11 +36,12 @@ def state_from_dict(payload: dict) -> tuple[FockState, dict]:
     if not isinstance(payload, dict):
         raise InputFormatError("state file must contain a JSON object")
     try:
-        dim = int(payload["dim"])
-        raw = payload["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"state file missing or malformed field: {exc}") from exc
-    if not isinstance(raw, list) or len(raw) != dim or dim < 1:
+        dim, raw = payload["dim"], payload["amplitudes"]
+    except KeyError as exc:
+        raise InputFormatError(f"state file missing field: {exc}") from exc
+    if type(dim) is not int or dim < 1:  # bool is an int subclass: refused too
+        raise InputFormatError(f"dim must be a JSON integer >= 1, got {dim!r}")
+    if not isinstance(raw, list) or len(raw) != dim:
         raise InputFormatError(
             f"amplitudes must be a list of length dim={dim}, got {type(raw).__name__} "
             f"of length {len(raw) if isinstance(raw, list) else 'n/a'}"
@@ -71,6 +72,8 @@ def load_state(path: str | Path) -> tuple[FockState, dict]:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise InputFormatError(f"state file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"state file is not valid JSON: {exc}") from exc
     return state_from_dict(payload)
@@ -88,5 +91,10 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def json_text(payload: dict) -> str:
+    """A report's JSON text: one-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def dump_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(payload))

@@ -245,9 +245,6 @@ class GaussianBound:
     branch: str  # "squeezed-vacuum" or "infinitely-squeezed"
     argmin_r: float | None
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "branch": self.branch, "argmin_r": self.argmin_r}
-
 
 def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
     """Witness expectation on a vacuum squeezed by r (x-variance e^(-2r)/2)."""

@@ -185,7 +185,7 @@ def test_criterion_04_gate_limit_fidelity():
     # the chain of required dimensions runs 60 -> 90 -> 135 -> 202 -> 215.
     dim = _guard_accepted_dim(3.0, grid, 60)
     f_bs = [
-        gates.interaction_fidelity(states.squeezed_cat(CatSpec(u=3.0, r=r, phi=0.0, dim=dim)), "BS", 3.0, 0.0)
+        gates.gate_report(states.squeezed_cat(CatSpec(u=3.0, r=r, phi=0.0, dim=dim)), "BS", 3.0, 0.0)["fidelity"]
         for r in grid
     ]
     # F_QND = F_BS holds for every input state, so the 60-level crops are
@@ -193,9 +193,8 @@ def test_criterion_04_gate_limit_fidelity():
     gaps = []
     for r in grid:
         cat = states.squeezed_cat(CatSpec(u=3.0, r=r, phi=0.0, dim=60), max_loss=0.05)
-        gaps.append(
-            abs(gates.interaction_fidelity(cat, "BS", 3.0, 0.0) - gates.interaction_fidelity(cat, "QND", 3.0, 0.0))
-        )
+        f_bs_60, f_qnd_60 = (gates.gate_report(cat, kind, 3.0, 0.0)["fidelity"] for kind in ("BS", "QND"))
+        gaps.append(abs(f_bs_60 - f_qnd_60))
     elapsed = time.time() - started
     high_r = f_bs[-1] >= 0.99
     nondecreasing = all(b >= a for a, b in zip(f_bs, f_bs[1:]))
@@ -329,7 +328,7 @@ def test_criterion_09_nsga_correctness():
     o2 = np.array([[p.objective_1, p.objective_2] for p in res2.points])
     brute_ok = brute_nondominated(o1) and brute_nondominated(o2)
 
-    ref = pareto.worst_corner(o1, o2)
+    ref = np.vstack([o1, o2]).max(axis=0)
     h1, h2 = pareto.hypervolume(o1, ref), pareto.hypervolume(o2, ref)
     hv_agreement = abs(h1 - h2) / max(h1, h2)
 

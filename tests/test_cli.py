@@ -60,6 +60,34 @@ class TestWitnessCommand:
             runner.invoke(main, ["witness", "--state", str(vacuum_file), "--dim", "7"]).exit_code == 3
         )
 
+    @pytest.mark.parametrize("dim", [2.7, True, "2", 2.0, 0, None])
+    def test_non_integer_dim_exit_2(self, runner, tmp_path, dim):
+        # Each used to load through int(dim): 2.7, "2" and 2.0 as two levels,
+        # true as one.
+        path = tmp_path / "bad.json"
+        levels = max(int(dim or 0), 1)
+        amplitudes = [[1.0, 0.0]] + [[0.0, 0.0]] * (levels - 1)
+        path.write_text(json.dumps({"dim": dim, "amplitudes": amplitudes}))
+        result = runner.invoke(main, ["witness", "--state", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "dim must be a JSON integer" in result.stderr
+
+
+@pytest.mark.parametrize("unreadable", ["state_not_utf8", "state_is_directory", "config_not_utf8"])
+def test_unreadable_input_exit_2(runner, vacuum_file, tmp_path, unreadable):
+    # Each ended in a UnicodeDecodeError or IsADirectoryError traceback (exit 1).
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b'{"dim": 1, "amplitudes": [[1.0, 0.0]], "metadata": {"k": "\xff"}}')
+    args = {
+        "state_not_utf8": ["--state", str(garbled)],
+        "state_is_directory": ["--state", str(tmp_path)],
+        "config_not_utf8": ["--state", str(vacuum_file), "--config", str(garbled)],
+    }[unreadable]
+    result = runner.invoke(main, ["witness"] + args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output.lower()
+
 
 class TestGroundCommand:
     def test_sweep_output(self, runner, tmp_path):
@@ -342,3 +370,67 @@ def test_non_finite_float_exit_2(runner, vacuum_file, tmp_path, via, command, ke
     assert result.exit_code == 2, result.output
     assert "finite" in result.output
     assert not (tmp_path / "out.csv").exists()
+
+
+# Every option of every command, as declared before the shared option
+# declarations: name -> (flags, click type class, choices, default or None,
+# required). Sharing a declaration must not drop, rename or retype a flag.
+_PATH = ("Path", (), None)
+_NUM = "_FiniteFloat", ()
+CLI_SURFACE = {
+    "witness": {
+        "state_path": (["--state"], *_PATH, True), "config": (["--config"], *_PATH, False),
+        "u": (["--u"], *_NUM, 3.0, False), "phi": (["--phi"], *_NUM, 0.0, False),
+        "c": (["--c"], *_NUM, 10.0, False), "k": (["--k"], "IntParamType", (), 100, False),
+        "dim": (["--dim"], "IntParamType", (), None, False), "out": (["--out"], *_PATH, False),
+    },
+    "ground": {
+        "config": (["--config"], *_PATH, False),
+        "u": (["--u"], *_NUM, 3.0, False), "phi": (["--phi"], *_NUM, 0.0, False),
+        "c": (["--c"], *_NUM, 10.0, False), "k": (["--k"], "IntParamType", (), 100, False),
+        "dims": (["--dims"], "StringParamType", (), "3:12", False), "out_dir": (["--out"], *_PATH, True),
+    },
+    "gate": {
+        "state_path": (["--state"], *_PATH, True), "config": (["--config"], *_PATH, False),
+        "kind": (["--kind"], "Choice", ("BS", "QND"), "BS", False),
+        "u": (["--u"], *_NUM, 3.0, False), "phi": (["--phi"], *_NUM, 0.0, False),
+        "out": (["--out"], *_PATH, False),
+    },
+    "breed": {
+        "state_path": (["--state"], *_PATH, True), "config": (["--config"], *_PATH, False),
+        "rounds": (["--rounds"], "IntParamType", (), 2, False),
+        "out": (["--out"], *_PATH, False), "state_out": (["--state-out"], *_PATH, False),
+    },
+    "frontier": {
+        "config": (["--config"], *_PATH, False),
+        "problem": (["--problem"], "Choice", ("fidelity", "gkp"), "fidelity", False),
+        "u": (["--u"], *_NUM, 3.0, False), "phi": (["--phi"], *_NUM, 0.0, False),
+        "c": (["--c"], *_NUM, 10.0, False), "dim": (["--dim"], "IntParamType", (), 6, False),
+        "k": (["--k"], "IntParamType", (), 100, False), "pop": (["--pop"], "IntParamType", (), 200, False),
+        "gens": (["--gens"], "IntParamType", (), 500, False), "rounds": (["--rounds"], "IntParamType", (), 2, False),
+        "seed": (["--seed"], "IntParamType", (), None, True), "out": (["--out"], *_PATH, True),
+    },
+    "wigner": {
+        "state_path": (["--state"], *_PATH, True), "config": (["--config"], *_PATH, False),
+        "xmax": (["--xmax"], *_NUM, 5.0, False), "pmax": (["--pmax"], *_NUM, 5.0, False),
+        "step": (["--step"], *_NUM, 0.1, False), "out": (["--out"], *_PATH, True),
+    },
+    "opaccuracy": {
+        "config": (["--config"], *_PATH, False),
+        "u": (["--u"], *_NUM, 3.0, False), "k": (["--k"], "IntParamType", (), 100, False),
+        "nmax": (["--nmax"], "IntParamType", (), 30, False), "out": (["--out"], *_PATH, True),
+    },
+}
+
+
+def test_cli_surface_unchanged():
+    def described(param):
+        default = param.default if isinstance(param.default, (int, float, str)) else None
+        choices = tuple(getattr(param.type, "choices", ()))
+        return (param.opts, type(param.type).__name__, choices, default, param.required)
+
+    got = {name: {p.name: described(p) for p in cmd.params} for name, cmd in main.commands.items()}
+    assert got == CLI_SURFACE
+    options = {(name, p.name): p for name, cmd in main.commands.items() for p in cmd.params}
+    assert options["gate", "kind"].type.case_sensitive is False
+    assert options["frontier", "problem"].type.case_sensitive is True

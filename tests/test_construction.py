@@ -95,12 +95,26 @@ def test_no_knobs_without_callers():
         assert "tol" not in inspect.signature(func).parameters, func.__name__
     assert "rel_cut" not in inspect.signature(witness._sin_power_harmonics).parameters
     assert "phi" not in inspect.signature(witness.accuracy_scan).parameters
-    fields = pareto.NsgaConfig.__dataclass_fields__
-    assert "crossover_eta" not in fields and "mutation_eta" not in fields
-    assert (pareto.CROSSOVER_ETA, pareto.MUTATION_ETA) == (15.0, 20.0)
-    for name in ("creation", "momentum_wavefunction", "momentum_wavefunction_coeffs"):
-        assert not hasattr(fock, name), name
-    assert not hasattr(cli, "_apply_config")
+    assert list(pareto.NsgaConfig.__dataclass_fields__) == ["seed", "population", "generations"]
+    assert (pareto.CROSSOVER_PROB, pareto.CROSSOVER_ETA, pareto.MUTATION_ETA) == (0.9, 15.0, 20.0)
+    assert "cfg" not in inspect.signature(pareto.variation).parameters
+    for module, name in (
+        (fock, "creation"),
+        (fock, "momentum_wavefunction"),
+        (fock, "momentum_wavefunction_coeffs"),
+        (fock, "number_operator"),
+        (fock.FockState, "padded"),
+        (witness.GaussianBound, "as_dict"),
+        (gates, "interaction_fidelity"),
+        (pareto, "worst_corner"),
+        (cli, "_apply_config"),
+        (cli, "_echo_or_write"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # Frontier points carry no per-point constants: the rank of every
+    # reported point is 0 and the metric is named once, on the result.
+    assert {"rank", "metric_name"}.isdisjoint(pareto.ParetoPoint.__dataclass_fields__)
+    assert "metric_name" in pareto.EvolveResult.__dataclass_fields__
 
 
 if __name__ == "__main__":

@@ -133,12 +133,12 @@ class TestInteractionFidelity:
             for r in (0.5, 1.0):
                 for phi in (0.0, math.pi):
                     cat = states.squeezed_cat(CatSpec(u=u, r=r, phi=phi, dim=50), max_loss=0.01)
-                    f_bs = gates.interaction_fidelity(cat, "BS", u, phi)
-                    f_qnd = gates.interaction_fidelity(cat, "QND", u, phi)
+                    f_bs = gates.gate_report(cat, "BS", u, phi)["fidelity"]
+                    f_qnd = gates.gate_report(cat, "QND", u, phi)["fidelity"]
                     assert abs(f_bs - f_qnd) <= 1e-4, (u, r, phi)
 
     def test_vacuum_resource_regression(self):
-        f = gates.interaction_fidelity(fock.vacuum(60), "BS", 3.0, 0.0)
+        f = gates.gate_report(fock.vacuum(60), "BS", 3.0, 0.0)["fidelity"]
         assert f == pytest.approx(0.093867812213857, rel=1e-9)
 
     def test_monotone_resource_quality(self):
@@ -149,25 +149,25 @@ class TestInteractionFidelity:
         fids = []
         for r in (0.0, 0.4, 0.8, 1.2, 1.6):
             cat = states.squeezed_cat(CatSpec(u=3.0, r=r, phi=0.0, dim=60), max_loss=0.01)
-            fids.append(gates.interaction_fidelity(cat, "BS", 3.0, 0.0))
+            fids.append(gates.gate_report(cat, "BS", 3.0, 0.0)["fidelity"])
         assert all(b >= a for a, b in zip(fids, fids[1:]))
         assert fids[-1] > 0.999
 
     def test_gauge_independence(self):
         cat = states.squeezed_cat(CatSpec(u=2.0, r=0.5, phi=0.0, dim=40))
         rotated = fock.FockState(np.exp(1j * 1.234) * cat.amps)
-        f0 = gates.interaction_fidelity(cat, "BS", 2.0, 0.0)
-        f1 = gates.interaction_fidelity(rotated, "BS", 2.0, 0.0)
+        f0 = gates.gate_report(cat, "BS", 2.0, 0.0)["fidelity"]
+        f1 = gates.gate_report(rotated, "BS", 2.0, 0.0)["fidelity"]
         assert abs(f0 - f1) < 1e-12
 
     def test_truncation_stability_50_vs_60(self):
         for u, r in ((3.0, 0.8), (2.0, 1.0)):
-            f50 = gates.interaction_fidelity(
+            f50 = gates.gate_report(
                 states.squeezed_cat(CatSpec(u=u, r=r, phi=0.0, dim=50), max_loss=0.01), "BS", u, 0.0
-            )
-            f60 = gates.interaction_fidelity(
+            )["fidelity"]
+            f60 = gates.gate_report(
                 states.squeezed_cat(CatSpec(u=u, r=r, phi=0.0, dim=60), max_loss=0.01), "BS", u, 0.0
-            )
+            )["fidelity"]
             assert abs(f50 - f60) < 1e-3
 
     def test_gate_report_fields(self):

@@ -172,29 +172,20 @@ class TestSelectNext:
 
 
 class TestVariation:
-    def test_zero_probabilities_clone(self):
-        cfg = NsgaConfig(seed=9, population=4, generations=1, crossover_prob=0.0, mutation_prob=0.0)
-        rng = np.random.default_rng(0)
-        parents = np.random.default_rng(1).uniform(-1, 1, (4, 10))
-        offspring = pareto.variation(parents, cfg, rng)
-        assert np.array_equal(offspring, parents)
-
     def test_bounds_respected_bulk(self):
-        cfg = NsgaConfig(seed=9, population=50, generations=1)
         rng = np.random.default_rng(123)
         worst_low, worst_high = 0.0, 0.0
         for _ in range(40):  # 40 x 50 x 50 = 1e5 gene draws
             parents = rng.uniform(-1, 1, (50, 50))
-            offspring = pareto.variation(parents, cfg, rng)
+            offspring = pareto.variation(parents, rng)
             worst_low = min(worst_low, offspring.min())
             worst_high = max(worst_high, offspring.max())
         assert worst_low >= -1.0 and worst_high <= 1.0
 
     def test_fixed_seed_identical_streams(self):
-        cfg = NsgaConfig(seed=9, population=6, generations=1)
         parents = np.random.default_rng(2).uniform(-1, 1, (6, 8))
-        a = pareto.variation(parents, cfg, np.random.default_rng(77))
-        b = pareto.variation(parents, cfg, np.random.default_rng(77))
+        a = pareto.variation(parents, np.random.default_rng(77))
+        b = pareto.variation(parents, np.random.default_rng(77))
         assert np.array_equal(a, b)
 
 
@@ -202,12 +193,6 @@ class TestConfigValidation:
     def test_odd_population(self):
         with pytest.raises(ContractViolationError):
             NsgaConfig(seed=1, population=7)
-
-    def test_probability_range(self):
-        with pytest.raises(ContractViolationError):
-            NsgaConfig(seed=1, crossover_prob=1.5)
-        with pytest.raises(ContractViolationError):
-            NsgaConfig(seed=1, mutation_prob=-0.1)
 
     def test_negative_generations(self):
         with pytest.raises(ContractViolationError):
@@ -289,7 +274,7 @@ class TestEvolve:
         res = pareto.evolve("gkp", spec, NsgaConfig(seed=3, population=30, generations=20))
         assert res.points
         assert all(np.isfinite(p.metric_value) for p in res.points)
-        assert res.points[0].metric_name == "gkp_db"
+        assert res.metric_name == "gkp_db"
 
     def test_unknown_problem(self):
         with pytest.raises(ContractViolationError):
@@ -335,11 +320,6 @@ class TestHypervolume:
         more = np.array([[0.0, 0.0], [0.5, 0.5]])
         ref = np.array([1.0, 1.0])
         assert pareto.hypervolume(base, ref) == pareto.hypervolume(more, ref)
-
-    def test_worst_corner(self):
-        a = np.array([[0.0, 3.0], [1.0, 1.0]])
-        b = np.array([[2.0, 0.5]])
-        assert np.array_equal(pareto.worst_corner(a, b), np.array([2.0, 3.0]))
 
 
 class TestDominatedFrontPoints:

@@ -324,7 +324,7 @@ class TestMinOverG:
         cat_amps = np.zeros(dim)
         cat_amps[0], cat_amps[2], cat_amps[4] = 1.0, 0.5, 0.1
         state = fock.FockState(cat_amps)
-        squeezed = fock.FockState((fock.squeeze(delta, dim) @ state.padded(dim).amps))
+        squeezed = fock.FockState(fock.squeeze(delta, dim) @ state.amps)
         base = witness.min_over_g(state, 0.0, 10.0)
         shifted = witness.min_over_g(squeezed, 0.0, 10.0)
         assert shifted.g == pytest.approx(base.g * math.exp(delta), rel=1e-2)
