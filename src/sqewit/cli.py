@@ -7,7 +7,8 @@ default, and each config value passes the same type check as its flag
 (float flags refuse NaN and ±inf). The effective configuration, every
 parameter but the file paths, is echoed into the JSON outputs (reports,
 state files, frontier .meta.json); the CSV tables carry none.
-Exit codes: 0 ok, 2 input error, 3 contract violation.
+Exit codes: 0 ok, 2 input error (including a file path that cannot be read
+or written), 3 contract violation.
 """
 
 from __future__ import annotations
@@ -23,35 +24,10 @@ import click
 import numpy as np
 
 from . import breeding, fock, gates, pareto, serialize, states, witness
-from .errors import (
-    ContractViolationError,
-    InputFormatError,
-    InvalidDimensionError,
-    OptimizerFailure,
-    ProjectionAnnihilatedError,
-    SqewitError,
-    TruncationLossError,
-)
+from .errors import ContractViolationError, InputFormatError, SqewitError
 
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
-
-_INPUT_ERRORS = (InputFormatError,)
-_CONTRACT_ERRORS = (
-    ContractViolationError,
-    InvalidDimensionError,
-    TruncationLossError,
-    ProjectionAnnihilatedError,
-    OptimizerFailure,
-)
-
-
-def _exit_code_for(exc: SqewitError) -> int:
-    if isinstance(exc, _INPUT_ERRORS):
-        return EXIT_INPUT
-    if isinstance(exc, _CONTRACT_ERRORS):
-        return EXIT_CONTRACT
-    return 1
 
 
 def _command(func):
@@ -61,7 +37,7 @@ def _command(func):
             return func(*args, **kwargs)
         except SqewitError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code_for(exc))
+            sys.exit(EXIT_INPUT if isinstance(exc, InputFormatError) else EXIT_CONTRACT)
 
     return wrapper
 
@@ -93,11 +69,9 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if path is None:
         return
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise click.BadParameter(f"config file is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise click.BadParameter(f"cannot read config file: {exc}") from exc
+        payload = serialize.read_json(path)
+    except InputFormatError as exc:  # raised while click parses, outside _command
+        raise click.BadParameter(str(exc)) from exc
     if not isinstance(payload, dict):
         raise click.BadParameter("config file must hold a JSON object")
     unknown = sorted(set(payload) - ({p.name for p in ctx.command.params} - _PATH_PARAMS))
@@ -197,7 +171,7 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     dim_list = _parse_dims(dims)
     config = json.dumps(_effective_config(ctx), sort_keys=True)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    serialize.make_dir(out)
     rows = []
     for dim, report in states.ground_state_sweep(u, phi, c, dim_list, k):
         meta = {

@@ -15,7 +15,8 @@ class ContractViolationError(SqewitError, ValueError):
 
 
 class InputFormatError(SqewitError, ValueError):
-    """A state file or config file does not match its schema."""
+    """A state file or config file does not match its schema, or a file path
+    cannot be read or written."""
 
 
 class TruncationLossError(SqewitError, ValueError):

@@ -210,8 +210,7 @@ def _qnd_factors(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     # exp(-i x1 p2): the generator's eigenbasis is the Kronecker product of
     # the single-mode x and p eigenbases, so the big eigensolve factorizes.
     x, p = quadratures(dim)
-    mu, w = np.linalg.eigh((x + x.conj().T) / 2)
-    lam, v = np.linalg.eigh((p + p.conj().T) / 2)
+    (mu, w), (lam, v) = hermitian_eig(x), hermitian_eig(p)
     return mu, w, lam, v
 
 
@@ -228,7 +227,7 @@ def _bs_sector_blocks(dim: int):
         n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
         a, b = np.ix_(n1, n1), np.ix_(s - n1, s - n1)
         block = (np.pi / 4.0) * (p[a] * x[b] - x[a] * p[b])
-        lam, z = np.linalg.eigh((block + block.conj().T) / 2)
+        lam, z = hermitian_eig(block)
         yield s, n1, (z * np.exp(1j * lam)) @ z.conj().T
 
 

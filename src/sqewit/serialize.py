@@ -1,5 +1,8 @@
 """State files, reports, and grid emission (JSON for records, CSV for tables).
 
+This is the package's only module that touches the filesystem: every read
+and write goes through `read_json`, `write_text` or `make_dir`, which turn a
+path that cannot be read or written into an InputFormatError naming it.
 Floating-point values are written so they round-trip exactly: CSV cells use
 17 significant digits, JSON relies on shortest-repr serialization (which is
 round-trip exact by construction).
@@ -28,8 +31,31 @@ def state_to_dict(state: FockState, metadata: dict | None = None) -> dict:
     }
 
 
+def read_json(path: str | Path):
+    """Parsed JSON content of a file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dir(path: str | Path) -> None:
+    """Create a directory and its parents; an existing directory is fine."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputFormatError(f"cannot create directory {path}: {exc}") from exc
+
+
 def save_state(path: str | Path, state: FockState, metadata: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(state_to_dict(state, metadata), indent=1) + "\n")
+    write_text(path, json.dumps(state_to_dict(state, metadata), indent=1) + "\n")
 
 
 def state_from_dict(payload: dict) -> tuple[FockState, dict]:
@@ -68,15 +94,7 @@ def state_from_dict(payload: dict) -> tuple[FockState, dict]:
 
 
 def load_state(path: str | Path) -> tuple[FockState, dict]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise InputFormatError(f"state file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"state file is not valid JSON: {exc}") from exc
-    return state_from_dict(payload)
+    return state_from_dict(read_json(path))
 
 
 def csv_cell(value) -> str:
@@ -88,7 +106,7 @@ def csv_cell(value) -> str:
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def json_text(payload: dict) -> str:
@@ -97,4 +115,4 @@ def json_text(payload: dict) -> str:
 
 
 def dump_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json_text(payload))
+    write_text(path, json_text(payload))

@@ -155,8 +155,10 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
         sector = _sector_for_phase(spec.phi)
     if sector not in ("even", "odd", "full"):
         raise ContractViolationError(f"unknown sector {sector!r}")
-    w = witness.build_witness(spec)
     idx = _sector_indices(spec.dim, sector)
+    if idx.size == 0:
+        raise ContractViolationError(f"the {sector} sector of a {spec.dim}-level space is empty")
+    w = witness.build_witness(spec)
     block = w[np.ix_(idx, idx)]
     eig = fock.hermitian_eig(block)
     gap = float(eig.values[1] - eig.values[0]) if eig.values.size > 1 else math.inf

@@ -379,13 +379,22 @@ def min_over_g(
     """Minimum rescaled-witness expectation over the squeezing scale g > 0.
 
     Scans a logarithmic grid and refines the winner by golden section. Each
-    candidate g is scored as the expectation of the full
-    `rescaled_witness(g, phi, c, dim, k)`, so the comb harmonics are built
-    and skipped by `momentum_comb` alone.
+    candidate g is scored as the expectation of
+    `rescaled_witness(g, phi, c, dim, k)`, expanded as
+    g^4 <x^4> - 2 g^2 <x^2> + 1 + c <comb(1/g)>: the position moments are
+    taken once, from the same (dim + 4)-level x as `position_quartic`, and
+    only the comb is built per g.
     """
+    x, _ = fock.quadratures(state.dim + 4)
+    x2 = x @ x
+    x2_mean = fock.expectation(fock.crop(x2, state.dim), state)
+    x4_mean = fock.expectation(fock.crop(x2 @ x2, state.dim), state)
 
     def value(g: float) -> float:
-        return fock.expectation(rescaled_witness(g, phi, c, state.dim, k), state)
+        v = g**4 * x4_mean - 2.0 * g**2 * x2_mean + 1.0
+        if c != 0.0:
+            v += c * fock.expectation(momentum_comb(1.0 / g, phi, k, state.dim), state)
+        return v
 
     grid = np.geomspace(g_range[0], g_range[1], grid_points)
     vals = np.array([value(g) for g in grid])

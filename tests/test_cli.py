@@ -89,6 +89,30 @@ def test_unreadable_input_exit_2(runner, vacuum_file, tmp_path, unreadable):
     assert "error:" in result.output.lower()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["witness_out_is_directory", "ground_out_is_file", "opaccuracy", "gate", "frontier", "wigner", "breed_state_out"],
+)
+def test_unwritable_output_exit_2(runner, vacuum_file, tmp_path, command):
+    # Each ended in an IsADirectoryError, FileExistsError or FileNotFoundError
+    # traceback (exit 1).
+    missing = str(tmp_path / "missing_dir" / "out")
+    state = ["--state", str(vacuum_file)]
+    args = {
+        "witness_out_is_directory": ["witness", *state, "--out", str(tmp_path)],
+        "ground_out_is_file": ["ground", "--dims", "3", "--out", str(vacuum_file)],
+        "opaccuracy": ["opaccuracy", "--nmax", "2", "--out", missing],
+        "gate": ["gate", *state, "--out", missing],
+        "frontier": ["frontier", "--seed", "1", "--dim", "2", "--pop", "4", "--gens", "0", "--out", missing],
+        "wigner": ["wigner", *state, "--step", "1", "--out", missing],
+        "breed_state_out": ["breed", *state, "--rounds", "0", "--state-out", missing],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.stderr
+
+
 class TestGroundCommand:
     def test_sweep_output(self, runner, tmp_path):
         out = tmp_path / "sweep"
@@ -102,6 +126,14 @@ class TestGroundCommand:
         assert all(b <= a + 1e-10 for a, b in zip(eigs, eigs[1:]))
         n4 = [r for r in rows[1:] if r.startswith("4,")][0]
         assert n4.split(",")[3] == "2"
+
+    def test_empty_parity_sector_exit_3(self, runner, tmp_path):
+        # A 1-level space has no odd sector; the 0 x 0 eigensolve ended in a
+        # ValueError traceback (exit 1).
+        result = runner.invoke(main, ["ground", "--dims", "1", "--phi", str(math.pi), "--out", str(tmp_path / "d")])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr and "odd sector" in result.stderr
 
     def test_rerun_bitwise_identical(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -10,6 +10,7 @@ a threaded BLAS sums the larger products in another order, which moves
         python tests/test_construction.py > tests/construction_pin.json
 """
 
+import ast
 import hashlib
 import inspect
 import json
@@ -109,12 +110,29 @@ def test_no_knobs_without_callers():
         (pareto, "worst_corner"),
         (cli, "_apply_config"),
         (cli, "_echo_or_write"),
+        (cli, "_exit_code_for"),
+        (cli, "_INPUT_ERRORS"),
+        (cli, "_CONTRACT_ERRORS"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     # Frontier points carry no per-point constants: the rank of every
     # reported point is 0 and the metric is named once, on the result.
     assert {"rank", "metric_name"}.isdisjoint(pareto.ParetoPoint.__dataclass_fields__)
     assert "metric_name" in pareto.EvolveResult.__dataclass_fields__
+
+
+def test_only_serialize_touches_files():
+    # One boundary maps read and write failures to InputFormatError (exit 2).
+    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
+    calls = []
+    for path in sorted(Path(sqewit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in file_calls:
+                    calls.append((path.stem, name))
+    assert {module for module, _ in calls} == {"serialize"}, calls
 
 
 if __name__ == "__main__":
