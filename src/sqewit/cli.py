@@ -8,7 +8,9 @@ default, and each config value passes the same type check as its flag
 parameter but the file paths, is echoed into the JSON outputs (reports,
 state files, frontier .meta.json); the CSV tables carry none.
 Exit codes: 0 ok, 2 input error (including a file path that cannot be read
-or written), 3 contract violation.
+or written), 3 contract violation. Output paths are checked before any
+computation, and nothing is written until the result is complete, so a
+run that fails on its inputs or in its computation leaves no partial output.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ def main():
 @_command
 def cmd_witness(ctx, state_path, u, phi, c, k, dim, out):
     """Witness expectation, Gaussian benchmark, and squeezing in dB."""
+    serialize.check_writable(out)
     state, _ = serialize.load_state(state_path)
     if dim is not None and dim != state.dim:
         raise ContractViolationError(
@@ -171,9 +174,16 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     dim_list = _parse_dims(dims)
     config = json.dumps(_effective_config(ctx), sort_keys=True)
     out = Path(out_dir)
+    # The directory and its missing parents are made after the sweep; check
+    # the first of them to be created, or index.csv in an existing one.
+    first_created = out / "index.csv"
+    while not first_created.parent.exists():
+        first_created = first_created.parent
+    serialize.check_writable(first_created)
+    sweep = states.ground_state_sweep(u, phi, c, dim_list, k)
     serialize.make_dir(out)
     rows = []
-    for dim, report in states.ground_state_sweep(u, phi, c, dim_list, k):
+    for dim, report in sweep:
         meta = {
             "config": config,
             "dim": dim,
@@ -199,6 +209,7 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
 @_command
 def cmd_gate(ctx, state_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
+    serialize.check_writable(out)
     state, _ = serialize.load_state(state_path)
     _emit(ctx, gates.gate_report(state, kind, u, phi), out)
 
@@ -213,10 +224,11 @@ def cmd_gate(ctx, state_path, kind, u, phi, out):
 @_command
 def cmd_breed(ctx, state_path, rounds, out, state_out):
     """Breeding cascade: per-round GKP squeezing, success norms, final state."""
-    state, _ = serialize.load_state(state_path)
-    run = breeding.breed_protocol(state, rounds)
     if state_out is None:
         state_out = str(Path(state_path).with_suffix("")) + f".bred{rounds}.json"
+    serialize.check_writable(out, state_out)
+    state, _ = serialize.load_state(state_path)
+    run = breeding.breed_protocol(state, rounds)
     config = json.dumps(_effective_config(ctx), sort_keys=True)
     serialize.save_state(state_out, run.final, {"config": config})
     report = breeding.breeding_report(run)
@@ -238,6 +250,9 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
 @_command
 def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
     """NSGA-II Pareto frontier (CSV + genome sidecar + metadata JSON)."""
+    genome_path = str(Path(out).with_suffix("")) + ".genomes.csv"
+    meta_path = str(Path(out).with_suffix("")) + ".meta.json"
+    serialize.check_writable(out, genome_path, meta_path)
     spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)
     nsga = pareto.NsgaConfig(seed=seed, population=pop, generations=gens)
     started = time.time()
@@ -249,13 +264,11 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
         ("xi_sqe_db", result.metric_name),
         [(p.xi_sqe_db, p.metric_value) for p in result.points],
     )
-    genome_path = str(Path(out).with_suffix("")) + ".genomes.csv"
     serialize.write_csv(
         genome_path,
         tuple(f"g{i}" for i in range(2 * dim)),
         [tuple(p.genome) for p in result.points],
     )
-    meta_path = str(Path(out).with_suffix("")) + ".meta.json"
     serialize.dump_json(
         meta_path,
         {
@@ -281,6 +294,7 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
 @_command
 def cmd_wigner(state_path, xmax, pmax, step, out):
     """Wigner function on a symmetric grid, as plot-ready CSV."""
+    serialize.check_writable(out)
     state, _ = serialize.load_state(state_path)
     if step <= 0 or xmax <= 0 or pmax <= 0:
         raise InputFormatError("xmax, pmax, and step must be positive")
@@ -310,6 +324,7 @@ def _symmetric_grid(extent: float, step: float) -> np.ndarray:
 @_command
 def cmd_opaccuracy(u, k, nmax, out):
     """Comb-approximation accuracy table: n, exact, approx, rel_error."""
+    serialize.check_writable(out)
     rows = witness.accuracy_scan(u, k, nmax)
     serialize.write_csv(out, ("n", "exact", "approx", "rel_error"), rows)
     click.echo(f"wrote {len(rows)} accuracy rows to {out}")

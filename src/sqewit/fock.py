@@ -6,6 +6,12 @@ The Gaussian gates `displacement_x` and `squeeze` are built max(20, N // 2)
 levels above the requested N and cropped back, which keeps the low-photon
 block accurate despite truncation; the padding is internal, and
 `displacement_x_exact` gives the closed-form block where that matters.
+That block costs O(N²): one Laguerre recurrence over the degree, vectorized
+over the order, that repeats scipy's scalar loop operation for operation,
+so each entry is bitwise equal to the elementwise closed form
+(`ExactDisplacements` shares its s-independent tables across many s).
+Like that closed form, it still has non-finite entries from N ≈ 250 at
+large |s| (ROADMAP item 2).
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
 Two-mode couplers reach the gate and breeding paths only as N x N x N
 kernels already contracted with <p = 0| on mode 1 (`p0_kernel`). The dense
@@ -23,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import binom, gammaln
 
 from .errors import ContractViolationError, InvalidDimensionError
 
@@ -136,33 +142,103 @@ def displacement_x(u: float, dim: int) -> np.ndarray:
     return crop(full, dim)
 
 
+class ExactDisplacements:
+    """Exact Fock-basis blocks of x-displacements exp(-i s p) at one dimension.
+
+    With alpha = s/sqrt(2), x = alpha², i = max(n, m), j = min(n, m) and
+    d = i - j, the block element is
+    <n|exp(-i s p)|m> = ±sqrt(j!/i!) |alpha|^d e^(-x/2) L_j^(d)(x),
+    the sign being sign(alpha)^d below the diagonal and (-sign(alpha))^d
+    above it. Construction builds, once, everything that does not depend on
+    s: the packed (j, d) layout and its gather index, the
+    ½(lnΓ(j+1) - lnΓ(i+1)) term, the binomials binom(i, j), the
+    recurrence's divisors i and weights (j-1)/i, and the ±1 parity of the
+    upper triangle.
+    Each call then evaluates every L_j^(d)(x) with j + d < dim in one
+    recurrence over the degree j, vectorized over the order d: O(N²) work
+    per block, against O(N³) for scipy's elementwise Laguerre evaluation.
+    The recurrence performs exactly the floating-point operations of
+    scipy's scalar loop, in the same order, so every entry is bitwise equal
+    to the elementwise closed form. Entries are still non-finite from
+    N ≈ 250 at large |s|, where e^(-x/2) underflows to 0 against a Laguerre
+    factor that overflows (ROADMAP item 2).
+    """
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+        n = np.arange(dim)
+        # Packed layout, degree-major: degree j holds orders d = 0..dim-1-j.
+        offsets = np.concatenate(([0], np.cumsum(dim - n)))
+        degree = np.repeat(n, dim - n)
+        self._order = np.arange(degree.size) - offsets[degree]
+        self._levels = n.astype(float)
+        lgamma = gammaln(n + 1)
+        self._half_lgamma = 0.5 * (lgamma[degree] - lgamma[degree + self._order])
+        # Degrees j >= 2, the recurrence's: packed from 2 dim - 1 on, degree
+        # j at [_steps[j - 2], _steps[j - 1]).
+        j = degree[2 * dim - 1 :]
+        self._steps = (offsets[2:] - (2 * dim - 1)).tolist()
+        self._row = (j + self._order[2 * dim - 1 :]).astype(float)  # i = j + d
+        self._binom = binom(self._row, j)
+        self._weight = (j - 1.0) / self._row
+        row, col = np.meshgrid(n, n, indexing="ij")
+        dist = np.abs(row - col)
+        self._index = offsets[np.minimum(row, col)] + dist
+        self._parity = np.where((row < col) & (dist % 2 == 1), -1.0, 1.0)
+        self.dim = dim
+
+    def _laguerre(self, x: float) -> np.ndarray:
+        # scipy's loop for L_n^(a)(x), n >= 2: d = -x/(a+1), p = d + 1, then
+        # for k = 1..n-1: d = (-x/((k+a)+1))*p + (k/((k+a)+1))*d, p = d + p;
+        # result binom(n+a, n)*p. At degree j = k+1, (k+a)+1 is the exact
+        # integer j+a, the row i of the entry; the factors -x/i of all steps
+        # are taken in one division. The loop raises no floating-point
+        # warnings; neither does this one.
+        dim = self.dim
+        lag = np.empty(self._order.size)
+        lag[:dim] = 1.0
+        lag[dim : 2 * dim - 1] = (-x + self._levels[: dim - 1]) + 1.0
+        if dim > 2:
+            high = lag[2 * dim - 1 :]
+            with np.errstate(all="ignore"):
+                d = -x / (self._levels[: dim - 2] + 1.0)
+                p = d + 1.0
+                t = -x / self._row
+                for lo, hi in zip(self._steps[:-1], self._steps[1:]):
+                    tj, dj, pj = t[lo:hi], d[: hi - lo], p[: hi - lo]
+                    np.multiply(tj, pj, out=tj)
+                    np.multiply(self._weight[lo:hi], dj, out=dj)
+                    np.add(tj, dj, out=dj)
+                    p = high[lo:hi]
+                    np.add(dj, pj, out=p)
+                high *= self._binom
+        return lag
+
+    def __call__(self, s: float) -> np.ndarray:
+        """The dim x dim block of exp(-i s p)."""
+        if s == 0.0:
+            return np.eye(self.dim)
+        alpha = s / np.sqrt(2.0)
+        x = alpha * alpha
+        power = np.arange(self.dim) * np.log(abs(alpha))
+        power[0] = 0.0
+        magnitude = np.exp((self._half_lgamma + power[self._order]) - 0.5 * x) * self._laguerre(x)
+        parity = self._parity if alpha > 0 else self._parity.T
+        return parity * magnitude[self._index]
+
+
 def displacement_x_exact(s: float, dim: int) -> np.ndarray:
     """Exact Fock-basis block of the x-displacement exp(-i s p).
 
     Closed-form matrix elements (associated Laguerre polynomials), i.e. the
     true truncation of the infinite-dimensional operator with no padding
     error. Used where spectral sampling of a truncated quadrature would
-    alias, such as the harmonics of sharp momentum combs.
+    alias, such as the harmonics of sharp momentum combs. Built by
+    `ExactDisplacements`, in O(N²); callers needing blocks at several s
+    and one dim should keep one `ExactDisplacements(dim)`.
     """
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    if s == 0.0:
-        return np.eye(dim)
-    alpha = s / np.sqrt(2.0)
-    x = alpha * alpha
-    n = np.arange(dim)
-    nn, mm = np.meshgrid(n, n, indexing="ij")
-    i = np.maximum(nn, mm)
-    j = np.minimum(nn, mm)
-    d = i - j
-    log_mag = (
-        0.5 * (gammaln(j + 1) - gammaln(i + 1))
-        + np.where(d > 0, d * np.log(abs(alpha)), 0.0)
-        - 0.5 * x
-    )
-    lag = eval_genlaguerre(j, d, x)
-    sign = np.where(nn >= mm, np.sign(alpha) ** d, (-np.sign(alpha)) ** d)
-    return sign * np.exp(log_mag) * lag
+    return ExactDisplacements(dim)(s)
 
 
 def _squeeze_generator(dim: int) -> np.ndarray:

@@ -3,6 +3,8 @@
 This is the package's only module that touches the filesystem: every read
 and write goes through `read_json`, `write_text` or `make_dir`, which turn a
 path that cannot be read or written into an InputFormatError naming it.
+`check_writable` raises the same error before a command computes anything,
+so that a bad output path leaves no partial output behind.
 Floating-point values are written so they round-trip exactly: CSV cells use
 17 significant digits, JSON relies on shortest-repr serialization (which is
 round-trip exact by construction).
@@ -11,6 +13,7 @@ round-trip exact by construction).
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,6 +47,19 @@ def write_text(path: str | Path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(*paths: str | Path | None) -> None:
+    """Raise InputFormatError unless each path can be written as a file.
+
+    Its parent must be a writable directory, and it must not be a directory
+    itself. A None path (a report going to stdout) passes.
+    """
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise InputFormatError(f"cannot write {path}: it is a directory")
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise InputFormatError(f"cannot write {path}: {path.parent} is not a writable directory")
 
 
 def make_dir(path: str | Path) -> None:

@@ -81,12 +81,13 @@ def comb_prefactor(u: float, k: int) -> float:
     return u / math.sqrt(math.pi) * math.exp(gammaln(k + 1) - gammaln(k + 0.5))
 
 
+@lru_cache(maxsize=8)
 def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fourier weights of sin^2k: sum over m of c_m e^{i 2 m theta}.
 
     c_m = (-1)^m C(2k, k+m) / 4^k; returns (m >= 0, c_m) with the tail below
     1e-20 c_0 dropped. Evaluated through log-gamma so k = 100 and far
-    beyond stay exact to rounding.
+    beyond stay exact to rounding. Cached read-only per k.
     """
     log4k = 2.0 * k * math.log(2.0)
     log_c0 = gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - log4k
@@ -98,7 +99,9 @@ def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
             break
         ms.append(m)
         cs.append((-1.0) ** m * math.exp(log_cm))
-    return np.array(ms), np.array(cs)
+    ms, cs = np.array(ms), np.array(cs)
+    ms.flags.writeable = cs.flags.writeable = False
+    return ms, cs
 
 
 def _displacement_negligible(x: float, dim: int) -> bool:
@@ -112,7 +115,8 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
 
     Assembled as the exact Fock-space truncation of the infinite-dimensional
     operator: the finite Fourier expansion of sin^2k turns each harmonic into
-    an x-displacement with closed-form matrix elements. Spectral sampling of
+    an x-displacement with closed-form matrix elements, all built from one
+    `fock.ExactDisplacements(dim)` in O(N²) each. Spectral sampling of
     a padded momentum quadrature is useless here; with k ~ 100 the ridge is
     far narrower than any reachable eigenvalue spacing and the sampled
     diagonal never converges.
@@ -122,12 +126,13 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
     if u <= 0:
         raise ContractViolationError(f"u must be > 0, got {u}")
     ms, cs = _sin_power_harmonics(k)
+    displace = fock.ExactDisplacements(dim)
     out = cs[0] * np.eye(dim, dtype=complex)
     for m, c in zip(ms[1:], cs[1:]):
         x = 2.0 * (m * u) ** 2
         if _displacement_negligible(x, dim):
             continue
-        d = fock.displacement_x_exact(-2.0 * m * u, dim)
+        d = displace(-2.0 * m * u)
         out += c * (np.exp(1j * m * phi) * d + np.exp(-1j * m * phi) * d.T)
     return comb_prefactor(u, k) * out
 
@@ -253,6 +258,7 @@ def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
     return quartic + (u * c / math.pi) * theta3_half_pi(nome)
 
 
+@lru_cache(maxsize=64)
 def gaussian_bound(u: float, c: float) -> GaussianBound:
     """Benchmark minimum of the witness expectation over Gaussian states.
 
@@ -262,7 +268,8 @@ def gaussian_bound(u: float, c: float) -> GaussianBound:
     moves neither optimum, so the bound depends on (u, c) only.
     For the degenerate c = 0 family only the squeezed-vacuum branch is a
     meaningful benchmark (the displaced branch collapses to zero together
-    with the comb weight) and it is returned unconditionally.
+    with the comb weight) and it is returned unconditionally. Cached per
+    (u, c); the result is immutable.
     """
     if u <= 0:
         raise ContractViolationError(f"u must be > 0, got {u}")

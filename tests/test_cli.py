@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqewit import fock, serialize, witness
+from sqewit import breeding, fock, gates, pareto, serialize, witness
 from sqewit.cli import main
 
 
@@ -111,6 +111,64 @@ def test_unwritable_output_exit_2(runner, vacuum_file, tmp_path, command):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.stderr
+
+
+def _listing(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "command, compute",
+    [
+        ("witness", (witness, "witness_report")),
+        ("witness_out_is_directory", (witness, "witness_report")),
+        ("gate", (gates, "gate_report")),
+        ("breed", (breeding, "breed_protocol")),
+        ("frontier", (pareto, "evolve")),
+        ("wigner", (fock, "wigner")),
+        ("opaccuracy", (witness, "accuracy_scan")),
+    ],
+)
+def test_unwritable_output_fails_before_computing(runner, vacuum_file, tmp_path, monkeypatch, command, compute):
+    # Each computed its result (frontier ran every generation) before the
+    # write failed; breed had already written its state file.
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking the output path")
+
+    monkeypatch.setattr(*compute, computed)
+    missing = str(tmp_path / "missing_dir" / "out")
+    state = ["--state", str(vacuum_file)]
+    args = {
+        "witness": ["witness", *state, "--out", missing],
+        "witness_out_is_directory": ["witness", *state, "--out", str(tmp_path)],
+        "gate": ["gate", *state, "--out", missing],
+        "breed": ["breed", *state, "--rounds", "0", "--state-out", str(tmp_path / "s.json"), "--out", missing],
+        "frontier": ["frontier", "--seed", "1", "--dim", "2", "--pop", "4", "--gens", "1", "--out", missing],
+        "wigner": ["wigner", *state, "--step", "1", "--out", missing],
+        "opaccuracy": ["opaccuracy", "--nmax", "2", "--out", missing],
+    }[command]
+    before = _listing(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr
+    assert _listing(tmp_path) == before
+
+
+def test_failed_ground_sweep_leaves_no_directory(runner, tmp_path):
+    # The output directory was created before the sweep raised.
+    before = _listing(tmp_path)
+    result = runner.invoke(main, ["ground", "--dims", "1", "--phi", str(math.pi), "--out", str(tmp_path / "g8")])
+    assert result.exit_code == 3, result.output
+    assert _listing(tmp_path) == before
+
+
+def test_ground_creates_missing_parents_after_the_sweep(runner, tmp_path):
+    out = tmp_path / "runs" / "ground"
+    assert runner.invoke(main, ["ground", "--dims", "3", "--out", str(out)]).exit_code == 0
+    assert _listing(tmp_path) == ["runs", "runs/ground", "runs/ground/index.csv", "runs/ground/state_N3.json"]
+    for bad_out in (out / "index.csv", out / "index.csv" / "sub"):
+        result = runner.invoke(main, ["ground", "--dims", "3", "--out", str(bad_out)])
+        assert result.exit_code == 2 and "not a writable directory" in result.stderr
 
 
 class TestGroundCommand:

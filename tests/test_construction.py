@@ -1,8 +1,11 @@
-"""Bitwise pin of the padded Gaussian constructions, and their padding-free API.
+"""Bitwise pin of the padded Gaussian constructions and the momentum comb, and their padding-free API.
 
 `construction_pin.json` holds float.hex values and sha256 digests of the
 padded builders' outputs, recorded while every builder still took a `pad=`
-argument. The values are computed in a child process with one BLAS thread:
+argument, and the sha256 of `witness.momentum_comb` for u in {2, 3, 4},
+phi in {0, pi, pi/3} and N in {12, 62, 200}, recorded while each comb
+harmonic still evaluated its Laguerre factors elementwise with
+`scipy.special.eval_genlaguerre`. The values are computed in a child process with one BLAS thread:
 a threaded BLAS sums the larger products in another order, which moves
 `gaussian_min_q0(30)` by one ulp. Regenerate the JSON only on purpose:
 
@@ -53,6 +56,12 @@ def construction_values() -> dict:
     values["build_q0_N30_sha256"] = _sha(breeding.build_q0(30))
     values["displacement_x_u3_N25_sha256"] = _sha(fock.displacement_x(3.0, 25))
     values["squeeze_r1_N60_sha256"] = _sha(fock.squeeze(1.0, 60))
+    values["momentum_comb_sha256"] = {
+        f"u={u}|phi={label}|N={n}": _sha(witness.momentum_comb(u, phi, 100, n))
+        for u in (2.0, 3.0, 4.0)
+        for label, phi in (("0", 0.0), ("pi", math.pi), ("pi/3", math.pi / 3))
+        for n in (12, 62, 200)
+    }
     return values
 
 

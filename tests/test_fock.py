@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
 from sqewit import fock
 from sqewit.errors import ContractViolationError, InvalidDimensionError
@@ -125,6 +128,78 @@ def test_displacement_exact_matches_padded():
         exact = fock.displacement_x_exact(s, 25)
         padded = fock.displacement_x(s, 25)
         assert np.max(np.abs(exact - padded)) < 1e-12
+
+
+def _displacement_x_exact_oracle(s, dim):
+    # The elementwise closed form that `displacement_x_exact` replaced: one
+    # O(j) scipy Laguerre loop per matrix element, O(N³) per block.
+    if s == 0.0:
+        return np.eye(dim)
+    alpha = s / np.sqrt(2.0)
+    x = alpha * alpha
+    n = np.arange(dim)
+    nn, mm = np.meshgrid(n, n, indexing="ij")
+    i = np.maximum(nn, mm)
+    j = np.minimum(nn, mm)
+    d = i - j
+    log_mag = (
+        0.5 * (gammaln(j + 1) - gammaln(i + 1))
+        + np.where(d > 0, d * np.log(abs(alpha)), 0.0)
+        - 0.5 * x
+    )
+    lag = eval_genlaguerre(j, d, x)
+    sign = np.where(nn >= mm, np.sign(alpha) ** d, (-np.sign(alpha)) ** d)
+    return sign * np.exp(log_mag) * lag
+
+
+def _with_warnings(func, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = func(*args)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(-60.0, 60.0), dim=st.integers(1, 300))
+@example(s=60.0, dim=300)
+@example(s=-60.0, dim=300)
+@example(s=0.0, dim=5)
+def test_displacement_exact_bitwise_equals_elementwise_closed_form(s, dim):
+    # Entries are non-finite from N ~ 250 at large |s| (ROADMAP item 2); the
+    # two constructions agree on those too, NaN for NaN.
+    want, want_warnings = _with_warnings(_displacement_x_exact_oracle, s, dim)
+    got, got_warnings = _with_warnings(fock.displacement_x_exact, s, dim)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got_warnings <= want_warnings
+
+
+@pytest.mark.parametrize("s", [-6.0, -36.0, 0.7, 60.0])
+def test_displacement_exact_block_of_double_build(s):
+    for dim in (1, 2, 3, 40, 100):
+        assert np.array_equal(fock.displacement_x_exact(s, 2 * dim)[:dim, :dim], fock.displacement_x_exact(s, dim))
+
+
+def test_displacement_exact_warns_only_where_closed_form_did():
+    # At the workload's N <= 200 neither construction warns; at N = 300 the
+    # closed form warns once (0 * inf in the final product) and the
+    # recurrence adds nothing.
+    for dim, s in [(200, -6.0), (200, -60.0), (160, -24.0), (300, -6.0), (300, -60.0), (300, 60.0)]:
+        _, want = _with_warnings(_displacement_x_exact_oracle, s, dim)
+        _, got = _with_warnings(fock.displacement_x_exact, s, dim)
+        assert got <= want, (dim, s, got - want)
+        if dim <= 200:
+            assert got == set()
+    displace = fock.ExactDisplacements(300)
+    _, got = _with_warnings(displace, -60.0)
+    assert got == {(RuntimeWarning, "invalid value encountered in multiply")}
+
+
+def test_exact_displacements_reuse_tables():
+    displace = fock.ExactDisplacements(30)
+    for s in (-2.0, 3.5, -2.0):
+        assert np.array_equal(displace(s), _displacement_x_exact_oracle(s, 30))
+    with pytest.raises(InvalidDimensionError):
+        fock.ExactDisplacements(0)
 
 
 def test_squeeze_variance_and_parity():
