@@ -182,7 +182,6 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     serialize.check_writable(first_created)
     sweep = states.ground_state_sweep(u, phi, c, dim_list, k)
     serialize.make_dir(out)
-    rows = []
     for dim, report in sweep:
         meta = {
             "config": config,
@@ -193,9 +192,17 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
             "sector": report.sector,
         }
         serialize.save_state(out / f"state_N{dim}.json", report.state, meta)
-        rows.append((dim, report.eigenvalue, report.xi_db, report.stellar_rank_bound))
-    serialize.write_csv(out / "index.csv", ("N", "eigenvalue", "xi_db", "stellar_bound"), rows)
-    click.echo(f"wrote {len(rows)} states and index.csv to {out}")
+    serialize.write_csv(
+        out / "index.csv",
+        ("N", "eigenvalue", "xi_db", "stellar_bound"),
+        (
+            [dim for dim, _ in sweep],
+            [report.eigenvalue for _, report in sweep],
+            [report.xi_db for _, report in sweep],
+            [report.stellar_rank_bound for _, report in sweep],
+        ),
+    )
+    click.echo(f"wrote {len(sweep)} states and index.csv to {out}")
 
 
 @main.command("gate")
@@ -262,13 +269,10 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
     serialize.write_csv(
         out,
         ("xi_sqe_db", result.metric_name),
-        [(p.xi_sqe_db, p.metric_value) for p in result.points],
+        ([p.xi_sqe_db for p in result.points], [p.metric_value for p in result.points]),
     )
-    serialize.write_csv(
-        genome_path,
-        tuple(f"g{i}" for i in range(2 * dim)),
-        [tuple(p.genome) for p in result.points],
-    )
+    genomes = np.array([p.genome for p in result.points]).reshape(len(result.points), 2 * dim)
+    serialize.write_csv(genome_path, tuple(f"g{i}" for i in range(2 * dim)), genomes.T)
     serialize.dump_json(
         meta_path,
         {
@@ -301,17 +305,15 @@ def cmd_wigner(state_path, xmax, pmax, step, out):
     xs = _symmetric_grid(xmax, step)
     ps = _symmetric_grid(pmax, step)
     w = fock.wigner(state, xs, ps)
-    rows = [
-        (float(xs[i]), float(ps[j]), float(w[i, j]))
-        for i in range(xs.size)
-        for j in range(ps.size)
-    ]
-    serialize.write_csv(out, ("x", "p", "w"), rows)
-    click.echo(f"wrote {len(rows)} wigner samples to {out}")
+    serialize.write_csv(out, ("x", "p", "w"), (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel()))
+    click.echo(f"wrote {w.size} wigner samples to {out}")
 
 
 def _symmetric_grid(extent: float, step: float) -> np.ndarray:
-    half = np.arange(step, extent + step / 2, step)
+    try:
+        half = np.arange(step, extent + step / 2, step)
+    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
+        raise InputFormatError(f"cannot build a grid up to {extent} in steps of {step}: {exc}") from exc
     return np.concatenate([-half[::-1], [0.0], half])
 
 
@@ -326,7 +328,7 @@ def cmd_opaccuracy(u, k, nmax, out):
     """Comb-approximation accuracy table: n, exact, approx, rel_error."""
     serialize.check_writable(out)
     rows = witness.accuracy_scan(u, k, nmax)
-    serialize.write_csv(out, ("n", "exact", "approx", "rel_error"), rows)
+    serialize.write_csv(out, ("n", "exact", "approx", "rel_error"), list(zip(*rows)))
     click.echo(f"wrote {len(rows)} accuracy rows to {out}")
 
 

@@ -8,6 +8,14 @@ so that a bad output path leaves no partial output behind.
 Floating-point values are written so they round-trip exactly: CSV cells use
 17 significant digits, JSON relies on shortest-repr serialization (which is
 round-trip exact by construction).
+
+CSV tables are written by columns (`write_csv`). A float64 column is
+formatted with "%.17g", the formatter of f"{value:.17g}", once per distinct
+value: a Wigner grid's x and p columns repeat each grid point hundreds of
+times, so most of their cells cost one gather. The values are deduplicated
+on their bit patterns, because float equality would merge -0.0 with 0.0,
+which are written "-0" and "0". Any other column is formatted with str, and
+the rows are joined once. The text is the same as formatting cell by cell.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,16 +121,28 @@ def load_state(path: str | Path) -> tuple[FockState, dict]:
     return state_from_dict(read_json(path))
 
 
-def csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _column_cells(column) -> list[str]:
+    """The CSV cells of one column, in order."""
+    is_float64 = isinstance(column, np.ndarray) and column.dtype == np.float64
+    if not (is_float64 or all(isinstance(value, float) for value in column)):
+        return [str(value) for value in column]
+    bits, where = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+    texts = ["%.17g" % value for value in bits.view(np.float64).tolist()]
+    return [texts[i] for i in where.tolist()]
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(csv_cell(v) for v in row) for row in rows)
-    write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a table given by columns, one per header name, all of one length.
+
+    A column holds one type. A float64 array, or a sequence of floats, has
+    "%.17g" cells, each distinct bit pattern formatted once and gathered;
+    keying on bits keeps -0.0 ("-0") apart from 0.0 ("0"). Any other column
+    (ints, for one, which numpy would read as floats from 2**63 on) has str
+    cells. Lines end in "\n", the last one included; a table with no
+    rows is its header line.
+    """
+    cells = [_column_cells(column) for column in columns]
+    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 def json_text(payload: dict) -> str:

@@ -316,6 +316,18 @@ class TestWignerCommand:
         assert len(center) == 1
         assert float(center[0].split(",")[2]) == pytest.approx(1 / math.pi, abs=1e-6)
 
+    def test_grid_too_large_to_build_exit_2(self, runner, vacuum_file, tmp_path):
+        # 6e300 grid points per axis: np.arange refused them with a
+        # ValueError traceback (exit 1). No allocation is attempted.
+        out = tmp_path / "w.csv"
+        result = runner.invoke(
+            main, ["wigner", "--state", str(vacuum_file), "--xmax", "6", "--step", "1e-300", "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: cannot build a grid")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [vacuum_file]
+
 
 class TestOpaccuracyCommand:
     def test_table_matches_library(self, runner, tmp_path):
