@@ -304,8 +304,11 @@ def cmd_wigner(state_path, xmax, pmax, step, out):
         raise InputFormatError("xmax, pmax, and step must be positive")
     xs = _symmetric_grid(xmax, step)
     ps = _symmetric_grid(pmax, step)
-    w = fock.wigner(state, xs, ps)
-    serialize.write_csv(out, ("x", "p", "w"), (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel()))
+    try:
+        w = fock.wigner(state, xs, ps)
+        serialize.write_csv(out, ("x", "p", "w"), (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel()))
+    except MemoryError as exc:
+        raise InputFormatError(f"a {xs.size} x {ps.size} grid does not fit in memory: {exc}") from exc
     click.echo(f"wrote {w.size} wigner samples to {out}")
 
 

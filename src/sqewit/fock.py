@@ -20,10 +20,17 @@ objectives, once per run at their few-level N. The BS kernel is
 exact for N-level inputs with a vacuum ancilla. The QND kernel is not: it is
 the unpadded N-level exponential, whose error grows as the input fills the
 space (see `p0_kernel`).
+`wigner` sums each diagonal of the density matrix against its Laguerre
+functions by Clenshaw's recurrence and the diagonals by Horner's rule, in
+O(grid) memory and exact to rounding (within 1e-12 of a quadrature oracle up
+to N = 300). Far out in phase space at large N (from radius ≈ 38 at N = 200,
+≈ 28 at N = 300) that sum overflows float64, and `wigner` raises a
+ContractViolationError instead of returning non-finite values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -462,34 +469,34 @@ def position_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
 
 
 def wigner(state: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Wigner function on the rectangular grid xs × ps.
+    """Wigner function on the rectangular grid xs × ps, in O(grid) memory.
 
     Normalized so the vacuum gives W(0, 0) = 1/pi and the double Riemann sum
     of W over phase space approaches 1. Returned array has shape
-    (len(xs), len(ps)) with W[i, j] = W(xs[i], ps[j]).
+    (len(xs), len(ps)) with W[i, j] = W(xs[i], ps[j]). W = Re(sum_d (2 alpha)^d
+    S_d / sqrt(d!)) e^{-2|alpha|²}/pi is summed over d by Horner's rule, and
+    each S_d (diagonal d of rho, off-diagonals doubled, against Laguerre
+    functions of 4|alpha|²) by Clenshaw's recurrence (Johansson, Nation & Nori,
+    Comput. Phys. Commun. 184, 1234 (2013)). A float64 overflow, far out at
+    large N, raises ContractViolationError naming N and the smallest such radius.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     if xs.size == 0 or ps.size == 0:
         raise ContractViolationError("wigner grid must be nonempty")
-    rho = np.outer(state.amps, state.amps.conj())
-    cutoff = state.dim
-
-    xg, pg = np.meshgrid(xs, ps, indexing="ij")
-    alpha = (xg + 1j * pg) / np.sqrt(2.0)
-
-    # Two-row recurrence over the displaced-vacuum kernels W_{mn}(alpha).
-    wmat = np.zeros((2, cutoff) + alpha.shape, dtype=complex)
-    wmat[0, 0] = np.exp(-2.0 * np.abs(alpha) ** 2) / np.pi
-    w = np.real(rho[0, 0]) * np.real(wmat[0, 0])
-    for n in range(1, cutoff):
-        wmat[0, n] = (2.0 * alpha * wmat[0, n - 1]) / np.sqrt(n)
-        w = w + 2.0 * np.real(rho[0, n] * wmat[0, n])
-    for m in range(1, cutoff):
-        wmat[1, m] = (2.0 * alpha.conj() * wmat[0, m] - np.sqrt(m) * wmat[0, m - 1]) / np.sqrt(m)
-        w = w + np.real(rho[m, m] * wmat[1, m])
-        for n in range(m + 1, cutoff):
-            wmat[1, n] = (2.0 * alpha * wmat[1, n - 1] - np.sqrt(m) * wmat[0, n - 1]) / np.sqrt(n)
-            w = w + 2.0 * np.real(rho[m, n] * wmat[1, n])
-        wmat[0] = wmat[1]
+    rho = np.outer(state.amps, state.amps.conj()) * (2.0 - np.eye(state.dim))
+    two_alpha = np.sqrt(2.0) * (xs[:, None] + 1j * ps)
+    t, where = np.unique(np.abs(two_alpha) ** 2, return_inverse=True)  # S_d depends on t alone
+    w = np.zeros_like(two_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(state.dim - 1, -1, -1):
+            b1 = b2 = 0.0  # Clenshaw's b_{n+1} and b_{n+2}
+            for n in range(state.dim - d - 1, -1, -1):
+                s, s1 = math.sqrt((n + 1) * (n + d + 1)), math.sqrt((n + 2) * (n + d + 2))
+                b1, b2 = rho[n, n + d] - (2 * n + d + 1 - t) / s * b1 - s / s1 * b2, b1
+            w = b1[where].reshape(w.shape) + w * two_alpha / math.sqrt(d + 1)
+        w = np.real(w) * np.exp(-0.5 * np.abs(two_alpha) ** 2) / np.pi
+    if not np.isfinite(w).all():
+        radius = np.hypot(xs[:, None], ps)[~np.isfinite(w)].min()
+        raise ContractViolationError(f"Wigner sum of {state.dim} levels overflows float64 from radius {radius:.4g}")
     return w

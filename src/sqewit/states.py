@@ -97,9 +97,9 @@ def even_cat_expectation_closed_form(u: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stellar_rank_bound(dim: int) -> int:
-    """Upper bound on the stellar rank of a dim-level even-sector state."""
-    return dim - 2 if dim % 2 == 0 else dim - 1
+def stellar_rank_bound(dim: int, sector: str) -> int:
+    """Upper bound on the stellar rank of a dim-level state in `sector`: its highest Fock level."""
+    return int(_sector_indices(dim, sector)[-1])
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
         state=state,
         eigenvalue=float(eig.values[0]),
         xi_db=witness.sqe_squeezing_db(state, spec),
-        stellar_rank_bound=stellar_rank_bound(spec.dim),
+        stellar_rank_bound=stellar_rank_bound(spec.dim, sector),
         degenerate=degenerate,
         sector=sector,
     )

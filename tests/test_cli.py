@@ -328,6 +328,32 @@ class TestWignerCommand:
         assert len(result.stderr.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [vacuum_file]
 
+    def test_grid_too_large_for_memory_exit_2(self, runner, vacuum_file, tmp_path, monkeypatch):
+        # A grid numpy can build but not evaluate (--step 0.0003 here) ended
+        # in an _ArrayMemoryError traceback (exit 1).
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(fock, "wigner", out_of_memory)
+        out = tmp_path / "w.csv"
+        result = runner.invoke(main, ["wigner", "--state", str(vacuum_file), "--step", "1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: a 11 x 11 grid does not fit in memory")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [vacuum_file]
+
+    def test_overflow_exit_3_and_no_file(self, runner, tmp_path):
+        amps = np.random.default_rng(0).normal(size=300)
+        state_file = tmp_path / "big.json"
+        serialize.save_state(state_file, fock.FockState(amps / np.linalg.norm(amps)))
+        out = tmp_path / "w.csv"
+        args = ["wigner", "--state", str(state_file), "--xmax", "30", "--pmax", "30", "--step", "15", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("error: Wigner sum of 300 levels overflows float64 from radius 30")
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestOpaccuracyCommand:
     def test_table_matches_library(self, runner, tmp_path):

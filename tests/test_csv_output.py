@@ -6,13 +6,19 @@ column writer must write the same bytes.
 
 `csv_pin.json` holds the sha256 of CSV files written by the CLI, recorded
 while `serialize.write_csv` still formatted each cell on its own
-(`f"{value:.17g}"` for floats, `str` otherwise, one join per row). The
-files are written in a child process with one BLAS thread, as in
-`test_construction.py`. Regenerate the JSON only on purpose, and only add
-keys:
+(`f"{value:.17g}"` for floats, `str` otherwise, one join per row). The two
+`wigner` keys were re-recorded when `fock.wigner` moved to Clenshaw
+summation, and `ground|u=3|phi=pi|dims=9:9` when the odd sector's
+`stellar_bound` became its highest level (7, not 8). The files are written
+in a child process with one BLAS thread, as in `test_construction.py`.
+
+Regenerate the JSON only on purpose. Add keys; re-record a key only when
+its producer changed on purpose, with the cause stated in CHANGES.md. The
+entry point prints on stderr each key that changed, was added or was
+removed against the existing pin, so write to a new file and move it:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
-        python tests/test_csv_output.py > tests/csv_pin.json
+        python tests/test_csv_output.py > csv_pin.new && mv csv_pin.new tests/csv_pin.json
 """
 
 import hashlib
@@ -179,4 +185,11 @@ def test_wigner_grid_columns_match_row_oracle():
 
 
 if __name__ == "__main__":
-    print(json.dumps(csv_digests(), indent=1))
+    digests = csv_digests()
+    # An empty pin (a shell redirect onto it) reads as no keys: all "added".
+    pinned = json.loads(PIN.read_text() or "{}") if PIN.exists() else {}
+    for key in sorted(pinned.keys() | digests.keys()):
+        if pinned.get(key) != digests.get(key):
+            change = "added" if key not in pinned else "removed" if key not in digests else "changed"
+            print(f"{change}: {key}", file=sys.stderr)
+    print(json.dumps(digests, indent=1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from sqewit import fock
+from sqewit import fock, states
 from sqewit.errors import ContractViolationError, InvalidDimensionError
+from sqewit.witness import WitnessSpec
 
 
 def test_annihilation_small():
@@ -338,3 +340,80 @@ def test_wigner_even_state_point_symmetry():
 def test_wigner_rejects_empty_grid():
     with pytest.raises(ContractViolationError):
         fock.wigner(fock.vacuum(4), np.array([]), np.array([0.0]))
+
+
+def _wigner_quadrature(amps, x, p, step=0.01, half=40.0):
+    """W(x, p) = (1/pi) ∫ psi*(x+y) psi(x-y) e^{2ipy} dy by the trapezoid rule.
+
+    The integrand is smooth and decays like e^{-y²} beyond the state's
+    support, so the rule converges spectrally at this step.
+    Hermite functions underflow past |t| ~ 38, so it serves up to N = 300.
+    """
+    y = np.arange(-half, half + step / 2, step)
+    phi_plus = fock.hermite_functions(amps.size - 1, x + y)
+    phi_minus = fock.hermite_functions(amps.size - 1, x - y)
+    integrand = (amps.conj() @ phi_plus) * (amps @ phi_minus) * np.exp(2j * p * y)
+    return float(np.real(np.sum(integrand))) * step / np.pi
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return fock.FockState(amps / np.linalg.norm(amps))
+
+
+@st.composite
+def _wigner_states(draw):
+    kind = draw(st.sampled_from(["random", "fock", "ground"]))
+    if kind == "ground":  # the comb has non-finite entries from N ≈ 250 (ROADMAP item 2)
+        dim = draw(st.sampled_from([2, 9, 40, 120, 200]))
+        phi = draw(st.sampled_from([0.0, math.pi, math.pi / 2]))
+        return states.optimal_sqe_approximation(WitnessSpec(u=3.0, phi=phi, c=10.0, dim=dim)).state
+    dim = draw(st.integers(1, 300))
+    if kind == "fock":
+        return fock.basis_state(dim, draw(st.integers(0, dim - 1)))
+    return _random_state(dim, draw(st.integers(0, 2**32 - 1)))
+
+
+_COORDS = st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=2)  # points within radius 10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(state=_wigner_states(), xs=_COORDS, ps=_COORDS)
+@example(state=_random_state(120, 4), xs=[0.3, -2.0], ps=[1.1, 6.5])
+@example(state=fock.basis_state(300, 299), xs=[-6.9], ps=[6.9])
+@example(
+    state=states.optimal_sqe_approximation(WitnessSpec(u=3.0, phi=math.pi, c=10.0, dim=40)).state,
+    xs=[-3.0, 2.5],
+    ps=[0.0, 1.9],
+)
+def test_wigner_matches_quadrature_oracle(state, xs, ps):
+    w = fock.wigner(state, np.array(xs), np.array(ps))
+    want = np.array([[_wigner_quadrature(state.amps, x, p) for p in ps] for x in xs])
+    assert np.max(np.abs(w - want)) <= 1e-12
+    assert np.max(np.abs(w)) <= 1 / math.pi + 1e-12
+
+
+def test_wigner_overflow_raises_instead_of_returning_nan():
+    # Far out at large N the Clenshaw sum leaves float64 before the Gaussian
+    # factor brings it back; the error names the dimension and the radius.
+    state = _random_state(300, 0)
+    grid = np.array([-40.0, 0.0, 30.0])
+    with pytest.raises(ContractViolationError, match=r"300 levels overflows float64 from radius 30"):
+        fock.wigner(state, grid, grid)
+    inside = fock.wigner(state, np.array([0.0, 10.0]), np.array([0.0, -10.0]))
+    assert np.isfinite(inside).all()
+
+
+def test_wigner_memory_is_linear_in_the_grid():
+    # The README grid (±6, step 0.05, 241 × 241) at N = 60; a work array of
+    # N × grid complex entries would take 56 MB.
+    grid = np.arange(-120, 121) * 0.05
+    state = _random_state(60, 1)
+    tracemalloc.start()
+    try:
+        fock.wigner(state, grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6

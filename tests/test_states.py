@@ -95,11 +95,21 @@ class TestClosedForm:
 
 class TestOptimalApproximation:
     def test_stellar_bound_formula(self):
-        assert states.stellar_rank_bound(4) == 2
-        assert states.stellar_rank_bound(5) == 4
+        assert states.stellar_rank_bound(4, "even") == 2
+        assert states.stellar_rank_bound(5, "even") == 4
         for dim in range(2, 12):
             expected = dim - 2 if dim % 2 == 0 else dim - 1
-            assert states.stellar_rank_bound(dim) == expected
+            assert states.stellar_rank_bound(dim, "even") == expected
+        assert states.stellar_rank_bound(10, "odd") == states.stellar_rank_bound(10, "full") == 9
+        assert states.stellar_rank_bound(9, "odd") == 7
+
+    @pytest.mark.parametrize("phi, dim, bound", [(math.pi, 10, 9), (math.pi / 2, 10, 9), (math.pi, 9, 7)])
+    def test_stellar_bound_is_the_highest_level_of_the_sector(self, phi, dim, bound):
+        # The odd and full sectors reported the even-sector bound (8 at N = 10).
+        report = states.optimal_sqe_approximation(WitnessSpec(u=3.0, phi=phi, c=10.0, dim=dim, k=100))
+        assert report.stellar_rank_bound == bound
+        assert abs(report.state.amps[bound]) > 1e-8
+        assert np.all(report.state.amps[bound + 1 :] == 0)
 
     def test_even_sector_reports(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=8, k=100)
