@@ -6,6 +6,11 @@ The Gaussian gates `displacement_x` and `squeeze` are built max(20, N // 2)
 levels above the requested N and cropped back, which keeps the low-photon
 block accurate despite truncation; the padding is internal, and
 `displacement_x_exact` gives the closed-form block where that matters.
+`states.squeezed_cat` applies these gates in its own padded dimension, so a
+cat is padded twice: an N = 60 cat exponentiates 135-level spectra. Every
+padded spectrum, including those of `breeding`'s Q0 and its Gaussian
+candidates, comes from one cached, read-only eigendecomposition per
+generator and size (`generator_spectrum`).
 That block costs O(N²): one Laguerre recurrence over the degree, vectorized
 over the order, that repeats scipy's scalar loop operation for operation,
 so each entry is bitwise equal to the elementwise closed form
@@ -120,15 +125,18 @@ def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def matrix_function(matrix: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def matrix_function(
+    matrix: np.ndarray | EigenDecomposition, f: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Returns V f(L) V†. The result is Hermitian whenever f is real-valued;
     complex-valued f (e.g. lam -> exp(i*lam)) yields the corresponding
     operator function of the same eigenbasis. Raises if f is undefined
-    (NaN/inf) at an eigenvalue.
+    (NaN/inf) at an eigenvalue. Takes the matrix, or its eigendecomposition
+    when that is already at hand (such as a cached `generator_spectrum`).
     """
-    eig = hermitian_eig(matrix)
+    eig = matrix if isinstance(matrix, EigenDecomposition) else hermitian_eig(matrix)
     fvals = np.asarray(f(eig.values))
     if fvals.shape != eig.values.shape:
         raise ContractViolationError("scalar function must map eigenvalues elementwise")
@@ -141,11 +149,34 @@ def matrix_function(matrix: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -
 # Gaussian unitaries (padded construction, cropped result)
 # ---------------------------------------------------------------------------
 
+GENERATORS = ("x", "p", "squeeze")
+
+
+@lru_cache(maxsize=32)
+def generator_spectrum(name: str, dim: int) -> EigenDecomposition:
+    """Read-only eigendecomposition of x, p or the squeeze generator at dim levels.
+
+    The one spectral route of the padded Gaussian constructions: the
+    displacements, squeezing, Q0 and the Gaussian-benchmark candidates all
+    exponentiate these, so each is solved once per process and size.
+    name is "x", "p" or "squeeze" (the Hermitian -iG of `squeeze`).
+    """
+    if name not in GENERATORS:
+        raise ContractViolationError(f"unknown generator {name!r}; expected one of {GENERATORS}")
+    if name == "squeeze":
+        matrix = _squeeze_generator(dim)
+    else:
+        x, p = quadratures(dim)
+        matrix = x if name == "x" else p
+    eig = hermitian_eig(matrix)
+    eig.values.flags.writeable = False
+    eig.vectors.flags.writeable = False
+    return eig
+
 
 def displacement_x(u: float, dim: int) -> np.ndarray:
     """x-displacement exp(-i u p), built in a padded dimension and cropped to dim."""
-    _, p = quadratures(dim + _pad(dim))
-    full = matrix_function(p, lambda lam: np.exp(-1j * u * lam))
+    full = matrix_function(generator_spectrum("p", dim + _pad(dim)), lambda lam: np.exp(-1j * u * lam))
     return crop(full, dim)
 
 
@@ -259,7 +290,7 @@ def squeeze(r: float, dim: int) -> np.ndarray:
 
     Built in a padded dimension as exp(i r (-iG)) and cropped to dim.
     """
-    full = matrix_function(_squeeze_generator(dim + _pad(dim)), lambda lam: np.exp(1j * r * lam))
+    full = matrix_function(generator_spectrum("squeeze", dim + _pad(dim)), lambda lam: np.exp(1j * r * lam))
     return crop(full, dim)
 
 

@@ -35,6 +35,10 @@ def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockSt
 
     Built in a padded dimension with the same displacement and squeeze
     matrices used elsewhere in the package, then cropped and renormalized.
+    Those gates pad again, so the cat is padded twice: at dim = 60 it is
+    built at 90 levels from gates exponentiated at 135, whose cached
+    spectra (`fock.generator_spectrum`) every cat and gate target of that
+    size shares.
     The crop loss is measured against the exact squared norm of the cat,
     2 + 2 cos(phi) exp(-u² e^{2r}). If the crop discards max_loss of it or
     more, the state does not fit and a TruncationLossError names the

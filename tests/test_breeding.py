@@ -2,12 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqewit import breeding, fock, states
 from sqewit.errors import ContractViolationError
 from sqewit.states import CatSpec
 
 U_GRID = 2.0 * math.sqrt(math.pi)
+
+
+def _make_candidate(params, dim, xeig, peig, seig, s_seed) -> fock.FockState:
+    # The Gaussian candidate as one unfactored chain: each factor goes into
+    # and out of its eigenbasis. The oracle of `breeding._CandidateObjective`.
+    r, dx, dp = params
+    vec = seig.vectors @ (np.exp(1j * r * seig.values) * s_seed)
+    vec = xeig.vectors @ (np.exp(1j * dp * xeig.values) * (xeig.vectors.conj().T @ vec))
+    vec = peig.vectors @ (np.exp(-1j * dx * peig.values) * (peig.vectors.conj().T @ vec))
+    return fock.FockState(vec[:dim])
 
 
 class TestBreedRound:
@@ -129,9 +141,57 @@ class TestGaussianMinimum:
         dim = 80
         q0 = breeding.build_q0(dim)
         machinery = breeding._gaussian_candidate_weights(dim)
-        a = breeding._make_candidate((0.4, 0.3, 0.2), dim, *machinery)
-        b = breeding._make_candidate((0.4, 0.3 + 2 * math.sqrt(math.pi), 0.2), dim, *machinery)
+        a = _make_candidate((0.4, 0.3, 0.2), dim, *machinery)
+        b = _make_candidate((0.4, 0.3 + 2 * math.sqrt(math.pi), 0.2), dim, *machinery)
         assert fock.expectation(q0, a) == pytest.approx(fock.expectation(q0, b), abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([6, 30]),
+        r=st.floats(*breeding._R_BOX),
+        dx=st.floats(0.0, breeding._DX_PERIOD),
+        dp=st.floats(0.0, breeding._DP_PERIOD),
+    )
+    def test_objective_equals_unfactored_chain_bitwise(self, dim, r, dx, dp):
+        q0 = breeding.gkp_witness(dim).matrix
+        objective = breeding._CandidateObjective(q0)
+        want = fock.expectation(q0, _make_candidate((r, dx, dp), dim, *breeding._gaussian_candidate_weights(dim)))
+        assert objective(np.array([r, dx, dp])) == want
+        # The grid's path: each factor built once, then reused.
+        displaced = objective.displaced_in_p(objective.squeezed_in_x(r), dp)
+        assert objective.value(displaced, dx) == want
+
+    def test_eigensolves_shared_and_cached(self, monkeypatch):
+        # Q0, its Gaussian candidates and the padded gate targets share one
+        # spectral cache: gkp_witness(40) solves x, p and squeeze at 80 levels,
+        # and the four targets (both kinds, u = 2 and 3) p and squeeze at 90.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape[0])
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        breeding.gkp_witness.cache_clear()
+        fock.generator_spectrum.cache_clear()
+        try:
+            breeding.gkp_witness(40)
+            for _ in range(2):
+                before = len(calls)
+                for kind in fock.COUPLER_KINDS:
+                    for u in (2.0, 3.0):
+                        states.ideal_gate_target(kind, u, 0.0, 40)
+            assert len(calls) <= 5, calls
+            assert len(calls) == before, "repeated targets solved again"
+            eig = fock.generator_spectrum("p", 90)
+            with pytest.raises(ValueError):
+                eig.vectors[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                eig.values[0] = 0.0
+        finally:
+            breeding.gkp_witness.cache_clear()
+            fock.generator_spectrum.cache_clear()
 
     def test_truncation_drift_80_vs_100(self):
         # The box minimum sits at strong squeezing where truncation bites;

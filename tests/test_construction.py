@@ -5,9 +5,12 @@ padded builders' outputs, recorded while every builder still took a `pad=`
 argument, and the sha256 of `witness.momentum_comb` for u in {2, 3, 4},
 phi in {0, pi, pi/3} and N in {12, 62, 200}, recorded while each comb
 harmonic still evaluated its Laguerre factors elementwise with
-`scipy.special.eval_genlaguerre`. The values are computed in a child process with one BLAS thread:
-a threaded BLAS sums the larger products in another order, which moves
-`gaussian_min_q0(30)` by one ulp. Regenerate the JSON only on purpose:
+`scipy.special.eval_genlaguerre`. `gaussian_min_q0` at N = 40 and 60, the
+gate-breed benchmark's dimensions, was recorded while each Gaussian
+candidate still went through all its eigenbases per evaluation and every
+padded builder solved its own spectrum. The values are computed in a
+child process with one BLAS thread: a threaded BLAS sums the larger
+products in another order, which moves `gaussian_min_q0(30)` by one ulp. Regenerate the JSON only on purpose:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
         python tests/test_construction.py > tests/construction_pin.json
@@ -48,7 +51,7 @@ def construction_values() -> dict:
             values["ideal_gate_target"][f"{kind}|N={n}"] = _hexes(target.amps)
     # One gate-breed benchmark pool cat, at the pool's smallest dimension.
     values["squeezed_cat"] = _hexes(states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=math.pi, dim=30)).amps)
-    for n in (6, 30):
+    for n in (6, 30, 40, 60):
         values["gaussian_min_q0"][f"N={n}"] = breeding.gaussian_min_q0(n).hex()
     for c in (0.0, 10.0):
         b = witness.gaussian_bound(3.0, c)
