@@ -16,8 +16,11 @@ their sign flipped. Runs are deterministic functions of the seed.
 Each generation sorts the 2n parents plus offspring once, with an
 O(n log n) two-objective sweep (``non_dominated_sort``); the survivors
 carry their ranks and crowding into the next tournament, so no generation
-re-sorts its parents. Per generation the cost is that sort, O(n log n)
-crowding, and n objective evaluations, which dominate at pop 200.
+re-sorts its parents. The n offspring are scored in one batched pass
+(``_evaluate``): decoding, the witness form, the coupler, the <p = 0|
+conditioning and every breeding round act on all n states at once, bitwise
+as they would on each state alone. Per generation the cost is that pass,
+the sort, and O(n log n) crowding.
 """
 
 from __future__ import annotations
@@ -80,14 +83,64 @@ def decode(genome: np.ndarray) -> FockState | None:
 # ---------------------------------------------------------------------------
 
 
-def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> np.ndarray | None:
-    """Normalized mode-2 state after <p = 0| on mode 1; None if annihilated."""
-    out = bra @ joint.reshape(bra.size, bra.size)
-    norm = np.linalg.norm(out)
-    return None if norm < gates.ANNIHILATION_EPS else out / norm
+# Every batched step below is bitwise the per-state arithmetic it replaces:
+# a stacked np.matmul over C-contiguous rows calls, per row, the same BLAS
+# gemv or dot as the 1-D product. Other strides fall back to numpy's no-BLAS
+# loop, and a single zgemm (``rows @ op.T``) sums in another order; either
+# changes the rounding.
 
 
-class _FidelityObjectives:
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex row, bitwise ``np.linalg.norm(row)``.
+
+    ``linalg.norm`` adds two strided real dots, re·re and im·im; a stacked
+    matmul of each row's real and imaginary parts with itself calls the same
+    dot per row.
+    """
+    re, im = rows.real, rows.imag
+    return np.sqrt(
+        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+    )
+
+
+def _quadratic_forms(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Re <a|op|a> for each row a, bitwise ``np.real(np.vdot(a, op @ a))``.
+
+    The stacked row-by-column matmul takes one complex dot of conj(a) per
+    row; conjugation negates the imaginary products exactly, so the real
+    part sums the same products as ``np.vdot``'s.
+    """
+    op_rows = np.matmul(op, rows[:, :, None])
+    return np.matmul(rows.conj()[:, None, :], op_rows)[:, 0, 0].real
+
+
+def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized mode-2 states after <p = 0| on mode 1 of each joint row.
+
+    Returns the surviving states and the mask of rows that survive; rows
+    whose norm falls below the annihilation threshold are dropped before
+    the division, so none is divided by zero.
+    """
+    dim = bra.size
+    out = np.matmul(bra, joint.reshape(-1, dim, dim))
+    norms = _row_norms(out)
+    alive = norms >= gates.ANNIHILATION_EPS
+    return out[alive] / norms[alive, None], alive
+
+
+class _Objectives:
+    """A frontier problem: ``batch`` scores rows of states, a call one state."""
+
+    def __call__(self, amps: np.ndarray) -> tuple[float, float]:
+        """Objectives of one normalized state: a one-row ``batch``."""
+        z, second = self.batch(np.asarray(amps)[None, :])[0]
+        return (float(z), float(second))
+
+
+class _FidelityObjectives(_Objectives):
+    """Witness expectation and interaction fidelity of a batch of states."""
+
     metric_name = "fidelity"
 
     def __init__(self, spec: WitnessSpec):
@@ -100,18 +153,29 @@ class _FidelityObjectives:
         # dimensions cannot hold it losslessly.
         self.target = states.ideal_gate_target("BS", spec.u, spec.phi, spec.dim).amps
 
-    def __call__(self, amps: np.ndarray) -> tuple[float, float]:
-        z = float(np.real(np.vdot(amps, self.w @ amps)))
-        out = _condition_p0(self.bra, self.coupler_cols @ amps)
-        if out is None:
-            return (z, math.inf)
-        return (z, float(abs(np.vdot(self.target, out)) ** 2))
+    def batch(self, amps: np.ndarray) -> np.ndarray:
+        """(n, 2) objectives of n normalized states, one per row of ``amps``.
+
+        Annihilated gates score ``inf`` fidelity.
+        """
+        amps = np.ascontiguousarray(amps, dtype=complex)
+        out = np.empty((amps.shape[0], 2))
+        out[:, 0] = _quadratic_forms(self.w, amps)
+        outputs, alive = _condition_p0(self.bra, np.matmul(self.coupler_cols, amps[:, :, None]))
+        out[:, 1] = math.inf
+        # np.vdot and the scalar abs per row, a bitwise requirement: np.abs
+        # over a complex array rounds differently from the scalar abs, and
+        # no batched complex dot is sure to call zdotc as np.vdot does.
+        out[alive, 1] = [abs(np.vdot(self.target, row)) ** 2 for row in outputs]
+        return out
 
     def metric_value(self, objective_2: float) -> float:
         return objective_2
 
 
-class _GkpObjectives:
+class _GkpObjectives(_Objectives):
+    """Witness expectation and negated GKP dB after breeding, per state."""
+
     metric_name = "gkp_db"
 
     def __init__(self, spec: WitnessSpec, rounds: int = 2):
@@ -121,15 +185,30 @@ class _GkpObjectives:
         self.bra = fock.momentum_eigenbra(0.0, spec.dim)
         self.gkp = breeding.gkp_witness(spec.dim)
 
-    def __call__(self, amps: np.ndarray) -> tuple[float, float]:
-        z = float(np.real(np.vdot(amps, self.w @ amps)))
-        current = amps
+    def batch(self, amps: np.ndarray) -> np.ndarray:
+        """(n, 2) objectives of n normalized states, one per row of ``amps``.
+
+        Every round breeds the surviving rows at once; a row annihilated in
+        any round scores ``inf`` and takes no part in later rounds.
+        """
+        amps = np.ascontiguousarray(amps, dtype=complex)
+        out = np.empty((amps.shape[0], 2))
+        out[:, 0] = _quadratic_forms(self.w, amps)
+        current, rows = amps, np.arange(amps.shape[0])
+        pair_dim = self.coupler.shape[1]
         for _ in range(self.rounds):
-            current = _condition_p0(self.bra, self.coupler @ np.multiply.outer(current, current).ravel())
-            if current is None:
-                return (z, math.inf)
-        value = float(np.real(np.vdot(current, self.gkp.matrix @ current)))
-        return (z, -witness.ratio_db(value, self.gkp.gaussian_min))
+            pairs = (current[:, :, None] * current[:, None, :]).reshape(rows.size, pair_dim, 1)
+            current, alive = _condition_p0(self.bra, np.matmul(self.coupler, pairs))
+            rows = rows[alive]
+        out[:, 1] = math.inf
+        # ratio_db per row, a bitwise requirement: it takes math.log10, which
+        # np.log10 over an array does not match for every value, and warns
+        # once per clamped value.
+        out[rows, 1] = [
+            -witness.ratio_db(float(value), self.gkp.gaussian_min)
+            for value in _quadratic_forms(self.gkp.matrix, current)
+        ]
+        return out
 
     def metric_value(self, objective_2: float) -> float:
         return -objective_2
@@ -266,17 +345,17 @@ def variation(parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _evaluate(genomes: np.ndarray, objective) -> np.ndarray:
-    """Objectives of each genome; invalid genomes get ``(inf, inf)``.
+    """Objectives of each genome in one batched pass; invalid genomes get ``(inf, inf)``.
 
-    Each genome is decoded and normalized exactly as ``decode`` does, with
-    one norm and one division and no ``FockState`` around the amplitudes.
+    Genomes are decoded and normalized as ``decode`` does, bitwise, and the
+    valid rows go to ``objective.batch`` together.
     """
     dim = genomes.shape[1] // 2
     amps = genomes[:, :dim] + 1j * genomes[:, dim:]
-    out = np.empty((genomes.shape[0], 2), dtype=float)
-    for i, row in enumerate(amps):
-        norm = np.linalg.norm(row)
-        out[i] = objective(row / norm) if norm > DECODE_EPS else (math.inf, math.inf)
+    norms = _row_norms(amps)
+    valid = norms > DECODE_EPS
+    out = np.full((genomes.shape[0], 2), math.inf)
+    out[valid] = objective.batch(amps[valid] / norms[valid, None])
     return out
 
 

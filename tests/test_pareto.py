@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqewit import fock, pareto, witness
+from sqewit import fock, gates, pareto, witness
 from sqewit.errors import ContractViolationError
 from sqewit.pareto import NsgaConfig
 from sqewit.witness import WitnessSpec
@@ -66,6 +68,64 @@ def objective_clouds(min_size=0, max_size=80):
     return st.lists(st.tuples(GRID_VALUE, GRID_VALUE), min_size=min_size, max_size=max_size).map(
         lambda rows: np.array(rows, dtype=float).reshape(len(rows), 2)
     )
+
+
+def oracle_condition_p0(bra, joint):
+    """One state's <p = 0| conditioning: normalized mode 2, None if annihilated."""
+    out = bra @ joint.reshape(bra.size, bra.size)
+    norm = np.linalg.norm(out)
+    return None if norm < gates.ANNIHILATION_EPS else out / norm
+
+
+def oracle_objectives(objective, amps):
+    """The per-state objective chain that batched evaluation must reproduce bitwise."""
+    z = float(np.real(np.vdot(amps, objective.w @ amps)))
+    if isinstance(objective, pareto._FidelityObjectives):
+        out = oracle_condition_p0(objective.bra, objective.coupler_cols @ amps)
+        if out is None:
+            return (z, math.inf)
+        return (z, float(abs(np.vdot(objective.target, out)) ** 2))
+    current = amps
+    for _ in range(objective.rounds):
+        current = oracle_condition_p0(objective.bra, objective.coupler @ np.multiply.outer(current, current).ravel())
+        if current is None:
+            return (z, math.inf)
+    value = float(np.real(np.vdot(current, objective.gkp.matrix @ current)))
+    return (z, -witness.ratio_db(value, objective.gkp.gaussian_min))
+
+
+def oracle_evaluate(genomes, objective):
+    """Genome by genome: one np.linalg.norm, one division, one objective chain."""
+    dim = genomes.shape[1] // 2
+    amps = genomes[:, :dim] + 1j * genomes[:, dim:]
+    out = np.empty((genomes.shape[0], 2), dtype=float)
+    for i, row in enumerate(amps):
+        norm = np.linalg.norm(row)
+        out[i] = oracle_objectives(objective, row / norm) if norm > pareto.DECODE_EPS else (math.inf, math.inf)
+    return out
+
+
+@functools.cache
+def objectives_for(problem, rounds, dim=6):
+    return pareto._make_objectives(problem, WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100), rounds)
+
+
+# Breeding rounds apply to gkp only; the fidelity objective ignores them.
+PROBLEM_ROUNDS = [("fidelity", 2)] + [("gkp", rounds) for rounds in (0, 1, 2)]
+
+
+@st.composite
+def genome_batches(draw, genes=12):
+    """1-64 genomes with copied rows, all-zero rows and rows scaled near DECODE_EPS."""
+    n = draw(st.integers(1, 64))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (n, genes))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)):
+        rows[dst] = rows[src]
+    for row, scale in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, 1e-11, 1e-9, 1e-8])), max_size=6)
+    ):
+        rows[row] *= scale
+    return rows
 
 
 class TestDecode:
@@ -302,6 +362,65 @@ class TestEvolve:
         challengers.append(objective(fock.vacuum(6).amps))
         flagged = pareto.dominated_front_points(front, np.array(challengers))
         assert flagged.size == 0
+
+
+class TestBatchedEvaluation:
+    """``_evaluate`` scores a generation in one batched pass, bitwise the per-state chain."""
+
+    @pytest.mark.parametrize(("problem", "rounds"), PROBLEM_ROUNDS)
+    @settings(max_examples=40, deadline=None)
+    @given(genomes=genome_batches())
+    def test_matches_per_state_oracle(self, problem, rounds, genomes):
+        objective = objectives_for(problem, rounds)
+        assert pareto._evaluate(genomes, objective).tobytes() == oracle_evaluate(genomes, objective).tobytes()
+
+    @pytest.mark.parametrize(("problem", "rounds"), PROBLEM_ROUNDS)
+    @settings(max_examples=25, deadline=None)
+    @given(genomes=genome_batches(), data=st.data())
+    def test_rows_are_independent(self, problem, rounds, genomes, data):
+        # 1 ulp between two copies of a genome would change their ranks:
+        # equal points never dominate each other, unequal ones may.
+        objective = objectives_for(problem, rounds)
+        perm = np.array(data.draw(st.permutations(range(genomes.shape[0]))), dtype=int)
+        objs = pareto._evaluate(genomes, objective)
+        assert pareto._evaluate(genomes[perm], objective).tobytes() == objs[perm].tobytes()
+        copies = np.vstack([genomes, genomes[::-1]])
+        assert pareto._evaluate(copies, objective).tobytes() == np.vstack([objs, objs[::-1]]).tobytes()
+
+    @pytest.mark.parametrize(("problem", "rounds"), PROBLEM_ROUNDS)
+    def test_annihilated_rows_score_inf_without_warnings(self, problem, rounds):
+        objective = pareto._make_objectives(problem, SPEC6, rounds)
+        objective.bra = np.zeros_like(objective.bra)
+        genomes = np.random.default_rng(3).uniform(-1, 1, (16, 12))
+        genomes[5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objs = pareto._evaluate(genomes, objective)
+        want = oracle_evaluate(genomes, objective)
+        assert objs.tobytes() == want.tobytes()
+        if problem == "fidelity" or rounds > 0:
+            assert np.all(np.isinf(objs[:, 1]))
+        assert np.isinf(objs[5, 0]) and np.isfinite(np.delete(objs[:, 0], 5)).all()
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_row_dead_after_first_round_stays_inf(self, rounds):
+        # At N = 2 the beam splitter sends |1>|1> to |2>, outside the
+        # truncation, so |1> dies in round 1 while the other rows breed on.
+        objective = objectives_for("gkp", rounds, dim=2)
+        genomes = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.3, 0.2, 0.1, -0.5], [0.0, -1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objs = pareto._evaluate(genomes, objective)
+        assert objs.tobytes() == oracle_evaluate(genomes, objective).tobytes()
+        assert np.isinf(objs[[0, 3], 1]).all() and np.isfinite(objs[[1, 2], 1]).all()
+
+    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
+    def test_single_state_call_is_one_row_batch(self, problem):
+        objective = objectives_for(problem, 2)
+        eig = fock.hermitian_eig(np.asarray(objective.w))
+        amps = eig.vectors[:, 0]  # a strided column
+        assert objective(amps) == oracle_objectives(objective, np.ascontiguousarray(amps))
+        assert np.array(objective(amps)).tobytes() == objective.batch(amps[None, :])[0].tobytes()
 
 
 class TestHypervolume:
