@@ -3,7 +3,10 @@
 Each breeding round merges two identical copies on a balanced beam splitter
 and keeps mode 2 conditioned on measuring p = 0 in mode 1. Output quality is
 scored by the grid witness Q0 = 2 sin²(x sqrt(pi)/2) + 2 sin²(p sqrt(pi)),
-benchmarked against its numerically minimized Gaussian expectation.
+benchmarked against its numerically minimized Gaussian expectation. The
+minimization refines a start grid with an in-package bounded Nelder-Mead,
+bitwise scipy 1.17.1's `minimize(method="Nelder-Mead", bounds=...)`, so the
+package imports nothing from scipy but `scipy.special`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import fock, gates
 from .errors import ContractViolationError, OptimizerFailure
@@ -154,6 +156,70 @@ class _CandidateObjective:
         return self.value(self.displaced_in_p(self.squeezed_in_x(r), params[2]), params[1])
 
 
+def _nelder_mead(fun, x0, lower, upper, xatol, fatol, maxiter):
+    """Bounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    Returns (min f, its vertex, converged). A port of scipy 1.17.1's
+    `_minimize_neldermead` for the one configuration used here: fixed
+    coefficients, no evaluation cap, the default start simplex, bounds. It
+    repeats scipy's operations in scipy's order (start clipped to the box,
+    vertices above it reflected inside, every move clipped, argsort plus
+    take), so every evaluated point and the result are bitwise scipy's.
+    Converged means the tolerances were met within maxiter iterations.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # scipy sorts twice before the loop; argsort need not be stable.
+    sim, fsim = ordered(*ordered(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # Outside contraction: kept if no worse than the reflection.
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+            else:
+                # Inside contraction: kept if better than the worst vertex.
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
+                fxc = fun(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                    fsim[j] = fun(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        sim, fsim = ordered(sim, fsim)
+    return np.min(fsim), sim[0], iterations < maxiter
+
+
 def _gaussian_min(q0: np.ndarray) -> float:
     objective = _CandidateObjective(q0)
     rs = np.linspace(_R_BOX[0], _R_BOX[1], 13)
@@ -168,19 +234,17 @@ def _gaussian_min(q0: np.ndarray) -> float:
     values = np.array(values)
     order = np.argsort(values, kind="stable")
 
+    lower = np.array([_R_BOX[0], 0.0, 0.0])
+    upper = np.array([_R_BOX[1], _DX_PERIOD, _DP_PERIOD])
     best = float(values[order[0]])
     converged = False
     for j in order[:3]:
-        res = minimize(
-            objective,
-            x0=np.array(grid[int(j)]),
-            method="Nelder-Mead",
-            bounds=[_R_BOX, (0.0, _DX_PERIOD), (0.0, _DP_PERIOD)],
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 2000},
+        refined, _, ok = _nelder_mead(
+            objective, np.array(grid[int(j)]), lower, upper, xatol=1e-7, fatol=1e-12, maxiter=2000
         )
-        converged = converged or bool(res.success)
-        if res.fun < best:
-            best = float(res.fun)
+        converged = converged or ok
+        if refined < best:
+            best = float(refined)
     if not converged:
         raise OptimizerFailure("no Gaussian-benchmark refinement converged from any start")
     return best
@@ -206,7 +270,8 @@ def gaussian_min_q0(dim: int) -> float:
     """Minimum grid-witness expectation over squeezed displaced vacuum states.
 
     Multi-start grid over squeezing in [-3, 3] and displacements over one
-    comb period in each quadrature, refined by Nelder-Mead. States are
+    comb period in each quadrature, refined by the in-package bounded
+    Nelder-Mead (`_nelder_mead`, bitwise scipy 1.17.1's). States are
     built numerically at the padded dimension and cropped, so the benchmark
     shares the truncation behavior of everything it is compared against.
     """

@@ -236,9 +236,9 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
     serialize.check_writable(out, state_out)
     state, _ = serialize.load_state(state_path)
     run = breeding.breed_protocol(state, rounds)
+    report = breeding.breeding_report(run)
     config = json.dumps(_effective_config(ctx), sort_keys=True)
     serialize.save_state(state_out, run.final, {"config": config})
-    report = breeding.breeding_report(run)
     report["final_state_file"] = str(state_out)
     _emit(ctx, report, out)
 

@@ -1,12 +1,15 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from sqewit import breeding, fock, states
-from sqewit.errors import ContractViolationError
+from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 
 U_GRID = 2.0 * math.sqrt(math.pi)
@@ -200,6 +203,111 @@ class TestGaussianMinimum:
         g80 = breeding.gaussian_min_q0(80)
         g100 = breeding.gaussian_min_q0(100)
         assert abs(g80 - g100) < 5e-3
+
+
+_LOWER = np.array([breeding._R_BOX[0], 0.0, 0.0])
+_UPPER = np.array([breeding._R_BOX[1], breeding._DX_PERIOD, breeding._DP_PERIOD])
+
+
+@functools.cache
+def _q0_objective(dim):
+    return breeding._CandidateObjective(breeding.gkp_witness(dim).matrix)
+
+
+def _staircase(x):
+    # Piecewise constant: plateaus tie vertices, and neither contraction
+    # improves on a plateau, so the search shrinks.
+    return float(np.sum(np.floor(8.0 * (x - 0.3)) ** 2))
+
+
+def _holed_staircase(x):
+    # NaN on a slab across the box: comparisons with NaN must branch as
+    # scipy's do, and a NaN vertex left at maxiter makes the minimum NaN.
+    return math.nan if 1.0 < x[0] < 2.0 else _staircase(x)
+
+
+_OBJECTIVES = {"staircase": _staircase, "holed_staircase": _holed_staircase}
+
+
+def _run_both(fun, x0, maxiter):
+    """`_nelder_mead` and scipy's bounded Nelder-Mead from one start, with
+    the points each evaluated, as bytes."""
+
+    def recorded(points):
+        def wrapped(x):
+            points.append(np.asarray(x).tobytes())
+            return fun(x)
+
+        return wrapped
+
+    ours_points, scipy_points = [], []
+    ours = breeding._nelder_mead(recorded(ours_points), x0, _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on a start outside the box
+        res = minimize(
+            recorded(scipy_points),
+            x0=x0,
+            method="Nelder-Mead",
+            bounds=list(zip(_LOWER, _UPPER)),
+            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": maxiter},
+        )
+    return ours, ours_points, res, scipy_points
+
+
+def _coordinate(lo, hi):
+    # Inside and outside the box, zero (the zdelt step) and on the upper
+    # bound (the step that leaves the box and is reflected back inside).
+    return st.one_of(st.floats(lo - 1.0, hi + 1.0), st.just(0.0), st.just(hi), st.just(lo))
+
+
+class TestNelderMead:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        objective=st.sampled_from(["q0_6", "q0_30", "staircase", "holed_staircase"]),
+        x0=st.tuples(*(_coordinate(lo, hi) for lo, hi in zip(_LOWER, _UPPER))),
+        maxiter=st.sampled_from([1, 2, 5, 2000]),
+    )
+    @example(objective="q0_6", x0=(3.0, 0.0, 0.0), maxiter=2000)
+    @example(objective="q0_30", x0=(-4.0, 4.0, breeding._DP_PERIOD), maxiter=2000)
+    @example(objective="staircase", x0=(2.0, -0.3, 2.0), maxiter=2000)  # ties that argsort reorders
+    @example(objective="holed_staircase", x0=(-2.6, 2.5, -0.3), maxiter=2000)  # NaN outside contraction
+    @example(objective="holed_staircase", x0=(1.0, 0.4, 0.5), maxiter=5)  # NaN vertex at maxiter
+    def test_bitwise_scipy(self, objective, x0, maxiter):
+        fun = _OBJECTIVES.get(objective) or _q0_objective(int(objective[3:]))
+        (value, x, converged), ours_points, res, scipy_points = _run_both(fun, np.array(x0), maxiter)
+        assert ours_points == scipy_points
+        assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
+        assert x.tobytes() == res.x.tobytes()
+        assert np.bool_(converged).tobytes() == np.bool_(res.success).tobytes()
+
+    # The last start tells scipy's shrink sim[0] + sigma (sim[j] - sim[0])
+    # from (1 - sigma) sim[0] + sigma sim[j] by one rounding.
+    @pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (2.5, 1.0, 0.5), (-4.0, 5.0, 0.0), (-2.7, 1.1, 0.2)])
+    def test_shrink_step_bitwise(self, x0):
+        (value, x, converged), ours_points, res, scipy_points = _run_both(_staircase, np.array(x0), 2000)
+        # Iterations without a shrink evaluate at most two points, so more
+        # evaluations than that prove a shrink happened.
+        assert res.nfev > 4 + 2 * (res.nit - 1)
+        assert ours_points == scipy_points
+        assert (np.float64(value).tobytes(), x.tobytes(), converged) == (
+            np.float64(res.fun).tobytes(),
+            res.x.tobytes(),
+            bool(res.success),
+        )
+
+    @pytest.mark.parametrize("maxiter", [1, 3])
+    def test_small_maxiter_not_converged(self, maxiter):
+        (_, _, converged), _, res, _ = _run_both(_q0_objective(6), np.array([0.4, 0.3, 0.2]), maxiter)
+        assert converged is False
+        assert not res.success
+
+    def test_no_convergence_raises(self, monkeypatch):
+        def never_converges(fun, x0, *args, **kwargs):
+            return fun(x0), x0, False
+
+        monkeypatch.setattr(breeding, "_nelder_mead", never_converges)
+        with pytest.raises(OptimizerFailure):
+            breeding._gaussian_min(breeding.build_q0(6))
 
 
 class TestGkpSqueezing:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +162,27 @@ def test_failed_ground_sweep_leaves_no_directory(runner, tmp_path):
     before = _listing(tmp_path)
     result = runner.invoke(main, ["ground", "--dims", "1", "--phi", str(math.pi), "--out", str(tmp_path / "g8")])
     assert result.exit_code == 3, result.output
+    assert _listing(tmp_path) == before
+
+
+def test_unconverged_gaussian_benchmark_exits_3_and_writes_nothing(runner, tmp_path, monkeypatch):
+    # The breed report needs the Gaussian benchmark; when no refinement
+    # converges, neither the report nor the final state file is written.
+    def never_converges(fun, x0, *args, **kwargs):
+        return fun(x0), x0, False
+
+    state = tmp_path / "vacuum.json"
+    serialize.save_state(state, fock.vacuum(6))
+    monkeypatch.setattr(breeding, "_nelder_mead", never_converges)
+    breeding.gkp_witness.cache_clear()
+    try:
+        before = _listing(tmp_path)
+        args = ["breed", "--state", str(state), "--rounds", "1"]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "r.json"), "--state-out", str(tmp_path / "s.json")])
+    finally:
+        breeding.gkp_witness.cache_clear()
+    assert result.exit_code == 3, result.output
+    assert "converged" in result.stderr
     assert _listing(tmp_path) == before
 
 
@@ -562,3 +586,16 @@ def test_cli_surface_unchanged():
     options = {(name, p.name): p for name, cmd in main.commands.items() for p in cmd.params}
     assert options["gate", "kind"].type.case_sensitive is False
     assert options["frontier", "problem"].type.case_sensitive is True
+
+
+def test_import_leaves_out_heavy_scipy_subpackages():
+    # Importing the CLI needs scipy.special only. scipy.optimize (and the
+    # linalg and sparse packages it pulls in) more than doubled start-up.
+    code = (
+        "import sqewit.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg', 'scipy.sparse'))))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
