@@ -8,7 +8,6 @@ GKP breeding evaluation, and NSGA-II Pareto frontier searches.
 from . import breeding, fock, gates, pareto, serialize, states, witness  # noqa: F401
 from .errors import (  # noqa: F401
     ContractViolationError,
-    InvalidDimensionError,
     OptimizerFailure,
     ProjectionAnnihilatedError,
     SqewitError,

@@ -101,37 +101,29 @@ def build_q0(dim: int) -> np.ndarray:
     return q0
 
 
-def _gaussian_candidate_weights(dim: int):
-    """Spectral machinery for squeezed-displaced vacuum candidates.
-
-    The candidate at (r, dx, dp) is exp(-i dx p) exp(i dp x) S(r)|0>, built
-    at dim + _Q0_PAD levels from the x, p and squeeze spectra and cropped
-    to dim: (xeig, peig, seig, s_seed), s_seed being the vacuum in the
-    squeeze eigenbasis.
-    """
-    big = dim + _Q0_PAD
-    xeig, peig, seig = (fock.generator_spectrum(name, big) for name in fock.GENERATORS)
-    seed = np.zeros(big, dtype=complex)
-    seed[0] = 1.0
-    s_seed = seig.vectors.conj().T @ seed
-    return xeig, peig, seig, s_seed
-
-
 class _CandidateObjective:
     """<Q0> on the Gaussian candidates, built in three reusable factors.
 
-    The squeezed vacuum depends on r alone, its x-displaced image on
-    (r, dp), and only the last step, a gemv on the first dim rows of the p
-    eigenvectors, on dx. The grid search builds each factor once for all
-    the points that share it; calling the object composes all three at one
-    point, for the Nelder-Mead refinement. Every value is bitwise equal to
-    building the candidate in one chain through the three eigenbases.
+    The candidate at (r, dx, dp) is exp(-i dx p) exp(i dp x) S(r)|0>, built
+    at dim + _Q0_PAD levels from the x, p and squeeze spectra (`xeig`,
+    `peig`, `seig`; `s_seed` is the vacuum in the squeeze eigenbasis) and
+    cropped to dim. The squeezed vacuum depends on r alone, its x-displaced
+    image on (r, dp), and only the last step, a gemv on the first dim rows
+    of the p eigenvectors, on dx. The grid search builds each factor once
+    for all the points that share it; calling the object composes all three
+    at one point, for the Nelder-Mead refinement. Every value is bitwise
+    equal to building the candidate in one chain through the three
+    eigenbases.
     """
 
     def __init__(self, q0: np.ndarray):
         self.q0 = q0
         dim = q0.shape[0]
-        self.xeig, self.peig, self.seig, self.s_seed = _gaussian_candidate_weights(dim)
+        big = dim + _Q0_PAD
+        self.xeig, self.peig, self.seig = (fock.generator_spectrum(name, big) for name in fock.GENERATORS)
+        seed = np.zeros(big, dtype=complex)
+        seed[0] = 1.0
+        self.s_seed = self.seig.vectors.conj().T @ seed
         self.x_inv = self.xeig.vectors.conj().T
         self.p_inv = self.peig.vectors.conj().T
         self.p_rows = self.peig.vectors[:dim]

@@ -5,13 +5,10 @@ class SqewitError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidDimensionError(SqewitError, ValueError):
-    """A Fock-space dimension or index is out of range."""
-
-
 class ContractViolationError(SqewitError, ValueError):
     """An input breaks a documented precondition (non-Hermitian matrix,
-    mismatched dimensions, invalid parameter range)."""
+    mismatched dimensions, a Fock dimension or index out of range, invalid
+    parameter range)."""
 
 
 class InputFormatError(SqewitError, ValueError):

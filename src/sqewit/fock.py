@@ -5,7 +5,7 @@ quadratures x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2), vacuum variance 1/2
 The Gaussian gates `displacement_x` and `squeeze` are built max(20, N // 2)
 levels above the requested N and cropped back, which keeps the low-photon
 block accurate despite truncation; the padding is internal, and
-`displacement_x_exact` gives the closed-form block where that matters.
+`ExactDisplacements` gives the closed-form block where that matters.
 `states.squeezed_cat` applies these gates in its own padded dimension, so a
 cat is padded twice: an N = 60 cat exponentiates 135-level spectra. Every
 padded spectrum, including those of `breeding`'s Q0 and its Gaussian
@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import binom, gammaln
 
-from .errors import ContractViolationError, InvalidDimensionError
+from .errors import ContractViolationError
 
 HERMITICITY_TOL = 1e-12
 
@@ -64,7 +64,7 @@ def _pad(dim: int) -> int:
 def annihilation(dim: int) -> np.ndarray:
     """Truncated annihilation operator: a[n-1, n] = sqrt(n)."""
     if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+        raise ContractViolationError(f"dimension must be >= 1, got {dim}")
     a = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     a[n - 1, n] = np.sqrt(n)
@@ -125,18 +125,15 @@ def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def matrix_function(
-    matrix: np.ndarray | EigenDecomposition, f: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
+def matrix_function(eig: EigenDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Returns V f(L) V†. The result is Hermitian whenever f is real-valued;
-    complex-valued f (e.g. lam -> exp(i*lam)) yields the corresponding
-    operator function of the same eigenbasis. Raises if f is undefined
-    (NaN/inf) at an eigenvalue. Takes the matrix, or its eigendecomposition
-    when that is already at hand (such as a cached `generator_spectrum`).
+    Takes the matrix's eigendecomposition (a cached `generator_spectrum`, or
+    `hermitian_eig` of the matrix) and returns V f(L) V†. The result is
+    Hermitian whenever f is real-valued; complex-valued f (e.g.
+    lam -> exp(i*lam)) yields the corresponding operator function of the
+    same eigenbasis. Raises if f is undefined (NaN/inf) at an eigenvalue.
     """
-    eig = matrix if isinstance(matrix, EigenDecomposition) else hermitian_eig(matrix)
     fvals = np.asarray(f(eig.values))
     if fvals.shape != eig.values.shape:
         raise ContractViolationError("scalar function must map eigenvalues elementwise")
@@ -183,6 +180,10 @@ def displacement_x(u: float, dim: int) -> np.ndarray:
 class ExactDisplacements:
     """Exact Fock-basis blocks of x-displacements exp(-i s p) at one dimension.
 
+    The true truncation of the infinite-dimensional operator, with no
+    padding error, for where spectral sampling of a truncated quadrature
+    would alias: `witness.momentum_comb` builds all harmonics of a comb
+    from one instance.
     With alpha = s/sqrt(2), x = alpha², i = max(n, m), j = min(n, m) and
     d = i - j, the block element is
     <n|exp(-i s p)|m> = ±sqrt(j!/i!) |alpha|^d e^(-x/2) L_j^(d)(x),
@@ -204,7 +205,7 @@ class ExactDisplacements:
 
     def __init__(self, dim: int):
         if dim < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+            raise ContractViolationError(f"dimension must be >= 1, got {dim}")
         n = np.arange(dim)
         # Packed layout, degree-major: degree j holds orders d = 0..dim-1-j.
         offsets = np.concatenate(([0], np.cumsum(dim - n)))
@@ -266,19 +267,6 @@ class ExactDisplacements:
         return parity * magnitude[self._index]
 
 
-def displacement_x_exact(s: float, dim: int) -> np.ndarray:
-    """Exact Fock-basis block of the x-displacement exp(-i s p).
-
-    Closed-form matrix elements (associated Laguerre polynomials), i.e. the
-    true truncation of the infinite-dimensional operator with no padding
-    error. Used where spectral sampling of a truncated quadrature would
-    alias, such as the harmonics of sharp momentum combs. Built by
-    `ExactDisplacements`, in O(N²); callers needing blocks at several s
-    and one dim should keep one `ExactDisplacements(dim)`.
-    """
-    return ExactDisplacements(dim)(s)
-
-
 def _squeeze_generator(dim: int) -> np.ndarray:
     # The Hermitian -iG of the anti-Hermitian squeeze generator G = (a² - a†²)/2.
     a = annihilation(dim)
@@ -317,7 +305,7 @@ def _check_coupler_args(kind: str, dim: int) -> None:
     if kind not in COUPLER_KINDS:
         raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
     if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+        raise ContractViolationError(f"dimension must be >= 1, got {dim}")
 
 
 def _qnd_factors(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -384,7 +372,7 @@ def p0_kernel(kind: str, dim: int) -> np.ndarray:
     phi_0(x2 - x1) dx1 gives 0.999535 (= F_BS): a 2.7e-4 fidelity gap.
     """
     _check_coupler_args(kind, dim)
-    bra = momentum_eigenbra(0.0, dim)
+    bra = momentum_eigenbra(dim)
     if kind == "QND":
         # U = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)†; the bra folds into w,
         # leaving d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
@@ -421,15 +409,15 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def momentum_eigenbra(p0: float, dim: int) -> np.ndarray:
-    """Row vector representing <p = p0| on the truncated Fock basis.
+def momentum_eigenbra(dim: int) -> np.ndarray:
+    """Row vector representing <p = 0| on the truncated Fock basis.
 
-    Entry n is conj(psi_n(p0)), where psi_n(p0) = (-i)^n phi_n(p0) is the
+    Entry n is conj(psi_n(0)), where psi_n(p) = (-i)^n phi_n(p) is the
     momentum wavefunction of Fock level n; contracting it against a mode
     evaluates the (unnormalizable) momentum-eigenstate overlap used by
-    homodyne post-selection at outcome p0.
+    homodyne post-selection at outcome p = 0.
     """
-    phi = hermite_functions(dim - 1, np.array([p0]))[:, 0]
+    phi = hermite_functions(dim - 1, np.array([0.0]))[:, 0]
     return ((-1j) ** np.arange(dim) * phi).conj()
 
 
@@ -447,7 +435,7 @@ class FockState:
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
-            raise InvalidDimensionError("state amplitudes must form a nonempty 1-D vector")
+            raise ContractViolationError("state amplitudes must form a nonempty 1-D vector")
         norm = np.linalg.norm(amps)
         if norm == 0.0 or not np.isfinite(norm):
             raise ContractViolationError("cannot normalize a zero or non-finite vector")
@@ -462,7 +450,7 @@ class FockState:
 
 def basis_state(dim: int, n: int) -> FockState:
     if not 0 <= n < dim:
-        raise InvalidDimensionError(f"Fock index {n} outside [0, {dim})")
+        raise ContractViolationError(f"Fock index {n} outside [0, {dim})")
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
     return FockState(amps)

@@ -148,7 +148,7 @@ class _FidelityObjectives(_Objectives):
         self.coupler_cols = np.ascontiguousarray(
             fock.two_mode_coupler("BS", spec.dim)[:, 0 :: spec.dim]
         )  # action on c ⊗ |0>
-        self.bra = fock.momentum_eigenbra(0.0, spec.dim)
+        self.bra = fock.momentum_eigenbra(spec.dim)
         # Normalized truncation of the ideal target; small frontier
         # dimensions cannot hold it losslessly.
         self.target = states.ideal_gate_target("BS", spec.u, spec.phi, spec.dim).amps
@@ -182,7 +182,7 @@ class _GkpObjectives(_Objectives):
         self.rounds = rounds
         self.w = witness.build_witness(spec)
         self.coupler = fock.two_mode_coupler("BS", spec.dim)
-        self.bra = fock.momentum_eigenbra(0.0, spec.dim)
+        self.bra = fock.momentum_eigenbra(spec.dim)
         self.gkp = breeding.gkp_witness(spec.dim)
 
     def batch(self, amps: np.ndarray) -> np.ndarray:
@@ -266,7 +266,11 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
 
 
 def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Crowding distances within one front; boundary points get +inf."""
+    """Crowding distances within one front; boundary points get +inf.
+
+    An objective whose span over the front is zero or infinite adds no gaps,
+    so no distance is NaN.
+    """
     objs = np.asarray(objectives, dtype=float)[front]
     m = front.size
     dist = np.zeros(m)
@@ -277,7 +281,7 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
         span = objs[order[-1], k] - objs[order[0], k]
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        if span > 0.0:
+        if 0.0 < span < math.inf:
             gaps = (objs[order[2:], k] - objs[order[:-2], k]) / span
             dist[order[1:-1]] += gaps
     return dist
@@ -401,10 +405,7 @@ class ParetoPoint:
 class EvolveResult:
     points: list[ParetoPoint]
     history: np.ndarray  # per-generation best of each internal objective
-    problem: str
     metric_name: str  # "fidelity" or "gkp_db"
-    spec: WitnessSpec
-    config: NsgaConfig
     evaluations: int
 
 
@@ -462,13 +463,7 @@ def evolve(
             )
         )
     return EvolveResult(
-        points=points,
-        history=np.array(history),
-        problem=problem,
-        metric_name=objective.metric_name,
-        spec=spec,
-        config=cfg,
-        evaluations=evaluations,
+        points=points, history=np.array(history), metric_name=objective.metric_name, evaluations=evaluations
     )
 
 

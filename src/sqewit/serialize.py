@@ -96,10 +96,15 @@ def state_from_dict(payload: dict) -> tuple[FockState, dict]:
             f"amplitudes must be a list of length dim={dim}, got {type(raw).__name__} "
             f"of length {len(raw) if isinstance(raw, list) else 'n/a'}"
         )
+    # Exact types: float() would also take strings and booleans ("1", true),
+    # and a two-character string would unpack as a pair.
+    for pair in raw:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (int, float) for v in pair)):
+            raise InputFormatError(f"amplitudes must be [re, im] pairs of JSON numbers, got {pair!r}")
     try:
         amps = np.array([complex(float(re), float(im)) for re, im in raw])
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError("amplitudes must be [re, im] pairs of numbers") from exc
+    except OverflowError as exc:  # an integer beyond float range
+        raise InputFormatError("amplitudes must be finite (no NaN or Infinity)") from exc
     if not np.all(np.isfinite(amps)):
         raise InputFormatError("amplitudes must be finite (no NaN or Infinity)")
     norm = float(np.linalg.norm(amps))

@@ -93,7 +93,7 @@ class TestBreedProtocol:
             assert np.max(np.abs(out.amps[1::2])) <= 1e-8
 
     def test_success_norms_bounded(self):
-        bra_norm = float(np.linalg.norm(fock.momentum_eigenbra(0.0, 60)))
+        bra_norm = float(np.linalg.norm(fock.momentum_eigenbra(60)))
         cat = states.squeezed_cat(CatSpec(u=U_GRID, r=1.0, phi=0.0, dim=60))
         run = breeding.breed_protocol(cat, 2)
         assert all(0.0 < s <= bra_norm for s in run.success_norms)
@@ -119,7 +119,7 @@ class TestGridWitness:
         # The two comb periods differ by a factor 2, so swapping x and p
         # changes the operator.
         dim = 30
-        x, p = fock.quadratures(dim + 40)
+        x, p = map(fock.hermitian_eig, fock.quadratures(dim + 40))
         term_x = fock.crop(fock.matrix_function(x, lambda t: 2 * np.sin(t * math.sqrt(math.pi) / 2) ** 2), dim)
         term_p = fock.crop(fock.matrix_function(p, lambda t: 2 * np.sin(t * math.sqrt(math.pi)) ** 2), dim)
         assert np.max(np.abs(np.diag(term_x) - np.diag(term_p))) > 0.05
@@ -127,7 +127,7 @@ class TestGridWitness:
     def test_padding_stability(self):
         # Against the same operator built 80 levels deep (measured 4.9e-15).
         dim = 30
-        x, p = fock.quadratures(dim + 80)
+        x, p = map(fock.hermitian_eig, fock.quadratures(dim + 80))
         term_x = fock.crop(fock.matrix_function(x, lambda t: 2 * np.sin(t * math.sqrt(math.pi) / 2) ** 2), dim)
         term_p = fock.crop(fock.matrix_function(p, lambda t: 2 * np.sin(t * math.sqrt(math.pi)) ** 2), dim)
         assert np.max(np.abs(np.asarray(breeding.build_q0(dim)) - (term_x + term_p))) < 1e-12
@@ -143,7 +143,8 @@ class TestGaussianMinimum:
     def test_displacement_periodicity(self):
         dim = 80
         q0 = breeding.build_q0(dim)
-        machinery = breeding._gaussian_candidate_weights(dim)
+        objective = breeding._CandidateObjective(q0)
+        machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
         a = _make_candidate((0.4, 0.3, 0.2), dim, *machinery)
         b = _make_candidate((0.4, 0.3 + 2 * math.sqrt(math.pi), 0.2), dim, *machinery)
         assert fock.expectation(q0, a) == pytest.approx(fock.expectation(q0, b), abs=1e-6)
@@ -158,7 +159,8 @@ class TestGaussianMinimum:
     def test_objective_equals_unfactored_chain_bitwise(self, dim, r, dx, dp):
         q0 = breeding.gkp_witness(dim).matrix
         objective = breeding._CandidateObjective(q0)
-        want = fock.expectation(q0, _make_candidate((r, dx, dp), dim, *breeding._gaussian_candidate_weights(dim)))
+        machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
+        want = fock.expectation(q0, _make_candidate((r, dx, dp), dim, *machinery))
         assert objective(np.array([r, dx, dp])) == want
         # The grid's path: each factor built once, then reused.
         displaced = objective.displaced_in_p(objective.squeezed_in_x(r), dp)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from sqewit import breeding, fock, gates, pareto, serialize, witness
 from sqewit.cli import main
+from sqewit.errors import InputFormatError
 
 
 @pytest.fixture()
@@ -58,6 +59,16 @@ class TestWitnessCommand:
         assert result.exit_code == 2
         assert "finite" in result.stderr
 
+    @pytest.mark.parametrize("amplitudes", [["12"], [["1.0", "0"]], [[True, False]], [[1.0]], [[1.0, 0.0, 0.0]]])
+    def test_amplitude_not_a_number_pair_exit_2(self, runner, tmp_path, amplitudes):
+        # ["12"] loaded as (1+2i)/√5, and the string and boolean pairs as |0>.
+        path, out = tmp_path / "bad.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"dim": 1, "amplitudes": amplitudes}))
+        result = runner.invoke(main, ["witness", "--state", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "pairs of JSON numbers" in result.stderr
+        assert not out.exists()
+
     def test_dim_mismatch_exit_3(self, runner, vacuum_file):
         assert (
             runner.invoke(main, ["witness", "--state", str(vacuum_file), "--dim", "7"]).exit_code == 3
@@ -74,6 +85,19 @@ class TestWitnessCommand:
         result = runner.invoke(main, ["witness", "--state", str(path)])
         assert result.exit_code == 2, result.output
         assert "dim must be a JSON integer" in result.stderr
+
+
+@pytest.mark.parametrize("amplitudes", [["12"], [["1.0", "0"]], [[True, False]], [[1, None]], [1.0], [[1.0]]])
+def test_state_from_dict_refuses_non_number_pairs(amplitudes):
+    with pytest.raises(InputFormatError, match="pairs of JSON numbers"):
+        serialize.state_from_dict({"dim": 1, "amplitudes": amplitudes})
+
+
+def test_state_from_dict_takes_integer_and_float_pairs():
+    state, _ = serialize.state_from_dict({"dim": 2, "amplitudes": [[0, 1], [0.0, 0.0]]})
+    assert np.array_equal(state.amps, [1j, 0.0])
+    with pytest.raises(InputFormatError, match="finite"):
+        serialize.state_from_dict({"dim": 1, "amplitudes": [[10**400, 0]]})
 
 
 @pytest.mark.parametrize("unreadable", ["state_not_utf8", "state_is_directory", "config_not_utf8"])

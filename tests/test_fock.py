@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
 from sqewit import fock, states
-from sqewit.errors import ContractViolationError, InvalidDimensionError
+from sqewit.errors import ContractViolationError
 from sqewit.witness import WitnessSpec
 
 
@@ -28,7 +28,7 @@ def test_number_operator_diagonal():
 
 
 def test_annihilation_rejects_zero_dim():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ContractViolationError):
         fock.annihilation(0)
 
 
@@ -78,18 +78,19 @@ def test_eig_reconstruction_and_orthonormality():
 
 def test_matrix_function_identity_exp_trig():
     x, _ = fock.quadratures(14)
-    assert np.allclose(fock.matrix_function(x, lambda lam: lam), x, atol=1e-12)
-    zero = np.zeros((5, 5), dtype=complex)
+    x_eig = fock.hermitian_eig(x)
+    assert np.allclose(fock.matrix_function(x_eig, lambda lam: lam), x, atol=1e-12)
+    zero = fock.hermitian_eig(np.zeros((5, 5), dtype=complex))
     assert np.allclose(fock.matrix_function(zero, np.exp), np.eye(5))
-    sin2 = fock.matrix_function(x, lambda lam: np.sin(lam) ** 2)
-    cos2 = fock.matrix_function(x, lambda lam: np.cos(lam) ** 2)
+    sin2 = fock.matrix_function(x_eig, lambda lam: np.sin(lam) ** 2)
+    cos2 = fock.matrix_function(x_eig, lambda lam: np.cos(lam) ** 2)
     assert np.max(np.abs(sin2 + cos2 - np.eye(14))) <= 1e-10
 
 
 def test_matrix_function_domain_error():
-    x, _ = fock.quadratures(6)
+    x_eig = fock.hermitian_eig(fock.quadratures(6)[0])
     with pytest.raises(ContractViolationError):
-        fock.matrix_function(x, lambda lam: np.where(lam > 0, np.log(np.abs(lam)), np.nan))
+        fock.matrix_function(x_eig, lambda lam: np.where(lam > 0, np.log(np.abs(lam)), np.nan))
 
 
 def test_displacement_identity_and_amplitudes():
@@ -120,20 +121,24 @@ def test_displacement_crop_consistency():
         half = dim // 2
         for u in (0.6, 1.0, -1.7, 2.0, 2.5, 3.0):
             padded = fock.displacement_x(u, dim)[:half, :half]
-            exact = fock.displacement_x_exact(u, dim)[:half, :half]
+            exact = _exact_displacement(u, dim)[:half, :half]
             assert np.max(np.abs(padded - exact)) < 1e-14, f"u={u}, N={dim}"
 
 
 def test_displacement_exact_matches_padded():
     # At u <= 1.7 the whole 25-level block already agrees with the closed form.
     for s in (0.6, -1.7):
-        exact = fock.displacement_x_exact(s, 25)
+        exact = _exact_displacement(s, 25)
         padded = fock.displacement_x(s, 25)
         assert np.max(np.abs(exact - padded)) < 1e-12
 
 
-def _displacement_x_exact_oracle(s, dim):
-    # The elementwise closed form that `displacement_x_exact` replaced: one
+def _exact_displacement(s, dim):
+    return fock.ExactDisplacements(dim)(s)
+
+
+def _exact_displacement_oracle(s, dim):
+    # The elementwise closed form that `ExactDisplacements` replaced: one
     # O(j) scipy Laguerre loop per matrix element, O(N³) per block.
     if s == 0.0:
         return np.eye(dim)
@@ -169,8 +174,8 @@ def _with_warnings(func, *args):
 def test_displacement_exact_bitwise_equals_elementwise_closed_form(s, dim):
     # Entries are non-finite from N ~ 250 at large |s| (ROADMAP item 2); the
     # two constructions agree on those too, NaN for NaN.
-    want, want_warnings = _with_warnings(_displacement_x_exact_oracle, s, dim)
-    got, got_warnings = _with_warnings(fock.displacement_x_exact, s, dim)
+    want, want_warnings = _with_warnings(_exact_displacement_oracle, s, dim)
+    got, got_warnings = _with_warnings(_exact_displacement, s, dim)
     assert np.array_equal(got, want, equal_nan=True)
     assert got_warnings <= want_warnings
 
@@ -178,7 +183,7 @@ def test_displacement_exact_bitwise_equals_elementwise_closed_form(s, dim):
 @pytest.mark.parametrize("s", [-6.0, -36.0, 0.7, 60.0])
 def test_displacement_exact_block_of_double_build(s):
     for dim in (1, 2, 3, 40, 100):
-        assert np.array_equal(fock.displacement_x_exact(s, 2 * dim)[:dim, :dim], fock.displacement_x_exact(s, dim))
+        assert np.array_equal(_exact_displacement(s, 2 * dim)[:dim, :dim], _exact_displacement(s, dim))
 
 
 def test_displacement_exact_warns_only_where_closed_form_did():
@@ -186,8 +191,8 @@ def test_displacement_exact_warns_only_where_closed_form_did():
     # closed form warns once (0 * inf in the final product) and the
     # recurrence adds nothing.
     for dim, s in [(200, -6.0), (200, -60.0), (160, -24.0), (300, -6.0), (300, -60.0), (300, 60.0)]:
-        _, want = _with_warnings(_displacement_x_exact_oracle, s, dim)
-        _, got = _with_warnings(fock.displacement_x_exact, s, dim)
+        _, want = _with_warnings(_exact_displacement_oracle, s, dim)
+        _, got = _with_warnings(_exact_displacement, s, dim)
         assert got <= want, (dim, s, got - want)
         if dim <= 200:
             assert got == set()
@@ -199,8 +204,8 @@ def test_displacement_exact_warns_only_where_closed_form_did():
 def test_exact_displacements_reuse_tables():
     displace = fock.ExactDisplacements(30)
     for s in (-2.0, 3.5, -2.0):
-        assert np.array_equal(displace(s), _displacement_x_exact_oracle(s, 30))
-    with pytest.raises(InvalidDimensionError):
+        assert np.array_equal(displace(s), _exact_displacement_oracle(s, 30))
+    with pytest.raises(ContractViolationError):
         fock.ExactDisplacements(0)
 
 
@@ -276,7 +281,7 @@ def test_coupler_unitarity_on_low_total_photon_block():
 
 
 def test_momentum_eigenbra_values():
-    bra = fock.momentum_eigenbra(0.0, 6)
+    bra = fock.momentum_eigenbra(6)
     assert bra[0] == pytest.approx(math.pi ** -0.25, abs=1e-12)
     assert bra[1] == pytest.approx(0.0, abs=1e-14)
     # |psi_2(0)|² against an independent direct Hermite evaluation.
@@ -297,7 +302,7 @@ def test_state_normalization_and_errors():
     assert np.linalg.norm(st.amps) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ContractViolationError):
         fock.FockState(np.zeros(4))
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(ContractViolationError):
         fock.basis_state(3, 5)
 
 

@@ -45,7 +45,7 @@ class TestConditionalOutput:
 
     def test_success_norm_bounded_by_bra_norm(self):
         rng = np.random.default_rng(11)
-        bra_norm = np.linalg.norm(fock.momentum_eigenbra(0.0, 14))
+        bra_norm = np.linalg.norm(fock.momentum_eigenbra(14))
         for _ in range(25):
             resource = fock.FockState(rng.standard_normal(14) + 1j * rng.standard_normal(14))
             out = gates.conditional_output(resource, "BS")
@@ -64,7 +64,7 @@ class TestP0Kernel:
         mode1, mode2 = fock.FockState(a), fock.FockState(b)
         sign = 1j if kind == "BS" else -1j
         joint = expm(sign * fock.coupler_generator(kind, dim)) @ np.kron(mode1.amps, mode2.amps)
-        want = fock.momentum_eigenbra(0.0, dim) @ joint.reshape(dim, dim)
+        want = fock.momentum_eigenbra(dim) @ joint.reshape(dim, dim)
         norm = np.linalg.norm(want)
         assume(norm > 1e-3)
         got = gates.couple_and_condition(mode1, mode2, kind)

@@ -214,6 +214,27 @@ class TestCrowdingDistance:
         dist = pareto.crowding_distance(np.array([[1.0, 2.0]]), np.array([0]))
         assert np.isinf(dist[0])
 
+    def test_infinite_objective_spreads_no_gap(self):
+        # The infinite span once gave the middle point inf / inf = NaN, with an
+        # "invalid value encountered in divide" warning; a NaN point is the
+        # first that truncation drops and loses every tournament.
+        objs = np.array([[0.0, math.inf], [1.0, 5.0], [2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = pareto.crowding_distance(objs, np.array([0, 1, 2]))
+        assert not np.isnan(dist).any()
+        assert np.isinf(dist[0]) and np.isinf(dist[2])
+        assert dist[1] == 1.0  # only the finite axis counts
+
+    @settings(max_examples=200, deadline=None)
+    @given(objs=objective_clouds(min_size=1))
+    def test_no_nan_on_any_front(self, objs):
+        with np.errstate(invalid="ignore"):  # inf - inf in a span
+            for front in pareto.non_dominated_sort(objs):
+                dist = pareto.crowding_distance(objs, front)
+                assert not np.isnan(dist).any()
+                assert np.isinf(dist).sum() >= min(front.size, 2)
+
 
 class TestSelectNext:
     @settings(max_examples=200, deadline=None)
@@ -227,7 +248,7 @@ class TestSelectNext:
         assert kept_objs.shape == (target, 2)
         assert np.array_equal(pool[kept_genomes[:, 0].astype(int)], kept_objs)
         assert np.array_equal(ranks, fresh_ranks)
-        # Bitwise, NaN crowding (an infinite span) included.
+        # Bitwise, fronts with an infinite span included.
         assert crowd.tobytes() == fresh_crowd.tobytes()
 
 

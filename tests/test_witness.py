@@ -302,7 +302,7 @@ class TestMinOverG:
         phi, c, k = 0.0, 10.0, 100
         grid = np.geomspace(0.05, 20.0, 200)
         brute = [
-            fock.expectation(np.real(witness.rescaled_witness(g, phi, c, state.dim, k)) if True else None, state)
+            fock.expectation(np.real(witness.rescaled_witness(g, phi, c, state.dim, k)), state)
             for g in grid
         ]
         res = witness.min_over_g(state, phi, c, k)
