@@ -278,7 +278,8 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
         return np.full(m, np.inf)
     for k in range(objs.shape[1]):
         order = np.argsort(objs[:, k], kind="stable")
-        span = objs[order[-1], k] - objs[order[0], k]
+        lo, hi = objs[order[0], k], objs[order[-1], k]
+        span = hi - lo if lo < hi else 0.0  # equal infinite ends span nothing, not inf - inf
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
         if 0.0 < span < math.inf:

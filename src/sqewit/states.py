@@ -127,11 +127,12 @@ def _sector_for_phase(phi: float) -> str:
 
 
 def _sector_indices(dim: int, sector: str) -> np.ndarray:
-    if sector == "even":
-        return np.arange(0, dim, 2)
-    if sector == "odd":
-        return np.arange(1, dim, 2)
-    return np.arange(dim)
+    if sector not in ("even", "odd", "full"):
+        raise ContractViolationError(f"unknown sector {sector!r}")
+    idx = np.arange(1 if sector == "odd" else 0, dim, 1 if sector == "full" else 2)
+    if idx.size == 0:
+        raise ContractViolationError(f"the {sector} sector of a {dim}-level space is empty")
+    return idx
 
 
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
@@ -157,11 +158,7 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
     """
     if sector == "auto":
         sector = _sector_for_phase(spec.phi)
-    if sector not in ("even", "odd", "full"):
-        raise ContractViolationError(f"unknown sector {sector!r}")
     idx = _sector_indices(spec.dim, sector)
-    if idx.size == 0:
-        raise ContractViolationError(f"the {sector} sector of a {spec.dim}-level space is empty")
     w = witness.build_witness(spec)
     block = w[np.ix_(idx, idx)]
     eig = fock.hermitian_eig(block)

@@ -1,85 +1,15 @@
-"""Bitwise pin of the padded Gaussian constructions and the momentum comb, and their padding-free API.
+"""The padding-free API: no padding knobs, no knobs without callers, one file boundary.
 
-`construction_pin.json` holds float.hex values and sha256 digests of the
-padded builders' outputs, recorded while every builder still took a `pad=`
-argument, and the sha256 of `witness.momentum_comb` for u in {2, 3, 4},
-phi in {0, pi, pi/3} and N in {12, 62, 200}, recorded while each comb
-harmonic still evaluated its Laguerre factors elementwise with
-`scipy.special.eval_genlaguerre`. `gaussian_min_q0` at N = 40 and 60, the
-gate-breed benchmark's dimensions, was recorded while each Gaussian
-candidate still went through all its eigenbases per evaluation and every
-padded builder solved its own spectrum. The values are computed in a
-child process with one BLAS thread: a threaded BLAS sums the larger
-products in another order, which moves `gaussian_min_q0(30)` by one ulp. Regenerate the JSON only on purpose:
-
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
-        python tests/test_construction.py > tests/construction_pin.json
+The bitwise values of the Gaussian constructions and the momentum comb are
+the `construction` store of `tests/pins.py`.
 """
 
 import ast
-import hashlib
 import inspect
-import json
-import math
-import os
-import subprocess
-import sys
 from pathlib import Path
-
-import numpy as np
 
 import sqewit
 from sqewit import breeding, cli, fock, gates, pareto, serialize, states, witness
-from sqewit.states import CatSpec
-
-PIN = Path(__file__).with_name("construction_pin.json")
-
-
-def _hexes(amps):
-    return [[float(z.real).hex(), float(z.imag).hex()] for z in np.asarray(amps)]
-
-
-def _sha(array):
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-
-
-def construction_values() -> dict:
-    values = {"ideal_gate_target": {}, "gaussian_min_q0": {}, "gaussian_bound": {}}
-    for kind in ("BS", "QND"):
-        for n in (6, 60):
-            target = states.ideal_gate_target(kind, 3.0, 0.0, n)
-            values["ideal_gate_target"][f"{kind}|N={n}"] = _hexes(target.amps)
-    # One gate-breed benchmark pool cat, at the pool's smallest dimension.
-    values["squeezed_cat"] = _hexes(states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=math.pi, dim=30)).amps)
-    for n in (6, 30, 40, 60):
-        values["gaussian_min_q0"][f"N={n}"] = breeding.gaussian_min_q0(n).hex()
-    for c in (0.0, 10.0):
-        b = witness.gaussian_bound(3.0, c)
-        values["gaussian_bound"][f"c={c}"] = [b.value.hex(), b.branch, None if b.argmin_r is None else b.argmin_r.hex()]
-    values["build_q0_N30_sha256"] = _sha(breeding.build_q0(30))
-    values["displacement_x_u3_N25_sha256"] = _sha(fock.displacement_x(3.0, 25))
-    values["squeeze_r1_N60_sha256"] = _sha(fock.squeeze(1.0, 60))
-    values["momentum_comb_sha256"] = {
-        f"u={u}|phi={label}|N={n}": _sha(witness.momentum_comb(u, phi, 100, n))
-        for u in (2.0, 3.0, 4.0)
-        for label, phi in (("0", 0.0), ("pi", math.pi), ("pi/3", math.pi / 3))
-        for n in (12, 62, 200)
-    }
-    return values
-
-
-def test_constructions_bitwise_pinned():
-    src = str(Path(sqewit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300, check=True
-    )
-    got = json.loads(done.stdout)
-    want = json.loads(PIN.read_text())
-    for key in want:
-        assert got[key] == want[key], key
-    assert got.keys() == want.keys()
 
 
 def test_no_public_padding_knobs():
@@ -146,6 +76,3 @@ def test_only_serialize_touches_files():
                     calls.append((path.stem, name))
     assert {module for module, _ in calls} == {"serialize"}, calls
 
-
-if __name__ == "__main__":
-    print(json.dumps(construction_values(), indent=1))

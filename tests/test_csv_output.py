@@ -1,109 +1,21 @@
-"""CSV text: the CLI tables pinned by sha256, and the writer against a row-by-row oracle.
+"""CSV text: the column writer against a row-by-row oracle.
 
 `serialize.write_csv` takes its table by columns. `_row_oracle_text` is the
 text it wrote when it took rows and formatted each cell on its own; the
-column writer must write the same bytes.
-
-`csv_pin.json` holds the sha256 of CSV files written by the CLI, recorded
-while `serialize.write_csv` still formatted each cell on its own
-(`f"{value:.17g}"` for floats, `str` otherwise, one join per row). The two
-`wigner` keys were re-recorded when `fock.wigner` moved to Clenshaw
-summation, and `ground|u=3|phi=pi|dims=9:9` when the odd sector's
-`stellar_bound` became its highest level (7, not 8). The files are written
-in a child process with one BLAS thread, as in `test_construction.py`.
-
-Regenerate the JSON only on purpose. Add keys; re-record a key only when
-its producer changed on purpose, with the cause stated in CHANGES.md. The
-entry point prints on stderr each key that changed, was added or was
-removed against the existing pin, so write to a new file and move it:
-
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src \
-        python tests/test_csv_output.py > csv_pin.new && mv csv_pin.new tests/csv_pin.json
+column writer must write the same bytes. The sha256 of the CLI's CSV files
+is the `csv` store of `tests/pins.py`.
 """
 
-import hashlib
-import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sqewit
 from sqewit import serialize
-from sqewit.cli import main
-
-PIN = Path(__file__).with_name("csv_pin.json")
-
-# Each run: (key prefix, CLI arguments, CSV files it writes relative to the work directory).
-_PI = repr(math.pi)
-RUNS = (
-    ("ground|u=3|phi=0|dims=3:12", ["ground", "--dims", "3:12", "--out", "g"], ["g/index.csv"]),
-    ("ground|u=3|phi=pi|dims=9:9", ["ground", "--phi", _PI, "--dims", "9:9", "--out", "godd"], ["godd/index.csv"]),
-    (
-        "wigner|even N=8|xmax=6|pmax=6|step=0.05",
-        ["wigner", "--state", "g/state_N8.json", "--xmax", "6", "--pmax", "6", "--step", "0.05", "--out", "w8.csv"],
-        ["w8.csv"],
-    ),
-    (
-        "wigner|odd N=9|xmax=3|pmax=4|step=0.07",
-        ["wigner", "--state", "godd/state_N9.json", "--xmax", "3", "--pmax", "4", "--step", "0.07", "--out", "w9.csv"],
-        ["w9.csv"],
-    ),
-    ("opaccuracy|u=3|k=100|nmax=30", ["opaccuracy", "--nmax", "30", "--out", "acc.csv"], ["acc.csv"]),
-    (
-        "frontier|fidelity|dim=4|pop=20|gens=5|seed=1",
-        ["frontier", "--dim", "4", "--pop", "20", "--gens", "5", "--seed", "1", "--out", "f.csv"],
-        ["f.csv", "f.genomes.csv"],
-    ),
-    (
-        "frontier|fidelity|dim=4|pop=20|gens=0|seed=2",
-        ["frontier", "--dim", "4", "--pop", "20", "--gens", "0", "--seed", "2", "--out", "f0.csv"],
-        ["f0.csv", "f0.genomes.csv"],
-    ),
-    (
-        "frontier|gkp|dim=4|pop=12|gens=2|seed=3",
-        ["frontier", "--problem", "gkp", "--dim", "4", "--pop", "12", "--gens", "2", "--seed", "3", "--out", "fg.csv"],
-        ["fg.csv", "fg.genomes.csv"],
-    ),
-)
-
-
-def csv_digests() -> dict:
-    runner = CliRunner()
-    digests = {}
-    with tempfile.TemporaryDirectory() as work:
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            for prefix, args, files in RUNS:
-                result = runner.invoke(main, args)
-                assert result.exit_code == 0, (args, result.output)
-                for name in files:
-                    digests[f"{prefix}|{Path(name).name}"] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
-        finally:
-            os.chdir(cwd)
-    return digests
-
-
-def test_cli_csv_bytes_pinned():
-    src = str(Path(sqewit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300, check=True
-    )
-    got = json.loads(done.stdout)
-    want = json.loads(PIN.read_text())
-    for key in want:
-        assert got[key] == want[key], key
-    assert got.keys() == want.keys()
 
 
 def _row_oracle_text(header, rows) -> str:
@@ -183,13 +95,3 @@ def test_wigner_grid_columns_match_row_oracle():
     columns = (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel())
     assert _written_bytes(("x", "p", "w"), columns) == _row_oracle_text(("x", "p", "w"), rows).encode()
 
-
-if __name__ == "__main__":
-    digests = csv_digests()
-    # An empty pin (a shell redirect onto it) reads as no keys: all "added".
-    pinned = json.loads(PIN.read_text() or "{}") if PIN.exists() else {}
-    for key in sorted(pinned.keys() | digests.keys()):
-        if pinned.get(key) != digests.get(key):
-            change = "added" if key not in pinned else "removed" if key not in digests else "changed"
-            print(f"{change}: {key}", file=sys.stderr)
-    print(json.dumps(digests, indent=1))

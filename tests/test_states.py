@@ -103,6 +103,12 @@ class TestOptimalApproximation:
         assert states.stellar_rank_bound(10, "odd") == states.stellar_rank_bound(10, "full") == 9
         assert states.stellar_rank_bound(9, "odd") == 7
 
+    @pytest.mark.parametrize("dim, sector", [(1, "odd"), (0, "even"), (0, "full"), (5, "parity")])
+    def test_stellar_bound_of_an_empty_or_unknown_sector_is_a_contract_violation(self, dim, sector):
+        # As for every out-of-range dimension or index in the package.
+        with pytest.raises(ContractViolationError):
+            states.stellar_rank_bound(dim, sector)
+
     @pytest.mark.parametrize("phi, dim, bound", [(math.pi, 10, 9), (math.pi / 2, 10, 9), (math.pi, 9, 7)])
     def test_stellar_bound_is_the_highest_level_of_the_sector(self, phi, dim, bound):
         # The odd and full sectors reported the even-sector bound (8 at N = 10).
