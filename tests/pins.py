@@ -3,7 +3,9 @@
 Each store is a JSON file next to this module, `<store>_pin.json`, written as
 `json.dumps(values, indent=1)` plus a newline. Hex floats are `float.hex`
 strings and digests are sha256 hex strings. `tests/test_pins.py` compares
-every store key by key with `==`, with no tolerance.
+the construction and csv stores key by key with `==`, with no tolerance;
+`tests/test_pareto.py::TestEvolve::test_bitwise_pin` does the same for each
+problem of the pareto store. All of them read one shared computation.
 
 - `construction`: `float.hex` values and sha256 digests of the Gaussian
   constructions, recorded while every builder still took a `pad=` argument.
@@ -44,6 +46,7 @@ when its producer changed on purpose, and the printed table goes into
 CHANGES.md grouped by cause.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -190,6 +193,12 @@ def compute(stores) -> dict:
     return json.loads(done.stdout)
 
 
+@functools.cache
+def computed() -> dict:
+    """Every store, computed once per test session by one `compute` call."""
+    return compute(list(STORES))
+
+
 def _flatten(values, prefix=()) -> dict:
     """{key path: leaf} of nested dicts; a list is one leaf."""
     if not isinstance(values, dict):
@@ -269,6 +278,11 @@ def table(rows) -> str:
     lines = [("key", "old", "new", "change"), *rows]
     widths = [max(len(line[c]) for line in lines) for c in range(3)]
     return "\n".join("  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[3]]) for line in lines)
+
+
+def report(store: str, want, got) -> str:
+    """A pin test's failure message: the diff table of `want` against `got` under `store`."""
+    return "\n" + table(diff({store: want}, {store: got}))
 
 
 def record(stores) -> str:

@@ -12,6 +12,8 @@ from sqewit.errors import ContractViolationError
 from sqewit.pareto import NsgaConfig
 from sqewit.witness import WitnessSpec
 
+import pins
+
 SPEC6 = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=6, k=100)
 
 
@@ -346,6 +348,14 @@ class TestEvolve:
         genomes = np.random.default_rng(21).uniform(-1, 1, (40, 12))
         want = np.array([objective(pareto.decode(g).amps) for g in genomes])
         assert pareto._evaluate(genomes, objective).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
+    def test_bitwise_pin(self, problem):
+        # The pareto store (see tests/pins.py): float.hex of one problem's
+        # history and front. Any change of arithmetic or of the NSGA-II
+        # trajectory shows here.
+        want, got = pins.load("pareto")[problem], pins.computed()["pareto"][problem]
+        assert got == want, pins.report("pareto", {problem: want}, {problem: got})
 
     def test_gkp_problem_runs(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=8, k=100)

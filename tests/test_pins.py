@@ -1,6 +1,5 @@
 """The pin stores against a fresh computation, and the recorder's registry and diff table."""
 
-import functools
 import json
 from pathlib import Path
 
@@ -12,16 +11,11 @@ H1, H2 = (0.25).hex(), (0.25 + 2**-54).hex()  # one ulp apart
 SHA_A, SHA_B = "ab" * 32, "cd" * 32
 
 
-@functools.cache
-def _computed() -> dict:
-    # One child process computes every store.
-    return pins.compute(list(pins.STORES))
-
-
-@pytest.mark.parametrize("store", pins.STORES)
+# The pareto store is checked per problem by test_pareto.py::TestEvolve::test_bitwise_pin.
+@pytest.mark.parametrize("store", ["construction", "csv"])
 def test_pin_store(store):
-    want, got = pins.load(store), _computed()[store]
-    assert got == want, "\n" + pins.table(pins.diff({store: want}, {store: got}))
+    want, got = pins.load(store), pins.computed()[store]
+    assert got == want, pins.report(store, want, got)
 
 
 def test_every_pin_file_is_a_registered_store_in_the_recorder_format():
