@@ -157,9 +157,13 @@ def _parse_dims(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+        dims = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputFormatError(f"cannot parse dims {text!r}; use LO:HI or a comma list") from exc
+    for i, dim in enumerate(dims):
+        if dim in dims[:i]:
+            raise InputFormatError(f"dims {text!r} name dimension {dim} more than once")
+    return dims
 
 
 @main.command("ground")

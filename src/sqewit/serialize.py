@@ -61,9 +61,15 @@ def check_writable(*paths: str | Path | None) -> None:
     """Raise InputFormatError unless each path can be written as a file.
 
     Its parent must be a writable directory, and it must not be a directory
-    itself. A None path (a report going to stdout) passes.
+    itself. No two paths may name the same file, since the later write would
+    replace the earlier. A None path (a report going to stdout) passes.
     """
+    seen = set()
     for path in map(Path, filter(None, paths)):
+        absolute = os.path.abspath(path)
+        if absolute in seen:
+            raise InputFormatError(f"cannot write {path}: another output names the same file")
+        seen.add(absolute)
         if path.is_dir():
             raise InputFormatError(f"cannot write {path}: it is a directory")
         if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):

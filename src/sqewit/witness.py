@@ -32,7 +32,8 @@ GAUSSIAN_R_BRACKET = (-5.0, 10.0)
 class WitnessSpec:
     """Parameters of one member of the witness family.
 
-    u: peak position (> 0); phi: superposition phase in [0, 2pi);
+    u: peak position (> 0); phi: superposition phase, any finite value (the
+    comb is 2pi-periodic in phi, and the sector choice reduces it mod 2pi);
     c: balancing weight between the position and momentum parts (>= 0);
     dim: truncation dimension; k: comb sharpness exponent.
     """
@@ -221,15 +222,16 @@ def theta3_half_pi(q: float) -> float:
         n += 1
 
 
-def _golden_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> tuple[float, float]:
+_GOLDEN_TOL = 1e-12
+
+
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -340,78 +342,3 @@ def witness_report(state: FockState, spec: WitnessSpec) -> dict:
         "argmin_r": bound.argmin_r,
         "xi_db": ratio_db(expect, bound.value),
     }
-
-
-# ---------------------------------------------------------------------------
-# Squeeze-covariant parameterization and the free-squeezing minimum
-# ---------------------------------------------------------------------------
-
-
-def rescaled_witness(
-    g: float,
-    phi: float,
-    c: float,
-    dim: int,
-    k: int = 100,
-) -> np.ndarray:
-    """Witness in the squeeze-covariant form g^4 (x² - 1/g²)² + c * comb(1/g).
-
-    Equivalent to the u-parameterized witness at u = 1/g with the position
-    part rescaled by g^4; useful when Gaussian squeezing is treated as a
-    free operation.
-    """
-    if g <= 0:
-        raise ContractViolationError(f"g must be > 0, got {g}")
-    u_eff = 1.0 / g
-    w = g**4 * position_quartic(u_eff, dim)
-    if c != 0.0:
-        w = w + c * momentum_comb(u_eff, phi, k, dim)
-    return w
-
-
-class GMin(NamedTuple):
-    g: float
-    value: float
-    at_boundary: bool
-
-
-def min_over_g(
-    state: FockState,
-    phi: float,
-    c: float,
-    k: int = 100,
-    grid_points: int = 200,
-    g_range: tuple[float, float] = (0.05, 20.0),
-) -> GMin:
-    """Minimum rescaled-witness expectation over the squeezing scale g > 0.
-
-    Scans a logarithmic grid and refines the winner by golden section. Each
-    candidate g is scored as the expectation of
-    `rescaled_witness(g, phi, c, dim, k)`, expanded as
-    g^4 <x^4> - 2 g^2 <x^2> + 1 + c <comb(1/g)>: the position moments are
-    taken once, from the same (dim + 4)-level x as `position_quartic`, and
-    only the comb is built per g.
-    """
-    x, _ = fock.quadratures(state.dim + 4)
-    x2 = x @ x
-    x2_mean = fock.expectation(fock.crop(x2, state.dim), state)
-    x4_mean = fock.expectation(fock.crop(x2 @ x2, state.dim), state)
-
-    def value(g: float) -> float:
-        v = g**4 * x4_mean - 2.0 * g**2 * x2_mean + 1.0
-        if c != 0.0:
-            v += c * fock.expectation(momentum_comb(1.0 / g, phi, k, state.dim), state)
-        return v
-
-    grid = np.geomspace(g_range[0], g_range[1], grid_points)
-    vals = np.array([value(g) for g in grid])
-    i = int(np.argmin(vals))
-    at_boundary = i in (0, grid_points - 1)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    if lo == hi:
-        return GMin(g=float(grid[i]), value=float(vals[i]), at_boundary=at_boundary)
-    g_star, v_star = _golden_min(value, float(lo), float(hi), tol=1e-10)
-    if vals[i] < v_star:
-        g_star, v_star = float(grid[i]), float(vals[i])
-    return GMin(g=g_star, value=v_star, at_boundary=at_boundary)

@@ -51,8 +51,6 @@ API_SURFACE = {
         "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r"),
         "gaussian_bound": ("u", "c"), "ratio_db": ("value", "benchmark"),
         "sqe_squeezing_db": ("state", "spec", "bound"), "witness_report": ("state", "spec"),
-        "rescaled_witness": ("g", "phi", "c", "dim", "k"), "GMin": ("g", "value", "at_boundary"),
-        "min_over_g": ("state", "phi", "c", "k", "grid_points", "g_range"),
     },
     "sqewit.states": {
         "TRUNCATION_LOSS_MAX": None, "DEGENERACY_GAP": None, "CatSpec": ("u", "r", "phi", "dim"),

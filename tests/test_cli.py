@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqewit import breeding, fock, gates, pareto, serialize, witness
+from sqewit import breeding, fock, gates, pareto, serialize, states, witness
 from sqewit.cli import main
 from sqewit.errors import InputFormatError
 
@@ -154,11 +154,13 @@ def _listing(root: Path) -> list[str]:
         ("frontier", (pareto, "evolve")),
         ("wigner", (fock, "wigner")),
         ("opaccuracy", (witness, "accuracy_scan")),
+        ("breed_report_is_state_out", (breeding, "breed_protocol")),
     ],
 )
 def test_unwritable_output_fails_before_computing(runner, vacuum_file, tmp_path, monkeypatch, command, compute):
     # Each computed its result (frontier ran every generation) before the
-    # write failed; breed had already written its state file.
+    # write failed; breed had already written its state file, and a report
+    # given the state file's path replaced the bred state.
     def computed(*args, **kwargs):
         raise AssertionError("computed before checking the output path")
 
@@ -170,6 +172,9 @@ def test_unwritable_output_fails_before_computing(runner, vacuum_file, tmp_path,
         "witness_out_is_directory": ["witness", *state, "--out", str(tmp_path)],
         "gate": ["gate", *state, "--out", missing],
         "breed": ["breed", *state, "--rounds", "0", "--state-out", str(tmp_path / "s.json"), "--out", missing],
+        "breed_report_is_state_out": [
+            "breed", *state, "--rounds", "0", "--state-out", str(tmp_path / "s.json"), "--out", str(tmp_path / "s.json"),
+        ],
         "frontier": ["frontier", "--seed", "1", "--dim", "2", "--pop", "4", "--gens", "1", "--out", missing],
         "wigner": ["wigner", *state, "--step", "1", "--out", missing],
         "opaccuracy": ["opaccuracy", "--nmax", "2", "--out", missing],
@@ -240,6 +245,14 @@ class TestGroundCommand:
         assert result.exit_code == 3, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error:" in result.stderr and "odd sector" in result.stderr
+
+    def test_repeated_dimension_exit_2(self, runner, tmp_path, monkeypatch):
+        # N = 8 was solved and written twice, with two identical index rows.
+        monkeypatch.setattr(states, "ground_state_sweep", None)
+        result = runner.invoke(main, ["ground", "--dims", "8,8", "--out", str(tmp_path / "d")])
+        assert result.exit_code == 2, result.output
+        assert "dimension 8" in result.stderr
+        assert _listing(tmp_path) == []
 
     def test_rerun_bitwise_identical(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -276,68 +276,3 @@ class TestSqueezingDb:
             lam = fock.hermitian_eig(np.asarray(witness.build_witness(spec))).values[0]
             xis.append(10 * math.log10(lam / bound.value))
         assert all(b <= a + 1e-9 for a, b in zip(xis, xis[1:]))
-
-
-class TestRescaledWitness:
-    def test_scaling_identity(self):
-        u = 3.0
-        lhs = witness.rescaled_witness(1.0 / u, 0.0, 0.0, 12)
-        rhs = witness.position_quartic(u, 12) / u**4
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_g_one_c_zero(self):
-        w = witness.rescaled_witness(1.0, 0.0, 0.0, 10)
-        assert np.max(np.abs(w - witness.position_quartic(1.0, 10))) == 0.0
-
-    def test_rejects_nonpositive_g(self):
-        with pytest.raises(ContractViolationError):
-            witness.rescaled_witness(0.0, 0.0, 1.0, 8)
-
-
-class TestMinOverG:
-    def test_matches_dense_matrix_scan(self):
-        # Oracle: brute-force expectation of the fully built rescaled witness
-        # over the same logarithmic grid.
-        state = fock.FockState(np.array([0.8, 0.1, 0.4, 0.05, 0.2, 0.0, 0.1, 0.0, 0.02, 0.0]))
-        phi, c, k = 0.0, 10.0, 100
-        grid = np.geomspace(0.05, 20.0, 200)
-        brute = [
-            fock.expectation(np.real(witness.rescaled_witness(g, phi, c, state.dim, k)), state)
-            for g in grid
-        ]
-        res = witness.min_over_g(state, phi, c, k)
-        assert res.value <= min(brute) + 1e-9
-        g_brute = grid[int(np.argmin(brute))]
-        assert abs(math.log(res.g / g_brute)) < math.log(grid[1] / grid[0]) * 1.5
-
-    def test_vacuum_grid_refinement_converges(self):
-        vac = fock.vacuum(24)
-        coarse = witness.min_over_g(vac, 0.0, 10.0, grid_points=50)
-        fine = witness.min_over_g(vac, 0.0, 10.0, grid_points=400)
-        assert fine.value <= coarse.value + 1e-10
-        assert coarse.value == pytest.approx(fine.value, rel=1e-6)
-        assert not fine.at_boundary
-
-    def test_squeeze_covariance_of_argmin(self):
-        # Applying S(delta) rescales the optimal g multiplicatively by e^delta.
-        dim, delta = 40, 0.1
-        cat_amps = np.zeros(dim)
-        cat_amps[0], cat_amps[2], cat_amps[4] = 1.0, 0.5, 0.1
-        state = fock.FockState(cat_amps)
-        squeezed = fock.FockState(fock.squeeze(delta, dim) @ state.amps)
-        base = witness.min_over_g(state, 0.0, 10.0)
-        shifted = witness.min_over_g(squeezed, 0.0, 10.0)
-        assert shifted.g == pytest.approx(base.g * math.exp(delta), rel=1e-2)
-
-    def test_squeezed_cat_prefers_narrow_peaks(self):
-        from sqewit import states
-
-        cat = states.squeezed_cat(states.CatSpec(u=1.0, r=1.0, phi=0.0, dim=40))
-        plain = states.squeezed_cat(states.CatSpec(u=1.0, r=0.0, phi=0.0, dim=40))
-        res_sq = witness.min_over_g(cat, 0.0, 10.0)
-        res_plain = witness.min_over_g(plain, 0.0, 10.0)
-        # In-cat squeezing narrows the peaks without moving them, pulling the
-        # optimal scale toward the peak-position match at g = 1/u = 1.
-        assert res_sq.g > res_plain.g
-        assert abs(res_sq.g - 1.0) < abs(res_plain.g - 1.0)
-        assert res_sq.value < res_plain.value
