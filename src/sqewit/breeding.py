@@ -144,8 +144,8 @@ class _CandidateObjective:
         return fock.expectation(self.q0, FockState(vec))
 
     def __call__(self, params) -> float:
-        r = min(max(params[0], _R_BOX[0]), _R_BOX[1])
-        return self.value(self.displaced_in_p(self.squeezed_in_x(r), params[2]), params[1])
+        """<Q0> at (r, dx, dp); `_nelder_mead` keeps every point in the box."""
+        return self.value(self.displaced_in_p(self.squeezed_in_x(params[0]), params[2]), params[1])
 
 
 def _nelder_mead(fun, x0, lower, upper, xatol, fatol, maxiter):
@@ -270,15 +270,9 @@ def gaussian_min_q0(dim: int) -> float:
     return gkp_witness(dim).gaussian_min
 
 
-def gkp_squeezing_db(state: FockState, witness: GkpWitness | None = None) -> float:
+def gkp_squeezing_db(state: FockState, witness: GkpWitness) -> float:
     """GKP nonlinear squeezing of the state in decibels (negative is better
-    than every Gaussian)."""
-    if witness is None:
-        witness = gkp_witness(state.dim)
-    if witness.dim != state.dim:
-        raise ContractViolationError(
-            f"state dimension {state.dim} does not match witness dimension {witness.dim}"
-        )
+    than every Gaussian); `witness` is `gkp_witness(state.dim)`."""
     return ratio_db(fock.expectation(witness.matrix, state), witness.gaussian_min)
 
 

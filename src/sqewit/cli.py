@@ -8,9 +8,10 @@ default, and each config value passes the same type check as its flag
 parameter but the file paths, is echoed into the JSON outputs (reports,
 state files, frontier .meta.json); the CSV tables carry none.
 Exit codes: 0 ok, 2 input error (including a file path that cannot be read
-or written), 3 contract violation. Output paths are checked before any
-computation, and nothing is written until the result is complete, so a
-run that fails on its inputs or in its computation leaves no partial output.
+or written, and inputs too large to fit in memory), 3 contract violation.
+Output paths are checked before any computation, and nothing is written
+until the result is complete, so a run that fails on its inputs or in its
+computation leaves no partial output.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ def _command(func):
         except SqewitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT if isinstance(exc, InputFormatError) else EXIT_CONTRACT)
+        except MemoryError as exc:  # inputs too large for this machine
+            click.echo(f"error: out of memory: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
 
     return wrapper
 
@@ -176,7 +180,6 @@ def _parse_dims(text: str) -> list[int]:
 def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     """Optimal approximations over a dimension range: state files + index CSV."""
     dim_list = _parse_dims(dims)
-    config = json.dumps(_effective_config(ctx), sort_keys=True)
     out = Path(out_dir)
     # The directory and its missing parents are made after the sweep; check
     # the first of them to be created, or index.csv in an existing one.
@@ -188,10 +191,9 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     serialize.make_dir(out)
     for dim, report in sweep:
         meta = {
-            "config": config,
-            "dim": dim,
-            "eigenvalue": f"{report.eigenvalue:.17g}",
-            "xi_db": f"{report.xi_db:.17g}",
+            "config": _effective_config(ctx),
+            "eigenvalue": report.eigenvalue,
+            "xi_db": report.xi_db,
             "stellar_bound": report.stellar_rank_bound,
             "sector": report.sector,
         }
@@ -241,8 +243,7 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
     state, _ = serialize.load_state(state_path)
     run = breeding.breed_protocol(state, rounds)
     report = breeding.breeding_report(run)
-    config = json.dumps(_effective_config(ctx), sort_keys=True)
-    serialize.save_state(state_out, run.final, {"config": config})
+    serialize.save_state(state_out, run.final, {"config": _effective_config(ctx)})
     report["final_state_file"] = str(state_out)
     _emit(ctx, report, out)
 
@@ -308,18 +309,15 @@ def cmd_wigner(state_path, xmax, pmax, step, out):
         raise InputFormatError("xmax, pmax, and step must be positive")
     xs = _symmetric_grid(xmax, step)
     ps = _symmetric_grid(pmax, step)
-    try:
-        w = fock.wigner(state, xs, ps)
-        serialize.write_csv(out, ("x", "p", "w"), (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel()))
-    except MemoryError as exc:
-        raise InputFormatError(f"a {xs.size} x {ps.size} grid does not fit in memory: {exc}") from exc
+    w = fock.wigner(state, xs, ps)
+    serialize.write_csv(out, ("x", "p", "w"), (np.repeat(xs, ps.size), np.tile(ps, xs.size), w.ravel()))
     click.echo(f"wrote {w.size} wigner samples to {out}")
 
 
 def _symmetric_grid(extent: float, step: float) -> np.ndarray:
     try:
         half = np.arange(step, extent + step / 2, step)
-    except (ValueError, MemoryError) as exc:  # more points than numpy can hold
+    except ValueError as exc:  # more points than numpy can index
         raise InputFormatError(f"cannot build a grid up to {extent} in steps of {step}: {exc}") from exc
     return np.concatenate([-half[::-1], [0.0], half])
 

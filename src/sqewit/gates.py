@@ -45,21 +45,17 @@ def couple_and_condition(mode1: FockState, mode2: FockState, kind: str) -> GateO
     return GateOutcome(output=FockState(out), success_norm=success)
 
 
-def conditional_output(resource: FockState, kind: str) -> GateOutcome:
-    """Conditional state prepared from |resource> ⊗ |0>."""
-    return couple_and_condition(resource, fock.vacuum(resource.dim), kind)
-
-
 def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
     """Fidelity and success norm for one resource, as a flat record.
 
-    The fidelity is the overlap of the conditional output with the ideal
-    target at the resource's dimension; when that space cannot hold the
-    ideal state losslessly (small dims, large u) the normalized truncation
-    stands in, keeping the figure comparable across pipelines.
+    The fidelity is the overlap of the output conditioned from
+    |resource> ⊗ |0> with the ideal target at the resource's dimension;
+    when that space cannot hold the ideal state losslessly (small dims,
+    large u) the normalized truncation stands in, keeping the figure
+    comparable across pipelines.
     """
     target = states.ideal_gate_target(kind, u, phi, resource.dim)
-    outcome = conditional_output(resource, kind)
+    outcome = couple_and_condition(resource, fock.vacuum(resource.dim), kind)
     return {
         "fidelity": fock.overlap_fidelity(outcome.output, target),
         "success_norm": outcome.success_norm,

@@ -129,16 +129,7 @@ def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.nd
     return out[alive] / norms[alive, None], alive
 
 
-class _Objectives:
-    """A frontier problem: ``batch`` scores rows of states, a call one state."""
-
-    def __call__(self, amps: np.ndarray) -> tuple[float, float]:
-        """Objectives of one normalized state: a one-row ``batch``."""
-        z, second = self.batch(np.asarray(amps)[None, :])[0]
-        return (float(z), float(second))
-
-
-class _FidelityObjectives(_Objectives):
+class _FidelityObjectives:
     """Witness expectation and interaction fidelity of a batch of states."""
 
     metric_name = "fidelity"
@@ -173,7 +164,7 @@ class _FidelityObjectives(_Objectives):
         return objective_2
 
 
-class _GkpObjectives(_Objectives):
+class _GkpObjectives:
     """Witness expectation and negated GKP dB after breeding, per state."""
 
     metric_name = "gkp_db"

@@ -38,7 +38,7 @@ def state_to_dict(state: FockState, metadata: dict | None = None) -> dict:
     return {
         "dim": state.dim,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
-        "metadata": {str(k): str(v) for k, v in (metadata or {}).items()},
+        "metadata": dict(metadata or {}),
     }
 
 
@@ -85,7 +85,8 @@ def make_dir(path: str | Path) -> None:
 
 
 def save_state(path: str | Path, state: FockState, metadata: dict | None = None) -> None:
-    write_text(path, json.dumps(state_to_dict(state, metadata), indent=1) + "\n")
+    """Write a state file as `dump_json` writes a report; metadata values are JSON values."""
+    write_text(path, json_text(state_to_dict(state, metadata)))
 
 
 def state_from_dict(payload: dict) -> tuple[FockState, dict]:
@@ -157,7 +158,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
 
 
 def json_text(payload: dict) -> str:
-    """A report's JSON text: one-space indent, sorted keys, final newline."""
+    """A report's or state file's JSON text: one-space indent, sorted keys, final newline."""
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 

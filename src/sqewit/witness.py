@@ -308,9 +308,7 @@ def ratio_db(value: float, benchmark: float) -> float:
     return 10.0 * math.log10(max(value, EXPECTATION_FLOOR) / benchmark)
 
 
-def sqe_squeezing_db(
-    state: FockState, spec: WitnessSpec, bound: GaussianBound | None = None
-) -> float:
+def sqe_squeezing_db(state: FockState, spec: WitnessSpec) -> float:
     """Nonlinear squeezing of the state in decibels.
 
     10 log10 of the witness expectation over the Gaussian benchmark;
@@ -321,9 +319,7 @@ def sqe_squeezing_db(
         raise ContractViolationError(
             f"state dimension {state.dim} does not match witness dimension {spec.dim}"
         )
-    if bound is None:
-        bound = gaussian_bound(spec.u, spec.c)
-    return ratio_db(fock.expectation(build_witness(spec), state), bound.value)
+    return ratio_db(fock.expectation(build_witness(spec), state), gaussian_bound(spec.u, spec.c).value)
 
 
 def witness_report(state: FockState, spec: WitnessSpec) -> dict:

@@ -334,7 +334,7 @@ def test_criterion_09_nsga_correctness():
 
     objective = pareto._FidelityObjectives(spec)
     eig = fock.hermitian_eig(np.asarray(witness.build_witness(spec)))
-    _, f_gs = objective(eig.vectors[:, 0])
+    _, f_gs = objective.batch(eig.vectors[:, 0][None, :])[0]
     endpoint_gap = abs(res1.points[0].metric_value - f_gs)
 
     fvals = [p.metric_value for p in res1.points]

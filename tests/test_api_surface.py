@@ -50,7 +50,7 @@ API_SURFACE = {
         "build_witness": ("spec",), "theta3_half_pi": ("q",),
         "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r"),
         "gaussian_bound": ("u", "c"), "ratio_db": ("value", "benchmark"),
-        "sqe_squeezing_db": ("state", "spec", "bound"), "witness_report": ("state", "spec"),
+        "sqe_squeezing_db": ("state", "spec"), "witness_report": ("state", "spec"),
     },
     "sqewit.states": {
         "TRUNCATION_LOSS_MAX": None, "DEGENERACY_GAP": None, "CatSpec": ("u", "r", "phi", "dim"),
@@ -62,8 +62,7 @@ API_SURFACE = {
     },
     "sqewit.gates": {
         "ANNIHILATION_EPS": None, "GateOutcome": ("output", "success_norm"),
-        "couple_and_condition": ("mode1", "mode2", "kind"), "conditional_output": ("resource", "kind"),
-        "gate_report": ("resource", "kind", "u", "phi"),
+        "couple_and_condition": ("mode1", "mode2", "kind"), "gate_report": ("resource", "kind", "u", "phi"),
     },
     "sqewit.breeding": {
         "breed_round": ("a", "b"), "BreedingRun": ("input", "rounds", "outputs_per_round", "success_norms"),

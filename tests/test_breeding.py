@@ -297,6 +297,29 @@ class TestNelderMead:
             bool(res.success),
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        objective=st.sampled_from(["bowl", "staircase", "holed_staircase"]),
+        x0=st.tuples(*(_coordinate(lo, hi) for lo, hi in zip(_LOWER, _UPPER))),
+        centre=st.tuples(*(st.floats(lo - 2.0, hi + 2.0) for lo, hi in zip(_LOWER, _UPPER))),
+        maxiter=st.sampled_from([1, 5, 100]),
+    )
+    def test_every_evaluated_point_lies_in_the_box(self, objective, x0, centre, maxiter):
+        # `_CandidateObjective` evaluates any r it is given; the search stays
+        # in the box only because `_nelder_mead` clips each point it evaluates.
+        # A bowl centred outside the box drives the search into its faces.
+        fun = _OBJECTIVES.get(objective) or (lambda x: float(np.sum((x - np.array(centre)) ** 2)))
+        points = []
+
+        def recorded(x):
+            points.append(np.array(x, copy=True))
+            return fun(x)
+
+        breeding._nelder_mead(recorded, np.array(x0), _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+        points = np.array(points)
+        assert points.shape[0] >= 4
+        assert np.all((_LOWER <= points) & (points <= _UPPER))
+
     @pytest.mark.parametrize("maxiter", [1, 3])
     def test_small_maxiter_not_converged(self, maxiter):
         (_, _, converged), _, res, _ = _run_both(_q0_objective(6), np.array([0.4, 0.3, 0.2]), maxiter)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,26 @@ class TestGroundCommand:
         assert "dimension 8" in result.stderr
         assert _listing(tmp_path) == []
 
+    def test_state_files_hold_json_metadata(self, runner, tmp_path):
+        # Metadata values were strings: the config JSON inside a string, the
+        # floats as "%.17g" text, and a copy of dim.
+        out = tmp_path / "sweep"
+        args = ["ground", "--dims", "5:7", "--u", "2.5", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        config = {"u": 2.5, "phi": 0.0, "c": 10.0, "k": 100, "dims": "5:7"}
+        rows = (out / "index.csv").read_text().splitlines()[1:]
+        for row in rows:
+            n, eigenvalue, xi_db, stellar_bound = row.split(",")
+            text = (out / f"state_N{n}.json").read_text()
+            assert text == serialize.json_text(json.loads(text))
+            state, meta = serialize.load_state(out / f"state_N{n}.json")
+            assert state.dim == int(n)
+            assert meta["config"] == config
+            assert type(meta["eigenvalue"]) is float and meta["eigenvalue"] == float(eigenvalue)
+            assert type(meta["xi_db"]) is float and meta["xi_db"] == float(xi_db)
+            assert meta["stellar_bound"] == int(stellar_bound)
+            assert "dim" not in meta
+
     def test_rerun_bitwise_identical(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -389,19 +410,38 @@ class TestWignerCommand:
         assert len(result.stderr.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [vacuum_file]
 
-    def test_grid_too_large_for_memory_exit_2(self, runner, vacuum_file, tmp_path, monkeypatch):
-        # A grid numpy can build but not evaluate (--step 0.0003 here) ended
-        # in an _ArrayMemoryError traceback (exit 1).
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["wigner", "--state", "vacuum.json", "--step", "1", "--out", "w.csv"],
+            ["ground", "--dims", "1000000", "--out", "g"],
+            ["opaccuracy", "--nmax", "1000000", "--out", "a.csv"],
+            ["frontier", "--dim", "1000000", "--pop", "2", "--gens", "0", "--seed", "1", "--out", "f.csv"],
+        ],
+        ids=["wigner", "ground", "opaccuracy", "frontier"],
+    )
+    def test_grid_too_large_for_memory_exit_2(self, runner, vacuum_file, tmp_path, monkeypatch, args):
+        # Each ended in an _ArrayMemoryError traceback (exit 1). A Wigner grid
+        # numpy can build but not evaluate (--step 0.0003) is simulated; the
+        # other three ask numpy for 14.6 TiB at once. The address-space cap
+        # makes that request fail up front on a host that overcommits memory
+        # too, instead of being granted and filled.
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 11.9 GiB")
 
         monkeypatch.setattr(fock, "wigner", out_of_memory)
-        out = tmp_path / "w.csv"
-        result = runner.invoke(main, ["wigner", "--state", str(vacuum_file), "--step", "1", "--out", str(out)])
+        monkeypatch.chdir(tmp_path)
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**40 if hard == resource.RLIM_INFINITY else min(hard, 2**40)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            result = runner.invoke(main, args)
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: a 11 x 11 grid does not fit in memory")
+        assert result.stderr.startswith("error: out of memory: ")
         assert len(result.stderr.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == [vacuum_file]
+        assert _listing(tmp_path) == ["vacuum.json"]
 
     def test_overflow_exit_3_and_no_file(self, runner, tmp_path):
         amps = np.random.default_rng(0).normal(size=300)

@@ -15,20 +15,20 @@ from sqewit.states import CatSpec
 
 class TestConditionalOutput:
     def test_vacuum_resource_bs(self):
-        out = gates.conditional_output(fock.vacuum(12), "BS")
+        out = gates.couple_and_condition(fock.vacuum(12), fock.vacuum(12), "BS")
         assert fock.overlap_fidelity(out.output, fock.vacuum(12)) == pytest.approx(1.0, abs=1e-10)
         assert out.success_norm == pytest.approx(math.pi ** -0.25, abs=1e-10)
 
     def test_single_photon_resource_bs(self):
         # psi_1(0) = 0, so only the |0,1> branch survives the projection.
-        out = gates.conditional_output(fock.basis_state(12, 1), "BS")
+        out = gates.couple_and_condition(fock.basis_state(12, 1), fock.vacuum(12), "BS")
         assert fock.overlap_fidelity(out.output, fock.basis_state(12, 1)) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_high_squeezing_qnd_limit(self):
         cat = states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=50), max_loss=0.1)
-        out = gates.conditional_output(cat, "QND")
+        out = gates.couple_and_condition(cat, fock.vacuum(cat.dim), "QND")
         target = states.ideal_gate_target("QND", 3.0, 0.0, 50)
         assert fock.overlap_fidelity(out.output, target) > 0.99
 
@@ -48,7 +48,7 @@ class TestConditionalOutput:
         bra_norm = np.linalg.norm(fock.momentum_eigenbra(14))
         for _ in range(25):
             resource = fock.FockState(rng.standard_normal(14) + 1j * rng.standard_normal(14))
-            out = gates.conditional_output(resource, "BS")
+            out = gates.couple_and_condition(resource, fock.vacuum(resource.dim), "BS")
             assert 0.0 < out.success_norm <= bra_norm + 1e-12
 
 
@@ -77,8 +77,8 @@ class TestP0Kernel:
         cat = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=80))
         fock.p0_kernel.cache_clear()
         jobs = (
-            lambda: gates.conditional_output(cat, "BS"),
-            lambda: gates.conditional_output(cat, "QND"),
+            lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "BS"),
+            lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "QND"),
             lambda: breeding.breed_protocol(cat, 2),
         )
         for job in jobs:
@@ -113,7 +113,7 @@ class TestXRepresentationOracle:
 
         # QND: convolution with the vacuum wave packet.
         omega_qnd = np.trapezoid(r_wave[None, :] * vac(xs[:, None] - xs[None, :]), xs, axis=1)
-        got = gates.conditional_output(resource, "QND").output
+        got = gates.couple_and_condition(resource, fock.vacuum(resource.dim), "QND").output
         want = self._project_on_fock(xs, omega_qnd, dim)
         assert fock.overlap_fidelity(got, want) > 1.0 - 1e-6
 
@@ -122,7 +122,7 @@ class TestXRepresentationOracle:
         arg_v = (xs[:, None] + xs[None, :]) / math.sqrt(2.0)
         r_interp = np.interp(arg_r, xs, r_wave, left=0.0, right=0.0)
         omega_bs = np.trapezoid(r_interp * vac(arg_v), xs, axis=1)
-        got_bs = gates.conditional_output(resource, "BS").output
+        got_bs = gates.couple_and_condition(resource, fock.vacuum(resource.dim), "BS").output
         want_bs = self._project_on_fock(xs, omega_bs, dim)
         assert fock.overlap_fidelity(got_bs, want_bs) > 1.0 - 1e-6
 

@@ -346,7 +346,7 @@ class TestEvolve:
     def test_evaluate_matches_decoded_states(self, problem):
         objective = pareto._make_objectives(problem, SPEC6, 2)
         genomes = np.random.default_rng(21).uniform(-1, 1, (40, 12))
-        want = np.array([objective(pareto.decode(g).amps) for g in genomes])
+        want = np.array([objective.batch(pareto.decode(g).amps[None, :])[0] for g in genomes])
         assert pareto._evaluate(genomes, objective).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("problem", pareto.PROBLEMS)
@@ -375,19 +375,19 @@ class TestEvolve:
 
         objective = pareto._FidelityObjectives(SPEC6)
         eig = fock.hermitian_eig(np.asarray(witness.build_witness(SPEC6)))
-        challengers = [objective(eig.vectors[:, 0])]
+        challengers = [objective.batch(eig.vectors[:, 0][None, :])[0]]
         even = np.arange(0, 6, 2)
         block = np.asarray(witness.build_witness(SPEC6))[np.ix_(even, even)]
         sub = fock.hermitian_eig(block)
         amps = np.zeros(6, dtype=complex)
         amps[even] = sub.vectors[:, 0]
-        challengers.append(objective(fock.FockState(amps).amps))
+        challengers.append(objective.batch(fock.FockState(amps).amps[None, :])[0])
         from sqewit import states
 
         for r in (0.3, 0.6):
             cat = states.squeezed_cat(states.CatSpec(u=3.0, r=r, phi=0.0, dim=6), max_loss=1.0)
-            challengers.append(objective(cat.amps))
-        challengers.append(objective(fock.vacuum(6).amps))
+            challengers.append(objective.batch(cat.amps[None, :])[0])
+        challengers.append(objective.batch(fock.vacuum(6).amps[None, :])[0])
         flagged = pareto.dominated_front_points(front, np.array(challengers))
         assert flagged.size == 0
 
@@ -441,14 +441,6 @@ class TestBatchedEvaluation:
             objs = pareto._evaluate(genomes, objective)
         assert objs.tobytes() == oracle_evaluate(genomes, objective).tobytes()
         assert np.isinf(objs[[0, 3], 1]).all() and np.isfinite(objs[[1, 2], 1]).all()
-
-    @pytest.mark.parametrize("problem", pareto.PROBLEMS)
-    def test_single_state_call_is_one_row_batch(self, problem):
-        objective = objectives_for(problem, 2)
-        eig = fock.hermitian_eig(np.asarray(objective.w))
-        amps = eig.vectors[:, 0]  # a strided column
-        assert objective(amps) == oracle_objectives(objective, np.ascontiguousarray(amps))
-        assert np.array(objective(amps)).tobytes() == objective.batch(amps[None, :])[0].tobytes()
 
 
 class TestHypervolume:

@@ -237,12 +237,12 @@ class TestSqueezingDb:
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=12)
         bound = witness.gaussian_bound(3.0, 10.0)
         # A state whose expectation equals the bound would read exactly 0 dB;
-        # check the formula through a synthetic bound.
+        # check the formula with the expectation as its own benchmark.
         vac = fock.vacuum(12)
         expect = fock.expectation(np.asarray(witness.build_witness(spec)), vac)
-        synthetic = witness.GaussianBound(value=expect, branch="squeezed-vacuum", argmin_r=0.0)
-        assert witness.sqe_squeezing_db(vac, spec, synthetic) == pytest.approx(0.0, abs=1e-12)
-        assert witness.sqe_squeezing_db(vac, spec, bound) > 0.0
+        assert witness.ratio_db(expect, expect) == pytest.approx(0.0, abs=1e-12)
+        assert witness.sqe_squeezing_db(vac, spec) == witness.ratio_db(expect, bound.value)
+        assert witness.sqe_squeezing_db(vac, spec) > 0.0
 
     def test_ground_state_is_most_negative(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=14)
