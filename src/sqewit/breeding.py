@@ -5,8 +5,8 @@ and keeps mode 2 conditioned on measuring p = 0 in mode 1. Output quality is
 scored by the grid witness Q0 = 2 sin²(x sqrt(pi)/2) + 2 sin²(p sqrt(pi)),
 benchmarked against its numerically minimized Gaussian expectation. The
 minimization refines a start grid with an in-package bounded Nelder-Mead,
-bitwise scipy 1.17.1's `minimize(method="Nelder-Mead", bounds=...)`, so the
-package imports nothing from scipy but `scipy.special`.
+bitwise scipy 1.17.1's `minimize(method="Nelder-Mead", bounds=...)`; the
+package imports nothing from scipy.
 """
 
 from __future__ import annotations

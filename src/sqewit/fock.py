@@ -12,9 +12,12 @@ padded spectrum, including those of `breeding`'s Q0 and its Gaussian
 candidates, comes from one cached, read-only eigendecomposition per
 generator and size (`generator_spectrum`).
 That block costs O(N²): one Laguerre recurrence over the degree, vectorized
-over the order, that repeats scipy's scalar loop operation for operation,
-so each entry is bitwise equal to the elementwise closed form
-(`ExactDisplacements` shares its s-independent tables across many s).
+over the order, that repeats scipy's scalar loop operation for operation.
+Its binomials are exact integers rounded once, from one table per process;
+scipy's `binom` is up to 6.2e-13 off those from (i, j) = (31, 14) on, so
+each entry is bitwise equal to the elementwise closed form where scipy's
+binomial is exact and within 1e-12 of it elsewhere (`ExactDisplacements`
+shares its s-independent tables across many s).
 Like that closed form, it still has non-finite entries from N ≈ 250 at
 large |s| (ROADMAP item 2).
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
@@ -36,13 +39,14 @@ ContractViolationError instead of returning non-finite values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import binom, gammaln
 
+from ._special import lgam
 from .errors import ContractViolationError
 
 HERMITICITY_TOL = 1e-12
@@ -177,6 +181,31 @@ def displacement_x(u: float, dim: int) -> np.ndarray:
     return crop(full, dim)
 
 
+# The s-independent tables of every `ExactDisplacements`, one per process,
+# grown on demand: row i of the binomial triangle, float(C(i, j)) for
+# j = 0..i (each exact integer rounded once), from i(i+1)/2 on, and
+# ln n! = lgam(n + 1). An entry never changes once computed, so a table does
+# not depend on the order of the dimensions it was grown to.
+_pascal_row: list[int] = []  # the last row of the triangle, exact
+_binomials = np.empty(0)
+_log_factorials = np.empty(0)
+
+
+def _exact_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # Binomials of rows 0..dim-1 and ln n! for n < dim, at least.
+    global _pascal_row, _binomials, _log_factorials
+    rows = _log_factorials.size
+    if rows < dim:
+        row, flat = _pascal_row, []
+        for _ in range(rows, dim):
+            row = [1, *map(operator.add, row, row[1:]), 1] if row else [1]
+            flat.extend(map(float, row))
+        _pascal_row = row
+        _binomials = np.concatenate((_binomials, flat))
+        _log_factorials = np.concatenate((_log_factorials, [lgam(n + 1.0) for n in range(rows, dim)]))
+    return _binomials, _log_factorials
+
+
 class ExactDisplacements:
     """Exact Fock-basis blocks of x-displacements exp(-i s p) at one dimension.
 
@@ -192,13 +221,18 @@ class ExactDisplacements:
     s: the packed (j, d) layout and its gather index, the
     ½(lnΓ(j+1) - lnΓ(i+1)) term, the binomials binom(i, j), the
     recurrence's divisors i and weights (j-1)/i, and the ±1 parity of the
-    upper triangle.
+    upper triangle. The log-factorials and the binomials are gathered from
+    tables shared by all instances: each binomial is the exact integer
+    C(i, j) rounded once, each log-factorial a bitwise port of scipy's
+    `gammaln`.
     Each call then evaluates every L_j^(d)(x) with j + d < dim in one
     recurrence over the degree j, vectorized over the order d: O(N²) work
     per block, against O(N³) for scipy's elementwise Laguerre evaluation.
     The recurrence performs exactly the floating-point operations of
     scipy's scalar loop, in the same order, so every entry is bitwise equal
-    to the elementwise closed form. Entries are still non-finite from
+    to the elementwise closed form wherever scipy's `binom` is exact (every
+    entry up to N = 31) and within 1e-12 of it elsewhere, where scipy's
+    binomial is the less accurate one. Entries are still non-finite from
     N ≈ 250 at large |s|, where e^(-x/2) underflows to 0 against a Laguerre
     factor that overflows (ROADMAP item 2).
     """
@@ -212,14 +246,15 @@ class ExactDisplacements:
         degree = np.repeat(n, dim - n)
         self._order = np.arange(degree.size) - offsets[degree]
         self._levels = n.astype(float)
-        lgamma = gammaln(n + 1)
-        self._half_lgamma = 0.5 * (lgamma[degree] - lgamma[degree + self._order])
+        binomials, log_factorials = _exact_tables(dim)
+        self._half_lgamma = 0.5 * (log_factorials[degree] - log_factorials[degree + self._order])
         # Degrees j >= 2, the recurrence's: packed from 2 dim - 1 on, degree
         # j at [_steps[j - 2], _steps[j - 1]).
         j = degree[2 * dim - 1 :]
         self._steps = (offsets[2:] - (2 * dim - 1)).tolist()
-        self._row = (j + self._order[2 * dim - 1 :]).astype(float)  # i = j + d
-        self._binom = binom(self._row, j)
+        i = j + self._order[2 * dim - 1 :]
+        self._row = i.astype(float)
+        self._binom = binomials[i * (i + 1) // 2 + j]
         self._weight = (j - 1.0) / self._row
         row, col = np.meshgrid(n, n, indexing="ij")
         dist = np.abs(row - col)

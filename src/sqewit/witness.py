@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
+from ._special import lgam
 from .errors import ContractViolationError, OptimizerFailure
 from .fock import FockState
 
@@ -79,7 +79,7 @@ def comb_prefactor(u: float, k: int) -> float:
     Evaluated through log-gamma so large k does not overflow; it makes each
     sin^2k bump integrate to unity, matching a unit-weight projector.
     """
-    return u / math.sqrt(math.pi) * math.exp(gammaln(k + 1) - gammaln(k + 0.5))
+    return u / math.sqrt(math.pi) * math.exp(lgam(k + 1) - lgam(k + 0.5))
 
 
 @lru_cache(maxsize=8)
@@ -91,11 +91,11 @@ def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
     beyond stay exact to rounding. Cached read-only per k.
     """
     log4k = 2.0 * k * math.log(2.0)
-    log_c0 = gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - log4k
+    log_c0 = lgam(2 * k + 1) - 2.0 * lgam(k + 1) - log4k
     ms = [0]
     cs = [math.exp(log_c0)]
     for m in range(1, k + 1):
-        log_cm = gammaln(2 * k + 1) - gammaln(k + m + 1) - gammaln(k - m + 1) - log4k
+        log_cm = lgam(2 * k + 1) - lgam(k + m + 1) - lgam(k - m + 1) - log4k
         if log_cm - log_c0 < math.log(1e-20):
             break
         ms.append(m)
@@ -108,7 +108,7 @@ def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _displacement_negligible(x: float, dim: int) -> bool:
     # Largest |<n|D|m>| in the dim-block is ~ exp(-x/2) x^dim / dim!; skip
     # harmonics whose whole block is far below rounding.
-    return 0.5 * x - dim * math.log(max(x, 3.0)) + gammaln(dim + 1) > 322.0
+    return 0.5 * x - dim * math.log(max(x, 3.0)) + lgam(dim + 1) > 322.0
 
 
 def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:

@@ -12,7 +12,9 @@ problem of the pareto store. All of them read one shared computation.
   The sha256 of `witness.momentum_comb` for u in {2, 3, 4}, phi in
   {0, pi, pi/3} and N in {12, 62, 200} was recorded while each comb
   harmonic still evaluated its Laguerre factors elementwise with
-  `scipy.special.eval_genlaguerre`. `gaussian_min_q0` at N = 40 and 60, the
+  `scipy.special.eval_genlaguerre`; the N = 62 and 200 digests were
+  re-recorded when `fock.ExactDisplacements` took exact binomials in place
+  of `scipy.special.binom` (a largest move of 8.8e-14 of the largest entry). `gaussian_min_q0` at N = 40 and 60, the
   gate-breed benchmark's dimensions, was recorded while each Gaussian
   candidate still went through all its eigenbases per evaluation and every
   padded builder solved its own spectrum.

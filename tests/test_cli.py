@@ -665,14 +665,56 @@ def test_cli_surface_unchanged():
     assert options["frontier", "problem"].type.case_sensitive is True
 
 
-def test_import_leaves_out_heavy_scipy_subpackages():
-    # Importing the CLI needs scipy.special only. scipy.optimize (and the
-    # linalg and sparse packages it pulls in) more than doubled start-up.
+# Three comb-building commands run in one child process: a ground sweep, a
+# witness job and a short frontier.
+_RUNTIME_JOBS = (
+    ["ground", "--dims", "40,62", "--out", "g"],
+    ["witness", "--state", "g/state_N40.json"],
+    ["frontier", "--seed", "1", "--dim", "4", "--pop", "12", "--gens", "2", "--out", "f.csv"],
+)
+
+
+def _run_jobs(cwd, block_scipy):
+    """Run _RUNTIME_JOBS through CliRunner in a child process in cwd.
+
+    Returns each job's (exit code, output), the scipy modules loaded at the
+    end, and every file written (bytes; the frontier meta file parsed, less
+    its wall time). With block_scipy, importing scipy raises ImportError.
+    """
     code = (
-        "import sqewit.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg', 'scipy.sparse'))))"
+        "import json, sys\n"
+        + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+        + "import sqewit.cli\n"
+        "from click.testing import CliRunner\n"
+        f"results = [CliRunner().invoke(sqewit.cli.main, args) for args in {_RUNTIME_JOBS!r}]\n"
+        "print(json.dumps({'jobs': [[r.exit_code, r.output] for r in results],"
+        " 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    run = json.loads(result.stdout)
+    run["files"] = {path.relative_to(cwd).as_posix(): path.read_bytes() for path in cwd.rglob("*") if path.is_file()}
+    meta = json.loads(run["files"]["f.meta.json"])
+    del meta["wall_time_s"]
+    run["files"]["f.meta.json"] = meta
+    return run
+
+
+@pytest.fixture(scope="module")
+def runtime_run(tmp_path_factory):
+    return _run_jobs(tmp_path_factory.mktemp("scipy_loaded"), block_scipy=False)
+
+
+def test_no_scipy_at_runtime(runtime_run):
+    # Stricter than "only scipy.special": no scipy module at all, also none
+    # imported lazily inside a function while the jobs ran.
+    assert [code for code, _ in runtime_run["jobs"]] == [0, 0, 0]
+    assert runtime_run["scipy"] == []
+
+
+def test_runs_with_scipy_blocked(runtime_run, tmp_path):
+    blocked = _run_jobs(tmp_path, block_scipy=True)
+    assert [code for code, _ in blocked["jobs"]] == [0, 0, 0]
+    assert blocked["jobs"] == runtime_run["jobs"]
+    assert blocked["files"] == runtime_run["files"]

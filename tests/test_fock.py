@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import binom, eval_genlaguerre, gammaln
 
 from sqewit import fock, states
 from sqewit.errors import ContractViolationError
@@ -166,18 +167,69 @@ def _with_warnings(func, *args):
     return result, {(w.category, str(w.message)) for w in caught}
 
 
+@functools.cache
+def _exact_binomials():
+    # float(C(i, j)) for 0 <= j <= i < 400, each exact integer rounded once.
+    out = np.zeros((400, 400))
+    for i in range(400):
+        out[i, : i + 1] = [float(math.comb(i, j)) for j in range(i + 1)]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=st.floats(-60.0, 60.0), dim=st.integers(1, 300))
 @example(s=60.0, dim=300)
 @example(s=-60.0, dim=300)
 @example(s=0.0, dim=5)
 def test_displacement_exact_bitwise_equals_elementwise_closed_form(s, dim):
-    # Entries are non-finite from N ~ 250 at large |s| (ROADMAP item 2); the
-    # two constructions agree on those too, NaN for NaN.
+    # The closed form takes its binomials from scipy's `binom`, which for
+    # min(j, i - j) >= 20 is up to 6.2e-13 off the exact ones (first at
+    # (i, j) = (31, 14)). Where scipy's binomial is exact the two
+    # constructions are bitwise equal; elsewhere they agree to 1e-12. Entries
+    # are non-finite from N ~ 250 at large |s| (ROADMAP item 2); the two
+    # agree on those too, NaN for NaN.
     want, want_warnings = _with_warnings(_exact_displacement_oracle, s, dim)
     got, got_warnings = _with_warnings(_exact_displacement, s, dim)
-    assert np.array_equal(got, want, equal_nan=True)
+    n = np.arange(dim)
+    i, j = np.maximum.outer(n, n), np.minimum.outer(n, n)
+    exact = binom(i, j) == _exact_binomials()[i, j]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    got, want = got[~exact], want[~exact]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        close = np.abs(got / want - 1.0) <= 1e-12
+    assert np.all(close | (got == want) | np.isnan(want))
     assert got_warnings <= want_warnings
+
+
+def _fresh_tables(monkeypatch):
+    # Empty process-wide tables, restored when the test ends.
+    monkeypatch.setattr(fock, "_pascal_row", [])
+    monkeypatch.setattr(fock, "_binomials", np.empty(0))
+    monkeypatch.setattr(fock, "_log_factorials", np.empty(0))
+
+
+def test_exact_tables_hold_rounded_exact_binomials(monkeypatch):
+    _fresh_tables(monkeypatch)
+    binomials, log_factorials = fock._exact_tables(400)
+    assert np.array_equal(binomials, _exact_binomials()[np.tril_indices(400)])
+    assert np.array_equal(log_factorials, gammaln(np.arange(1, 401)))
+
+
+def test_exact_tables_independent_of_build_order(monkeypatch):
+    # Jobs of one process share the tables, so a block must not depend on
+    # the dimensions built before it.
+    _fresh_tables(monkeypatch)
+    fock._exact_tables(40)
+    grown = fock._exact_tables(300)
+    _fresh_tables(monkeypatch)
+    built = fock._exact_tables(300)
+    assert all(np.array_equal(a, b) for a, b in zip(grown, built))
+    _fresh_tables(monkeypatch)
+    first = [fock.ExactDisplacements(40)(s) for s in (-6.0, 0.7, 3.0)]
+    fock.ExactDisplacements(300)
+    again = [fock.ExactDisplacements(40)(s) for s in (-6.0, 0.7, 3.0)]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 @pytest.mark.parametrize("s", [-6.0, -36.0, 0.7, 60.0])
