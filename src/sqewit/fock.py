@@ -13,7 +13,8 @@ candidates, comes from one cached, read-only eigendecomposition per
 generator and size (`generator_spectrum`).
 That block costs O(N²): one Laguerre recurrence over the degree, vectorized
 over the order, that repeats scipy's scalar loop operation for operation.
-Its binomials are exact integers rounded once, from one table per process;
+Its binomials are exact integers rounded once (to inf past the largest
+float, from N = 1031 on), from one table per process;
 scipy's `binom` is up to 6.2e-13 off those from (i, j) = (31, 14) on, so
 each entry is bitwise equal to the elementwise closed form where scipy's
 binomial is exact and within 1e-12 of it elsewhere (`ExactDisplacements`
@@ -182,13 +183,23 @@ def displacement_x(u: float, dim: int) -> np.ndarray:
 
 
 # The s-independent tables of every `ExactDisplacements`, one per process,
-# grown on demand: row i of the binomial triangle, float(C(i, j)) for
-# j = 0..i (each exact integer rounded once), from i(i+1)/2 on, and
-# ln n! = lgam(n + 1). An entry never changes once computed, so a table does
-# not depend on the order of the dimensions it was grown to.
+# grown on demand: row i of the binomial triangle, C(i, j) for j = 0..i (each
+# exact integer rounded once, to inf past the largest float, as from row
+# 1030 on), from i(i+1)/2 on, and ln n! = lgam(n + 1). An entry never changes
+# once computed, so a table does not depend on the order of the dimensions it
+# was grown to.
 _pascal_row: list[int] = []  # the last row of the triangle, exact
 _binomials = np.empty(0)
 _log_factorials = np.empty(0)
+
+
+def _rounded(c: int) -> float:
+    # The float nearest to c; inf where that passes the largest float, as in
+    # IEEE rounding (float(c) raises there instead).
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf
 
 
 def _exact_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +210,7 @@ def _exact_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
         row, flat = _pascal_row, []
         for _ in range(rows, dim):
             row = [1, *map(operator.add, row, row[1:]), 1] if row else [1]
-            flat.extend(map(float, row))
+            flat.extend(map(_rounded, row))
         _pascal_row = row
         _binomials = np.concatenate((_binomials, flat))
         _log_factorials = np.concatenate((_log_factorials, [lgam(n + 1.0) for n in range(rows, dim)]))
@@ -223,7 +234,8 @@ class ExactDisplacements:
     recurrence's divisors i and weights (j-1)/i, and the ±1 parity of the
     upper triangle. The log-factorials and the binomials are gathered from
     tables shared by all instances: each binomial is the exact integer
-    C(i, j) rounded once, each log-factorial a bitwise port of scipy's
+    C(i, j) rounded once (inf past the largest float, from i = 1030 on, as
+    scipy's `binom` gives), each log-factorial a bitwise port of scipy's
     `gammaln`.
     Each call then evaluates every L_j^(d)(x) with j + d < dim in one
     recurrence over the degree j, vectorized over the order d: O(N²) work

@@ -469,6 +469,20 @@ class TestOpaccuracyCommand:
         assert got == pytest.approx(lib[0].exact, rel=1e-15)
 
 
+    def test_build_past_binomial_overflow(self, runner, tmp_path):
+        # --nmax 515 builds the comb at 1032 levels, past row 1030 where the
+        # largest binomials overflow float64; the diagonal it reads does not.
+        # Its approximations are non-finite from n = 151 on, where the
+        # large-|s| harmonics overflow (ROADMAP item 2).
+        out = tmp_path / "acc.csv"
+        result = runner.invoke(main, ["opaccuracy", "--nmax", "515", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (516, 4)
+        assert np.all(np.isfinite(rows[:, :2]))
+        assert np.all(np.isfinite(rows[:151]))
+
+
 class TestConfigMerge:
     def test_config_fills_unset_flags(self, runner, vacuum_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -232,6 +232,33 @@ def test_exact_tables_independent_of_build_order(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
+def test_exact_tables_round_overflowing_binomials_to_inf():
+    # From row 1030 on the central binomials pass the largest float. They
+    # round to inf, the IEEE rounding of the exact integer, on the entries
+    # where scipy's `binom` gives inf.
+    binomials, _ = fock._exact_tables(1040)
+    for i in (1029, 1030, 1039):
+        row = binomials[i * (i + 1) // 2 :][: i + 1]
+        want = [float(c) if c < 2**1024 - 2**970 else math.inf for c in map(math.comb, [i] * (i + 1), range(i + 1))]
+        assert np.array_equal(row, want)
+        assert np.array_equal(np.isinf(row), np.isinf(binom(i, np.arange(i + 1))))
+    assert not np.isinf(binomials[: 1030 * 1031 // 2]).any()
+    assert np.isinf(binomials[1030 * 1031 // 2 :]).any()
+
+
+@pytest.mark.parametrize("s", [-6.0, 0.7, 20.0])
+def test_displacement_exact_diagonal_past_binomial_overflow(s):
+    # The diagonal's binomials are 1, so it stays finite and bitwise the
+    # closed form's, exp(-x/2) L_n(x), where off-diagonal binomials are inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = np.diag(fock.ExactDisplacements(1040)(s))
+    x = (s / np.sqrt(2.0)) ** 2
+    want = np.exp(-0.5 * x) * eval_genlaguerre(np.arange(1040), 0, x)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("s", [-6.0, -36.0, 0.7, 60.0])
 def test_displacement_exact_block_of_double_build(s):
     for dim in (1, 2, 3, 40, 100):
