@@ -48,7 +48,6 @@ class BreedingRun:
     """Record of a full breeding cascade on identical copies."""
 
     input: FockState
-    rounds: int
     outputs_per_round: list[FockState]
     success_norms: list[float]
 
@@ -73,7 +72,7 @@ def breed_protocol(state: FockState, rounds: int) -> BreedingRun:
         current = outcome.output
         outputs.append(current)
         norms.append(outcome.success_norm)
-    return BreedingRun(input=state, rounds=rounds, outputs_per_round=outputs, success_norms=norms)
+    return BreedingRun(input=state, outputs_per_round=outputs, success_norms=norms)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,6 @@ def _gaussian_min(q0: np.ndarray) -> float:
 class GkpWitness:
     """Grid witness matrix with its Gaussian benchmark at one dimension."""
 
-    dim: int
     matrix: np.ndarray
     gaussian_min: float
 
@@ -255,7 +253,7 @@ class GkpWitness:
 def gkp_witness(dim: int) -> GkpWitness:
     """Q0 at dim and its Gaussian benchmark, built once per dimension."""
     q0 = build_q0(dim)
-    return GkpWitness(dim=dim, matrix=q0, gaussian_min=_gaussian_min(q0))
+    return GkpWitness(matrix=q0, gaussian_min=_gaussian_min(q0))
 
 
 def gaussian_min_q0(dim: int) -> float:
@@ -277,11 +275,13 @@ def gkp_squeezing_db(state: FockState, witness: GkpWitness) -> float:
 
 
 def breeding_report(run: BreedingRun) -> dict:
-    """Per-round GKP squeezing and success norms of a breeding cascade."""
+    """Per-round GKP squeezing and success norms of a breeding cascade.
+
+    Computed values only; the round count is `len(per_round_gkp_db)`, and
+    the inputs are the caller's to record.
+    """
     wit = gkp_witness(run.input.dim)
     return {
-        "rounds": run.rounds,
-        "dim": run.input.dim,
         "input_gkp_db": gkp_squeezing_db(run.input, wit),
         "per_round_gkp_db": [gkp_squeezing_db(s, wit) for s in run.outputs_per_round],
         "success_norms": run.success_norms,

@@ -4,9 +4,11 @@ Every command is a pure function of its flags, config file, and seed.
 A `--config` JSON object supplies flag values through click's default map:
 an explicit flag wins over the config, the config over the declared
 default, and each config value passes the same type check as its flag
-(float flags refuse NaN and ±inf). The effective configuration, every
-parameter but the file paths, is echoed into the JSON outputs (reports,
-state files, frontier .meta.json); the CSV tables carry none.
+(float flags refuse NaN and ±inf). The library reports hold computed values
+only; this module echoes the effective configuration (every parameter but
+the file paths, as parsed) once into each JSON output: `metadata.config` in
+reports and state files, `config` in the frontier .meta.json. The CSV tables
+carry none. No output holds a clock reading: reruns are byte-identical.
 Exit codes: 0 ok, 2 input error (including a file path that cannot be read
 or written, and inputs too large to fit in memory), 3 contract violation.
 Output paths are checked before any computation, and nothing is written
@@ -20,7 +22,6 @@ import functools
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -118,10 +119,9 @@ def _effective_config(ctx: click.Context) -> dict:
     return {key: value for key, value in ctx.params.items() if key not in _PATH_PARAMS}
 
 
-def _emit(ctx: click.Context, report: dict, out: str | None, **config) -> None:
-    """Attach the config and input file to a report; write it to `out` or stdout."""
-    config = {**_effective_config(ctx), **config}
-    report["metadata"] = {"config": config, "state_file": ctx.params["state_path"]}
+def _emit(ctx: click.Context, report: dict, out: str | None, state: fock.FockState) -> None:
+    """Attach the config, input file and its dimension; write to `out` or stdout."""
+    report["metadata"] = {"config": _effective_config(ctx), "state_file": ctx.params["state_path"], "dim": state.dim}
     if out:
         serialize.dump_json(out, report)
     else:
@@ -150,7 +150,7 @@ def cmd_witness(ctx, state_path, u, phi, c, k, dim, out):
             f"state file dimension {state.dim} does not match requested dim {dim}"
         )
     spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=state.dim, k=k)
-    _emit(ctx, witness.witness_report(state, spec), out, dim=state.dim)
+    _emit(ctx, witness.witness_report(state, spec), out, state)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -188,26 +188,16 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
         first_created = first_created.parent
     serialize.check_writable(first_created)
     sweep = states.ground_state_sweep(u, phi, c, dim_list, k)
+    # One row per dimension feeds both its index.csv line and its state file's metadata.
+    rows = [
+        {"eigenvalue": report.eigenvalue, "xi_db": report.xi_db, "stellar_bound": report.stellar_rank_bound}
+        for _, report in sweep
+    ]
     serialize.make_dir(out)
-    for dim, report in sweep:
-        meta = {
-            "config": _effective_config(ctx),
-            "eigenvalue": report.eigenvalue,
-            "xi_db": report.xi_db,
-            "stellar_bound": report.stellar_rank_bound,
-            "sector": report.sector,
-        }
+    for (dim, report), row in zip(sweep, rows):
+        meta = {"config": _effective_config(ctx), "sector": report.sector, **row}
         serialize.save_state(out / f"state_N{dim}.json", report.state, meta)
-    serialize.write_csv(
-        out / "index.csv",
-        ("N", "eigenvalue", "xi_db", "stellar_bound"),
-        (
-            [dim for dim, _ in sweep],
-            [report.eigenvalue for _, report in sweep],
-            [report.xi_db for _, report in sweep],
-            [report.stellar_rank_bound for _, report in sweep],
-        ),
-    )
+    serialize.write_csv(out / "index.csv", ("N", *rows[0]), (dim_list, *zip(*(row.values() for row in rows))))
     click.echo(f"wrote {len(sweep)} states and index.csv to {out}")
 
 
@@ -224,7 +214,7 @@ def cmd_gate(ctx, state_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
     serialize.check_writable(out)
     state, _ = serialize.load_state(state_path)
-    _emit(ctx, gates.gate_report(state, kind, u, phi), out)
+    _emit(ctx, gates.gate_report(state, kind, u, phi), out, state)
 
 
 @main.command("breed")
@@ -245,7 +235,7 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
     report = breeding.breeding_report(run)
     serialize.save_state(state_out, run.final, {"config": _effective_config(ctx)})
     report["final_state_file"] = str(state_out)
-    _emit(ctx, report, out)
+    _emit(ctx, report, out, state)
 
 
 @main.command("frontier")
@@ -267,9 +257,7 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
     serialize.check_writable(out, genome_path, meta_path)
     spec = witness.WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)
     nsga = pareto.NsgaConfig(seed=seed, population=pop, generations=gens)
-    started = time.time()
     result = pareto.evolve(problem, spec, nsga, breeding_rounds=rounds)
-    wall = time.time() - started
 
     serialize.write_csv(
         out,
@@ -282,9 +270,6 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
         meta_path,
         {
             "config": _effective_config(ctx),
-            "seed": seed,
-            "wall_time_s": wall,
-            "generations_completed": gens,
             "evaluations": result.evaluations,
             "front_size": len(result.points),
             "genome_sidecar": genome_path,

@@ -86,7 +86,9 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def crop(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """Top-left dim x dim block as a fresh array."""
+    """Top-left dim x dim block as a fresh array, 1 <= dim <= the matrix's size."""
+    if not 1 <= dim <= min(matrix.shape):
+        raise ContractViolationError(f"cannot crop a {matrix.shape} matrix to dimension {dim}")
     return np.array(matrix[:dim, :dim], copy=True)
 
 
@@ -446,6 +448,8 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     phi_n(t) = H_n(t) exp(-t²/2) / (pi^(1/4) sqrt(2^n n!)), evaluated with
     the stable three-term recurrence (no explicit factorials).
     """
+    if n_max < 0:
+        raise ContractViolationError(f"n_max must be >= 0, got {n_max}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros((n_max + 1, t.size))
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * t * t)
@@ -464,6 +468,8 @@ def momentum_eigenbra(dim: int) -> np.ndarray:
     evaluates the (unnormalizable) momentum-eigenstate overlap used by
     homodyne post-selection at outcome p = 0.
     """
+    if dim < 1:
+        raise ContractViolationError(f"dim must be >= 1, got {dim}")
     phi = hermite_functions(dim - 1, np.array([0.0]))[:, 0]
     return ((-1j) ** np.arange(dim) * phi).conj()
 

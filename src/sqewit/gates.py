@@ -46,7 +46,8 @@ def couple_and_condition(mode1: FockState, mode2: FockState, kind: str) -> GateO
 
 
 def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
-    """Fidelity and success norm for one resource, as a flat record.
+    """Fidelity and success norm for one resource, as a flat record of
+    computed values only (the inputs are the caller's to record).
 
     The fidelity is the overlap of the output conditioned from
     |resource> ⊗ |0> with the ideal target at the resource's dimension;
@@ -59,8 +60,4 @@ def gate_report(resource: FockState, kind: str, u: float, phi: float) -> dict:
     return {
         "fidelity": fock.overlap_fidelity(outcome.output, target),
         "success_norm": outcome.success_norm,
-        "kind": kind.upper(),
-        "u": u,
-        "phi": phi,
-        "dim": resource.dim,
     }

@@ -141,11 +141,6 @@ def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def _lexicographic_key(vec: np.ndarray) -> tuple:
-    rounded = np.round(vec, 12)
-    return tuple(v for pair in zip(rounded.real, rounded.imag) for v in pair)
-
-
 def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> GroundStateReport:
     """Best approximation of the target superposition at the requested dimension.
 
@@ -154,7 +149,9 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
     parity (even for phi = 0, odd for phi = pi) is selected so the returned
     state approximates the requested superposition rather than whichever
     parity happens to sit lowest at small dimensions. The global phase is
-    gauged so the largest-magnitude amplitude is real positive.
+    gauged so the largest-magnitude amplitude is real positive. In a
+    degenerate sector (ground gap below DEGENERACY_GAP, flagged in the
+    report) the state is the solver's first ground eigenvector.
     """
     if sector == "auto":
         sector = _sector_for_phase(spec.phi)
@@ -163,26 +160,15 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
     block = w[np.ix_(idx, idx)]
     eig = fock.hermitian_eig(block)
     gap = float(eig.values[1] - eig.values[0]) if eig.values.size > 1 else math.inf
-    degenerate = gap < DEGENERACY_GAP
-    candidates = [eig.vectors[:, 0]]
-    if degenerate:
-        candidates = [
-            eig.vectors[:, j]
-            for j in range(eig.values.size)
-            if eig.values[j] - eig.values[0] < DEGENERACY_GAP
-        ]
-    gauged = [_fix_gauge(v) for v in candidates]
-    ground = min(gauged, key=_lexicographic_key)
-
     amps = np.zeros(spec.dim, dtype=complex)
-    amps[idx] = ground
+    amps[idx] = _fix_gauge(eig.vectors[:, 0])
     state = FockState(amps)
     return GroundStateReport(
         state=state,
         eigenvalue=float(eig.values[0]),
         xi_db=witness.sqe_squeezing_db(state, spec),
         stellar_rank_bound=stellar_rank_bound(spec.dim, sector),
-        degenerate=degenerate,
+        degenerate=gap < DEGENERACY_GAP,
         sector=sector,
     )
 

@@ -26,6 +26,8 @@ from .fock import FockState
 EXPECTATION_FLOOR = 1e-14
 
 GAUSSIAN_R_BRACKET = (-5.0, 10.0)
+# A golden-section minimizer this close to a bracket end has run into it.
+_BRACKET_EDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,12 @@ def comb_diagonal_exact(u: float, phi: float, n: int, j_cut: int | None = None) 
     """
     if u <= 0:
         raise ContractViolationError(f"u must be > 0, got {u}")
+    if n < 0:
+        raise ContractViolationError(f"Fock level must be >= 0, got {n}")
     if j_cut is None:
         j_cut = _auto_j_cut(u, phi, n)
+    if j_cut < 1:
+        raise ContractViolationError(f"j_cut must be >= 1, got {j_cut}")
     js = np.arange(1 - j_cut, j_cut + 1)
     pts = comb_points(u, phi, js)
     phi_n = fock.hermite_functions(n, pts)[n]
@@ -255,7 +261,7 @@ class GaussianBound:
 
 def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
     """Witness expectation on a vacuum squeezed by r (x-variance e^(-2r)/2)."""
-    nome = math.exp(-u * u * math.exp(2.0 * r)) if u * u * math.exp(2.0 * r) < 745 else 0.0
+    nome = math.exp(-u * u * math.exp(2.0 * r))
     quartic = u**4 + 0.75 * math.exp(-4.0 * r) - u * u * math.exp(-2.0 * r)
     return quartic + (u * c / math.pi) * theta3_half_pi(nome)
 
@@ -264,11 +270,12 @@ def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
 def gaussian_bound(u: float, c: float) -> GaussianBound:
     """Benchmark minimum of the witness expectation over Gaussian states.
 
-    Two candidate optima: a centered squeezed vacuum (minimized over the
-    squeezing parameter by golden section) and the infinitely squeezed
-    state displaced to u, whose expectation is u*c/pi. The comb offset phi
-    moves neither optimum, so the bound depends on (u, c) only.
-    For the degenerate c = 0 family only the squeezed-vacuum branch is a
+    Two candidate optima: a centered squeezed vacuum, minimized over the
+    squeezing parameter by golden section on GAUSSIAN_R_BRACKET (a
+    minimizer that ends within 1e-9 of an end raises OptimizerFailure), and
+    the infinitely squeezed state displaced to u, whose expectation is
+    u*c/pi. The comb offset phi moves neither optimum, so the bound
+    depends on (u, c) only. For the degenerate c = 0 family only the squeezed-vacuum branch is a
     meaningful benchmark (the displaced branch collapses to zero together
     with the comb weight) and it is returned unconditionally. Cached per
     (u, c); the result is immutable.
@@ -279,13 +286,11 @@ def gaussian_bound(u: float, c: float) -> GaussianBound:
         raise ContractViolationError(f"c must be >= 0, got {c}")
 
     lo, hi = GAUSSIAN_R_BRACKET
-    f = lambda r: squeezed_vacuum_expectation(u, c, r)
-    h = 1e-6
-    if f(lo + h) - f(lo) >= 0.0 or f(hi) - f(hi - h) <= 0.0:
+    r_star, e_a = _golden_min(lambda r: squeezed_vacuum_expectation(u, c, r), lo, hi)
+    if min(r_star - lo, hi - r_star) < _BRACKET_EDGE:
         raise OptimizerFailure(
-            f"squeezed-vacuum branch is not bracketed on r in [{lo}, {hi}] for u={u}, c={c}"
+            f"squeezed-vacuum minimum at r = {r_star} is not inside [{lo}, {hi}] for u={u}, c={c}"
         )
-    r_star, e_a = _golden_min(f, lo, hi)
     e_b = u * c / math.pi
 
     if c > 0.0 and e_b < e_a:
@@ -323,15 +328,14 @@ def sqe_squeezing_db(state: FockState, spec: WitnessSpec) -> float:
 
 
 def witness_report(state: FockState, spec: WitnessSpec) -> dict:
-    """Expectation, Gaussian benchmark, and squeezing in dB as one record."""
+    """Expectation, Gaussian benchmark, and squeezing in dB as one record.
+
+    Computed values only; the inputs (the spec, the state's dimension) are
+    the caller's to record.
+    """
     bound = gaussian_bound(spec.u, spec.c)
     expect = fock.expectation(build_witness(spec), state)
     return {
-        "u": spec.u,
-        "phi": spec.phi,
-        "c": spec.c,
-        "dim": spec.dim,
-        "k": spec.k,
         "expectation": expect,
         "gaussian_bound": bound.value,
         "branch": bound.branch,

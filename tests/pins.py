@@ -18,12 +18,16 @@ problem of the pareto store. All of them read one shared computation.
   gate-breed benchmark's dimensions, was recorded while each Gaussian
   candidate still went through all its eigenbases per evaluation and every
   padded builder solved its own spectrum.
-- `csv`: the sha256 of CSV files written by the CLI, recorded while
-  `serialize.write_csv` still formatted each cell on its own
-  (`f"{value:.17g}"` for floats, `str` otherwise, one join per row). The two
-  `wigner` keys were re-recorded when `fock.wigner` moved to Clenshaw
-  summation, and `ground|u=3|phi=pi|dims=9:9` when the odd sector's
-  `stellar_bound` became its highest level (7, not 8).
+- `csv`: the sha256 of the files the CLI writes, not only its CSV tables.
+  The CSV keys were recorded while `serialize.write_csv` still formatted
+  each cell on its own (`f"{value:.17g}"` for floats, `str` otherwise, one
+  join per row). The two `wigner` keys were re-recorded when `fock.wigner`
+  moved to Clenshaw summation, and `ground|u=3|phi=pi|dims=9:9` when the
+  odd sector's `stellar_bound` became its highest level (7, not 8). The
+  JSON records (a ground state file, the witness, gate and breed reports,
+  the bred state file and the frontier `.meta.json` files) were added once
+  no output held a clock reading and each input was echoed once, under
+  `metadata.config` or the frontier's `config`.
 - `pareto`: `float.hex` of the NSGA-II history and of each front point's
   (objective_1, objective_2, crowding) for seed 3, population 20 and 20
   generations at N = 4, recorded with the O(n^2) peeling sort re-run on
@@ -104,10 +108,10 @@ def construction_values() -> dict:
     return values
 
 
-# Each run: (key prefix, CLI arguments, CSV files it writes relative to the work directory).
+# Each run: (key prefix, CLI arguments, files it writes relative to the work directory).
 _PI = repr(math.pi)
 RUNS = (
-    ("ground|u=3|phi=0|dims=3:12", ["ground", "--dims", "3:12", "--out", "g"], ["g/index.csv"]),
+    ("ground|u=3|phi=0|dims=3:12", ["ground", "--dims", "3:12", "--out", "g"], ["g/index.csv", "g/state_N8.json"]),
     ("ground|u=3|phi=pi|dims=9:9", ["ground", "--phi", _PI, "--dims", "9:9", "--out", "godd"], ["godd/index.csv"]),
     (
         "wigner|even N=8|xmax=6|pmax=6|step=0.05",
@@ -120,20 +124,31 @@ RUNS = (
         ["w9.csv"],
     ),
     ("opaccuracy|u=3|k=100|nmax=30", ["opaccuracy", "--nmax", "30", "--out", "acc.csv"], ["acc.csv"]),
+    ("witness|even N=8|u=3|phi=0|c=10|k=100", ["witness", "--state", "g/state_N8.json", "--out", "w.json"], ["w.json"]),
+    (
+        "gate|even N=8|kind=QND|u=2|phi=0",
+        ["gate", "--state", "g/state_N8.json", "--kind", "qnd", "--u", "2", "--out", "gate.json"],
+        ["gate.json"],
+    ),
+    (
+        "breed|even N=8|rounds=2",
+        ["breed", "--state", "g/state_N8.json", "--rounds", "2", "--out", "b.json", "--state-out", "bred.json"],
+        ["b.json", "bred.json"],
+    ),
     (
         "frontier|fidelity|dim=4|pop=20|gens=5|seed=1",
         ["frontier", "--dim", "4", "--pop", "20", "--gens", "5", "--seed", "1", "--out", "f.csv"],
-        ["f.csv", "f.genomes.csv"],
+        ["f.csv", "f.genomes.csv", "f.meta.json"],
     ),
     (
         "frontier|fidelity|dim=4|pop=20|gens=0|seed=2",
         ["frontier", "--dim", "4", "--pop", "20", "--gens", "0", "--seed", "2", "--out", "f0.csv"],
-        ["f0.csv", "f0.genomes.csv"],
+        ["f0.csv", "f0.genomes.csv", "f0.meta.json"],
     ),
     (
         "frontier|gkp|dim=4|pop=12|gens=2|seed=3",
         ["frontier", "--problem", "gkp", "--dim", "4", "--pop", "12", "--gens", "2", "--seed", "3", "--out", "fg.csv"],
-        ["fg.csv", "fg.genomes.csv"],
+        ["fg.csv", "fg.genomes.csv", "fg.meta.json"],
     ),
 )
 

@@ -65,9 +65,9 @@ API_SURFACE = {
         "couple_and_condition": ("mode1", "mode2", "kind"), "gate_report": ("resource", "kind", "u", "phi"),
     },
     "sqewit.breeding": {
-        "breed_round": ("a", "b"), "BreedingRun": ("input", "rounds", "outputs_per_round", "success_norms"),
+        "breed_round": ("a", "b"), "BreedingRun": ("input", "outputs_per_round", "success_norms"),
         "BreedingRun.final": None, "breed_protocol": ("state", "rounds"), "build_q0": ("dim",),
-        "GkpWitness": ("dim", "matrix", "gaussian_min"), "gkp_witness": ("dim",), "gaussian_min_q0": ("dim",),
+        "GkpWitness": ("matrix", "gaussian_min"), "gkp_witness": ("dim",), "gaussian_min_q0": ("dim",),
         "gkp_squeezing_db": ("state", "witness"), "breeding_report": ("run",),
     },
     "sqewit.pareto": {

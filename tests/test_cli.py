@@ -226,6 +226,12 @@ def test_ground_creates_missing_parents_after_the_sweep(runner, tmp_path):
 
 
 class TestGroundCommand:
+    def test_large_u_gaussian_bound_is_not_refused(self, runner, tmp_path):
+        # Exited 3 when the Gaussian bound's bracket probes refused u = 6, c = 10.
+        result = runner.invoke(main, ["ground", "--u", "6", "--dims", "10:10", "--out", str(tmp_path / "g")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "g" / "state_N10.json").is_file()
+
     def test_sweep_output(self, runner, tmp_path):
         out = tmp_path / "sweep"
         result = runner.invoke(main, ["ground", "--dims", "3:12", "--out", str(out)])
@@ -290,7 +296,9 @@ class TestGateCommand:
         payload = json.loads(result.output)
         assert 0.0 <= payload["fidelity"] <= 1.0
         assert payload["success_norm"] > 0
-        assert payload["dim"] == 20
+        assert set(payload) == {"fidelity", "success_norm", "metadata"}
+        config = {"kind": "BS", "u": 2.0, "phi": 0.0}
+        assert payload["metadata"] == {"config": config, "state_file": str(vacuum_file), "dim": 20}
 
     def test_seventy_levels_gate_and_breed(self, runner, tmp_path):
         # Two-mode work has no dimension cap: both gates and a breeding
@@ -355,7 +363,7 @@ class TestFrontierCommand:
         cfg.write_text(json.dumps({"seed": 3, "dim": 2, "pop": 4, "gens": 1}))
         result = runner.invoke(main, ["frontier", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
         assert result.exit_code == 0, result.output
-        assert json.loads((tmp_path / "f.meta.json").read_text())["seed"] == 3
+        assert json.loads((tmp_path / "f.meta.json").read_text())["config"]["seed"] == 3
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--seed", "1", "--rounds", "-1"]])
     def test_out_of_range_search_inputs_exit_3(self, runner, tmp_path, flags):
@@ -372,8 +380,9 @@ class TestFrontierCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.genomes.csv").read_bytes() == (tmp_path / "b.genomes.csv").read_bytes()
         meta = json.loads((tmp_path / "a.meta.json").read_text())
-        assert meta["seed"] == 1
-        assert meta["generations_completed"] == 5
+        assert set(meta) == {"config", "evaluations", "front_size", "genome_sidecar"}
+        assert meta["config"]["seed"] == 1
+        assert meta["config"]["gens"] == 5
 
     def test_csv_header_matches_problem(self, runner, tmp_path):
         out = tmp_path / "g.csv"
@@ -493,9 +502,8 @@ class TestConfigMerge:
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["u"] == 2.0  # from config
-        assert payload["c"] == 7.0  # flag wins
-        assert payload["metadata"]["config"]["u"] == 2.0
+        assert payload["metadata"]["config"]["u"] == 2.0  # from config
+        assert payload["metadata"]["config"]["c"] == 7.0  # flag wins
 
     def test_unknown_config_key_rejected(self, runner, vacuum_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -563,12 +571,7 @@ class TestConfigMerge:
         args = [command] + args
 
         def written():
-            files = {name: (tmp_path / name).read_bytes() for name in outputs}
-            if "f.meta.json" in files:
-                meta = json.loads(files["f.meta.json"])
-                del meta["wall_time_s"]
-                files["f.meta.json"] = meta
-            return files
+            return {name: (tmp_path / name).read_bytes() for name in outputs}
 
         flags = [f for key, value in config.items() for f in (f"--{key}", str(value))]
         assert runner.invoke(main, args + flags).exit_code == 0
@@ -692,8 +695,8 @@ def _run_jobs(cwd, block_scipy):
     """Run _RUNTIME_JOBS through CliRunner in a child process in cwd.
 
     Returns each job's (exit code, output), the scipy modules loaded at the
-    end, and every file written (bytes; the frontier meta file parsed, less
-    its wall time). With block_scipy, importing scipy raises ImportError.
+    end, and the bytes of every file written. With block_scipy, importing
+    scipy raises ImportError.
     """
     code = (
         "import json, sys\n"
@@ -709,9 +712,6 @@ def _run_jobs(cwd, block_scipy):
     result = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
     run = json.loads(result.stdout)
     run["files"] = {path.relative_to(cwd).as_posix(): path.read_bytes() for path in cwd.rglob("*") if path.is_file()}
-    meta = json.loads(run["files"]["f.meta.json"])
-    del meta["wall_time_s"]
-    run["files"]["f.meta.json"] = meta
     return run
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, eval_genlaguerre, gammaln
 
-from sqewit import fock, states
+from sqewit import fock, states, witness
 from sqewit.errors import ContractViolationError
 from sqewit.witness import WitnessSpec
 
@@ -31,6 +31,25 @@ def test_number_operator_diagonal():
 def test_annihilation_rejects_zero_dim():
     with pytest.raises(ContractViolationError):
         fock.annihilation(0)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (fock.hermite_functions, (-1, np.zeros(3))),
+        (fock.momentum_eigenbra, (0,)),
+        (fock.crop, (np.eye(3), -1)),
+        (fock.crop, (np.eye(3), 0)),
+        (fock.crop, (np.eye(3), 5)),
+        (witness.comb_diagonal_exact, (2.0, 0.0, -1)),
+        (witness.comb_diagonal_exact, (2.0, 0.0, 3, 0)),
+    ],
+    ids=["hermite_n_max=-1", "eigenbra_dim=0", "crop=-1", "crop=0", "crop=5_of_3", "comb_n=-1", "comb_j_cut=0"],
+)
+def test_out_of_range_dimension_or_index_raises_contract_violation(func, args):
+    # They raised IndexError or ValueError, or returned a wrong block or 0.0.
+    with pytest.raises(ContractViolationError):
+        func(*args)
 
 
 def test_quadrature_moments():

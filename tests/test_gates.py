@@ -172,7 +172,5 @@ class TestInteractionFidelity:
 
     def test_gate_report_fields(self):
         report = gates.gate_report(fock.vacuum(20), "bs", 2.0, 0.0)
-        assert set(report) == {"fidelity", "success_norm", "kind", "u", "phi", "dim"}
-        assert report["kind"] == "BS"
-        assert report["dim"] == 20
+        assert set(report) == {"fidelity", "success_norm"}
         assert 0.0 <= report["fidelity"] <= 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqewit import fock, witness
-from sqewit.errors import ContractViolationError
+from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.witness import WitnessSpec
 
 
@@ -174,12 +174,20 @@ class TestGaussianBound:
         direct = sum((-1.0) ** n * q ** (n * n) for n in range(-60, 61))
         assert witness.theta3_half_pi(q) == pytest.approx(direct, rel=1e-14)
 
+    # u = 0.1 ... 10.0 in steps of 0.1 for four comb weights. Finite-difference
+    # probes at the bracket ends, where the branch is flat to rounding,
+    # refused 86 of these 400 points, from u = 6.0 at c = 0.
+    GRID = [(0.1 * i, c) for i in range(1, 101) for c in (0.0, 5.0, 10.0, 20.0)]
+
     def test_c_zero_calculus_oracle(self):
         # Stationary point e^{-2r} = 2u²/3 gives min = 2u⁴/3.
         b = witness.gaussian_bound(3.0, 0.0)
         assert b.value == pytest.approx(54.0, abs=1e-6)
-        assert b.branch == "squeezed-vacuum"
-        assert math.exp(-2 * b.argmin_r) == pytest.approx(6.0, rel=1e-5)
+        for u in (u for u, c in self.GRID if c == 0.0):
+            b = witness.gaussian_bound(u, 0.0)
+            assert b.value == pytest.approx(2.0 * u**4 / 3.0, rel=1e-12, abs=0.0), u
+            assert b.branch == "squeezed-vacuum"
+            assert math.exp(-2 * b.argmin_r) == pytest.approx(2.0 * u * u / 3.0, rel=1e-5), u
 
     def test_displaced_branch_wins_at_c10(self):
         b = witness.gaussian_bound(3.0, 10.0)
@@ -199,6 +207,17 @@ class TestGaussianBound:
     def test_rejects_negative_c(self):
         with pytest.raises(ContractViolationError):
             witness.gaussian_bound(3.0, -1.0)
+
+    def test_ordinary_inputs_are_not_refused(self):
+        for u, c in self.GRID:
+            bound = witness.gaussian_bound(u, c)
+            assert math.isfinite(bound.value) and bound.value > 0.0, (u, c)
+
+    def test_minimum_outside_the_bracket_is_refused(self):
+        # At c = 0 the minimizer is r* = -ln(2u²/3)/2 = 11.7 for u = 1e-5,
+        # beyond the bracket's upper end 10.
+        with pytest.raises(OptimizerFailure):
+            witness.gaussian_bound(1e-5, 0.0)
 
     def test_lower_bound_over_random_gaussians(self):
         # 500 squeezed-displaced-rotated vacuums at N=60 must sit above the
