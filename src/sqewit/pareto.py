@@ -416,7 +416,7 @@ def evolve(
     if breeding_rounds < 0:
         raise ContractViolationError(f"breeding_rounds must be >= 0, got {breeding_rounds}")
     objective = _make_objectives(problem, spec, breeding_rounds)
-    bound = witness.gaussian_bound(spec.u, spec.c)
+    bound = witness.gaussian_bound(spec.u, spec.c, spec.k)
     rng = np.random.default_rng(cfg.seed)
     genes = 2 * spec.dim
 

@@ -26,6 +26,9 @@ class CatSpec:
     dim: int
 
     def __post_init__(self):
+        for name in ("u", "r", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dim < 2:
             raise ContractViolationError(f"cat dimension must be >= 2, got {self.dim}")
 
@@ -141,7 +144,7 @@ def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> GroundStateReport:
+def optimal_sqe_approximation(spec: WitnessSpec) -> GroundStateReport:
     """Best approximation of the target superposition at the requested dimension.
 
     Ground state of the truncated witness. For the symmetric phases the
@@ -153,8 +156,7 @@ def optimal_sqe_approximation(spec: WitnessSpec, sector: str = "auto") -> Ground
     degenerate sector (ground gap below DEGENERACY_GAP, flagged in the
     report) the state is the solver's first ground eigenvector.
     """
-    if sector == "auto":
-        sector = _sector_for_phase(spec.phi)
+    sector = _sector_for_phase(spec.phi)
     idx = _sector_indices(spec.dim, sector)
     w = witness.build_witness(spec)
     block = w[np.ix_(idx, idx)]

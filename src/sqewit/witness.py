@@ -4,8 +4,9 @@ The witness is a positive-semidefinite family W(u, phi, c) = X(u) + c * P(u, phi
 X penalizes wave packets away from x = ±u through (x² - u²)², and P is a comb
 of momentum projectors (approximated by a sharpened sin^2k ridge) that
 penalizes the wrong interference phase. Expectations are benchmarked against
-the minimum over Gaussian states, and the ratio in decibels is the
-nonlinear-squeezing figure of merit: negative dB certifies non-Gaussianity.
+the minimum over Gaussian states of the same operator, the sin^2k ridge with
+its own k, and the ratio in decibels is the nonlinear-squeezing figure of
+merit: negative dB certifies non-Gaussianity.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ class WitnessSpec:
     k: int = 100
 
     def __post_init__(self):
-        if self.u <= 0:
-            raise ContractViolationError(f"u must be > 0, got {self.u}")
-        if self.c < 0:
-            raise ContractViolationError(f"c must be >= 0, got {self.c}")
+        if not 0 < self.u < math.inf:
+            raise ContractViolationError(f"u must be finite and > 0, got {self.u}")
+        if not math.isfinite(self.phi):
+            raise ContractViolationError(f"phi must be finite, got {self.phi}")
+        if not 0 <= self.c < math.inf:
+            raise ContractViolationError(f"c must be finite and >= 0, got {self.c}")
         if self.k < 1:
             raise ContractViolationError(f"k must be >= 1, got {self.k}")
         if self.dim < 1:
@@ -214,20 +217,6 @@ def build_witness(spec: WitnessSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def theta3_half_pi(q: float) -> float:
-    """Third Jacobi theta function at z = -pi/2: sum of (-1)^n q^(n²)."""
-    if not 0.0 <= q < 1.0:
-        raise ContractViolationError(f"theta3 nome must lie in [0, 1), got {q}")
-    total = 1.0
-    n = 1
-    while True:
-        term = q ** (n * n)
-        if term < 1e-16:
-            return total
-        total += 2.0 * (-1.0) ** n * term
-        n += 1
-
-
 _GOLDEN_TOL = 1e-12
 
 
@@ -259,37 +248,47 @@ class GaussianBound:
     argmin_r: float | None
 
 
-def squeezed_vacuum_expectation(u: float, c: float, r: float) -> float:
-    """Witness expectation on a vacuum squeezed by r (x-variance e^(-2r)/2)."""
-    nome = math.exp(-u * u * math.exp(2.0 * r))
+def squeezed_vacuum_expectation(u: float, c: float, r: float, k: int) -> float:
+    """Witness expectation on a vacuum squeezed by r (x-variance e^(-2r)/2).
+
+    Each harmonic c_m e^(2imup) of `_sin_power_harmonics(k)` averages to
+    c_m e^(-m² u² e^(2r)), and comb_prefactor(u, k) c_0 = u/pi, so the comb
+    part is (u c/pi) [1 + 2 sum_m (c_m/c_0) e^(-m² u² e^(2r))].
+    """
+    ms, cs = _sin_power_harmonics(k)
+    decay = np.exp(-(ms[1:] ** 2) * (u * u * math.exp(2.0 * r)))
+    comb = 1.0 + 2.0 * float(np.dot(cs[1:] / cs[0], decay))
     quartic = u**4 + 0.75 * math.exp(-4.0 * r) - u * u * math.exp(-2.0 * r)
-    return quartic + (u * c / math.pi) * theta3_half_pi(nome)
+    return quartic + (u * c / math.pi) * comb
 
 
 @lru_cache(maxsize=64)
-def gaussian_bound(u: float, c: float) -> GaussianBound:
+def gaussian_bound(u: float, c: float, k: int) -> GaussianBound:
     """Benchmark minimum of the witness expectation over Gaussian states.
 
     Two candidate optima: a centered squeezed vacuum, minimized over the
     squeezing parameter by golden section on GAUSSIAN_R_BRACKET (a
     minimizer that ends within 1e-9 of an end raises OptimizerFailure), and
     the infinitely squeezed state displaced to u, whose expectation is
-    u*c/pi. The comb offset phi moves neither optimum, so the bound
-    depends on (u, c) only. For the degenerate c = 0 family only the squeezed-vacuum branch is a
+    u*c/pi for every k. Both price the witness's own sin^2k comb. The comb
+    offset phi moves neither optimum, so the bound depends on (u, c, k)
+    only. For the degenerate c = 0 family only the squeezed-vacuum branch is a
     meaningful benchmark (the displaced branch collapses to zero together
     with the comb weight) and it is returned unconditionally. Cached per
-    (u, c); the result is immutable.
+    (u, c, k); the result is immutable.
     """
-    if u <= 0:
-        raise ContractViolationError(f"u must be > 0, got {u}")
-    if c < 0:
-        raise ContractViolationError(f"c must be >= 0, got {c}")
+    if not 0 < u < math.inf:
+        raise ContractViolationError(f"u must be finite and > 0, got {u}")
+    if not 0 <= c < math.inf:
+        raise ContractViolationError(f"c must be finite and >= 0, got {c}")
+    if k < 1:
+        raise ContractViolationError(f"k must be >= 1, got {k}")
 
     lo, hi = GAUSSIAN_R_BRACKET
-    r_star, e_a = _golden_min(lambda r: squeezed_vacuum_expectation(u, c, r), lo, hi)
+    r_star, e_a = _golden_min(lambda r: squeezed_vacuum_expectation(u, c, r, k), lo, hi)
     if min(r_star - lo, hi - r_star) < _BRACKET_EDGE:
         raise OptimizerFailure(
-            f"squeezed-vacuum minimum at r = {r_star} is not inside [{lo}, {hi}] for u={u}, c={c}"
+            f"squeezed-vacuum minimum at r = {r_star} is not inside [{lo}, {hi}] for u={u}, c={c}, k={k}"
         )
     e_b = u * c / math.pi
 
@@ -320,11 +319,7 @@ def sqe_squeezing_db(state: FockState, spec: WitnessSpec) -> float:
     negative values certify non-Gaussianity. Expectations that round below
     the positivity floor are clamped (with a warning) before the log.
     """
-    if state.dim != spec.dim:
-        raise ContractViolationError(
-            f"state dimension {state.dim} does not match witness dimension {spec.dim}"
-        )
-    return ratio_db(fock.expectation(build_witness(spec), state), gaussian_bound(spec.u, spec.c).value)
+    return ratio_db(fock.expectation(build_witness(spec), state), gaussian_bound(spec.u, spec.c, spec.k).value)
 
 
 def witness_report(state: FockState, spec: WitnessSpec) -> dict:
@@ -333,7 +328,7 @@ def witness_report(state: FockState, spec: WitnessSpec) -> dict:
     Computed values only; the inputs (the spec, the state's dimension) are
     the caller's to record.
     """
-    bound = gaussian_bound(spec.u, spec.c)
+    bound = gaussian_bound(spec.u, spec.c, spec.k)
     expect = fock.expectation(build_witness(spec), state)
     return {
         "expectation": expect,

@@ -31,8 +31,8 @@ def _report(num: int, ok: bool, detail: str) -> str:
 
 def test_criterion_01_gaussian_bound_oracle():
     started = time.time()
-    b0 = witness.gaussian_bound(3.0, 0.0)
-    b10 = witness.gaussian_bound(3.0, 10.0)
+    b0 = witness.gaussian_bound(3.0, 0.0, 100)
+    b10 = witness.gaussian_bound(3.0, 10.0, 100)
     elapsed = time.time() - started
     ok = (
         abs(b0.value - 54.0) <= 1e-6
@@ -224,7 +224,7 @@ def test_criterion_05_witness_fires():
     # smallest eigenvalue of that block (its position floor): where the floor
     # sits at or above the Gaussian bound the witness cannot fire.
     started = time.time()
-    bound = witness.gaussian_bound(3.0, 10.0)
+    bound = witness.gaussian_bound(3.0, 10.0, 100)
     rows = []
     for dim in range(4, 17):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)

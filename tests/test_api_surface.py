@@ -47,9 +47,9 @@ API_SURFACE = {
         "momentum_comb": ("u", "phi", "k", "dim"), "comb_points": ("u", "phi", "j_values"),
         "comb_diagonal_exact": ("u", "phi", "n", "j_cut"),
         "AccuracyRow": ("n", "exact", "approx", "rel_error"), "accuracy_scan": ("u", "k", "n_max"),
-        "build_witness": ("spec",), "theta3_half_pi": ("q",),
-        "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r"),
-        "gaussian_bound": ("u", "c"), "ratio_db": ("value", "benchmark"),
+        "build_witness": ("spec",),
+        "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r", "k"),
+        "gaussian_bound": ("u", "c", "k"), "ratio_db": ("value", "benchmark"),
         "sqe_squeezing_db": ("state", "spec"), "witness_report": ("state", "spec"),
     },
     "sqewit.states": {
@@ -57,7 +57,7 @@ API_SURFACE = {
         "squeezed_cat": ("spec", "max_loss"), "even_cat_expectation_closed_form": ("u", "r"),
         "stellar_rank_bound": ("dim", "sector"),
         "GroundStateReport": ("state", "eigenvalue", "xi_db", "stellar_rank_bound", "degenerate", "sector"),
-        "optimal_sqe_approximation": ("spec", "sector"), "ground_state_sweep": ("u", "phi", "c", "dims", "k"),
+        "optimal_sqe_approximation": ("spec",), "ground_state_sweep": ("u", "phi", "c", "dims", "k"),
         "ideal_gate_target": ("kind", "u", "phi", "dim"),
     },
     "sqewit.gates": {

@@ -41,6 +41,10 @@ def test_no_knobs_without_callers():
     assert list(pareto.NsgaConfig.__dataclass_fields__) == ["seed", "population", "generations"]
     assert (pareto.CROSSOVER_PROB, pareto.CROSSOVER_ETA, pareto.MUTATION_ETA) == (0.9, 15.0, 20.0)
     assert "cfg" not in inspect.signature(pareto.variation).parameters
+    assert "sector" not in inspect.signature(states.optimal_sqe_approximation).parameters
+    # The Gaussian benchmark prices the witness's own comb: k has no default.
+    for func in (witness.gaussian_bound, witness.squeezed_vacuum_expectation):
+        assert inspect.signature(func).parameters["k"].default is inspect.Parameter.empty, func.__name__
     for module, name in (
         (fock, "creation"),
         (fock, "momentum_wavefunction"),
@@ -48,6 +52,7 @@ def test_no_knobs_without_callers():
         (fock, "number_operator"),
         (fock.FockState, "padded"),
         (witness.GaussianBound, "as_dict"),
+        (witness, "theta3_half_pi"),
         (gates, "interaction_fidelity"),
         (pareto, "worst_corner"),
         (cli, "_apply_config"),

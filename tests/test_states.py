@@ -147,9 +147,10 @@ class TestOptimalApproximation:
         # sector; the sector-resolved report targets the even superposition.
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=4, k=100)
         even = states.optimal_sqe_approximation(spec)
-        full = states.optimal_sqe_approximation(spec, sector="full")
-        assert full.eigenvalue <= even.eigenvalue
-        assert np.max(np.abs(full.state.amps[0::2])) < 1e-12  # odd ground
+        full = fock.hermitian_eig(witness.build_witness(spec))
+        assert even.sector == "even"
+        assert full.values[0] <= even.eigenvalue
+        assert np.max(np.abs(full.vectors[0::2, 0])) < 1e-12  # odd ground
 
     def test_eigenvalue_nonincreasing_with_ties(self):
         sweep = states.ground_state_sweep(3.0, 0.0, 10.0, list(range(3, 13)))

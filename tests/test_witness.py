@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from sqewit import fock, witness
+from sqewit import fock, pareto, witness
 from sqewit.errors import ContractViolationError, OptimizerFailure
+from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
 
 
@@ -138,7 +142,7 @@ class TestBuildWitness:
     def test_ground_below_gaussian_bound_at_dim_20(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=20, k=100)
         lam = fock.hermitian_eig(np.asarray(witness.build_witness(spec))).values[0]
-        bound = witness.gaussian_bound(3.0, 10.0).value
+        bound = witness.gaussian_bound(3.0, 10.0, 100).value
         assert lam < bound
 
     def test_psd_with_scaled_floor(self):
@@ -165,15 +169,83 @@ class TestBuildWitness:
             WitnessSpec(u=1.0, phi=0.0, c=1.0, dim=5, k=0)
 
 
+# Valid keyword arguments of each entry point that refuses non-finite values
+# (and, for gaussian_bound, k < 1) before they reach the numerics.
+_VALID_INPUTS = {
+    WitnessSpec: {"u": 3.0, "phi": 0.0, "c": 10.0, "dim": 8},
+    CatSpec: {"u": 2.0, "r": 0.5, "phi": 0.0, "dim": 8},
+    witness.gaussian_bound: {"u": 3.0, "c": 10.0, "k": 100},
+}
+
+
+@pytest.mark.parametrize(
+    "make, field, bad",
+    [
+        *((WitnessSpec, field, bad) for field in ("u", "phi", "c") for bad in (math.nan, math.inf, -math.inf)),
+        *((CatSpec, field, bad) for field in ("u", "r", "phi") for bad in (math.nan, math.inf, -math.inf)),
+        *((witness.gaussian_bound, field, bad) for field in ("u", "c") for bad in (math.nan, math.inf)),
+        (witness.gaussian_bound, "k", 0),
+    ],
+)
+def test_unusable_inputs_are_refused_by_name(make, field, bad):
+    with pytest.raises(ContractViolationError, match=f"^{field} must be"):
+        make(**{**_VALID_INPUTS[make], field: bad})
+
+
+def _gaussian_grid_minimum(u, c, k):
+    """Brute-force minimum of the witness expectation over Gaussian marginals.
+
+    A pure Gaussian with x-mean mu, x-variance v = e^{-2r}/2, momentum mean 0
+    and momentum variance 1/(4v) has E[(x² - u²)²] = mu⁴ + (6v - 2u²) mu² +
+    3v² - 2u²v + u⁴, and each harmonic e^{2imup} of the comb averages to
+    e^{-m²u²e^{2r}}. The comb weights are exact binomial ratios
+    C(2k, k+m)/C(2k, k), with the sin^2k sign (-1)^m. The grid is mu = 0 ...
+    1.5u (mu = 0 and mu = u exactly on it) by r = -6 ... 12 plus r = inf, the
+    infinitely squeezed limit. At c = 0 only mu = 0 counts: the benchmark of
+    the degenerate family is the centered one. Returns the grid minimum and
+    its resolution, the largest rise from it to a grid neighbour; a smooth
+    minimum between grid points lies less than that below the grid minimum.
+    """
+    ratios = []
+    for m in range(1, k + 1):
+        ratio = math.comb(2 * k, k + m) / math.comb(2 * k, k)
+        if ratio < 1e-20:
+            break
+        ratios.append((-1.0) ** m * ratio)
+    ms = np.arange(1, len(ratios) + 1)
+    r = np.append(np.linspace(-6.0, 12.0, 4001), np.inf)
+    t = u * u * np.exp(2.0 * r)
+    comb = (u * c / math.pi) * (1.0 + 2.0 * (np.exp(-np.outer(t, ms * ms)) @ np.array(ratios)))
+    v = np.exp(-2.0 * r) / 2.0
+    mu2 = (u * np.arange(601 if c > 0.0 else 1) / 400.0)[:, None] ** 2
+    values = mu2 * mu2 + (6.0 * v - 2.0 * u * u) * mu2 + 3.0 * v * v - 2.0 * u * u * v + u**4 + comb
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    neighbours = [
+        values[a, b]
+        for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+        if 0 <= a < values.shape[0] and 0 <= b < values.shape[1]
+    ]
+    return float(values[i, j]), float(max(neighbours) - values[i, j])
+
+
+def _theta3_bound(u, c):
+    """The k -> infinity benchmark: the comb priced as the projector comb.
+
+    Its squeezed-vacuum branch is quartic + (u c/pi) sum_n (-1)^n q^{n²} with
+    q = e^{-u² e^{2r}}, minimized over r by scipy's bounded Brent search.
+    """
+
+    def expectation(r):
+        t = u * u * math.exp(2.0 * r)
+        n = np.arange(1, math.ceil(math.sqrt(40.0 / t)) + 2)
+        theta = 1.0 + 2.0 * float(np.sum((-1.0) ** n * np.exp(-(n * n) * t)))
+        return u**4 + 0.75 * math.exp(-4.0 * r) - u * u * math.exp(-2.0 * r) + (u * c / math.pi) * theta
+
+    best = minimize_scalar(expectation, bounds=witness.GAUSSIAN_R_BRACKET, method="bounded", options={"xatol": 1e-10})
+    return min(best.fun, u * c / math.pi) if c > 0.0 else best.fun
+
+
 class TestGaussianBound:
-    def test_theta_at_zero_nome(self):
-        assert witness.theta3_half_pi(0.0) == 1.0
-
-    def test_theta_matches_direct_sum(self):
-        q = 0.4
-        direct = sum((-1.0) ** n * q ** (n * n) for n in range(-60, 61))
-        assert witness.theta3_half_pi(q) == pytest.approx(direct, rel=1e-14)
-
     # u = 0.1 ... 10.0 in steps of 0.1 for four comb weights. Finite-difference
     # probes at the bracket ends, where the branch is flat to rounding,
     # refused 86 of these 400 points, from u = 6.0 at c = 0.
@@ -181,16 +253,16 @@ class TestGaussianBound:
 
     def test_c_zero_calculus_oracle(self):
         # Stationary point e^{-2r} = 2u²/3 gives min = 2u⁴/3.
-        b = witness.gaussian_bound(3.0, 0.0)
+        b = witness.gaussian_bound(3.0, 0.0, 100)
         assert b.value == pytest.approx(54.0, abs=1e-6)
         for u in (u for u, c in self.GRID if c == 0.0):
-            b = witness.gaussian_bound(u, 0.0)
+            b = witness.gaussian_bound(u, 0.0, 100)
             assert b.value == pytest.approx(2.0 * u**4 / 3.0, rel=1e-12, abs=0.0), u
             assert b.branch == "squeezed-vacuum"
             assert math.exp(-2 * b.argmin_r) == pytest.approx(2.0 * u * u / 3.0, rel=1e-5), u
 
     def test_displaced_branch_wins_at_c10(self):
-        b = witness.gaussian_bound(3.0, 10.0)
+        b = witness.gaussian_bound(3.0, 10.0, 100)
         assert b.value == pytest.approx(30.0 / math.pi, abs=1e-12)
         assert b.value == pytest.approx(9.54930, abs=1e-5)
         assert b.branch == "infinitely-squeezed"
@@ -201,23 +273,52 @@ class TestGaussianBound:
         # over c > 0. (The degenerate c = 0 point reports the squeezed-vacuum
         # branch instead of the collapsed displaced branch and sits above its
         # small-c neighbors by construction.)
-        values = [witness.gaussian_bound(3.0, c).value for c in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0)]
+        values = [witness.gaussian_bound(3.0, c, 100).value for c in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_rejects_negative_c(self):
         with pytest.raises(ContractViolationError):
-            witness.gaussian_bound(3.0, -1.0)
+            witness.gaussian_bound(3.0, -1.0, 100)
 
     def test_ordinary_inputs_are_not_refused(self):
         for u, c in self.GRID:
-            bound = witness.gaussian_bound(u, c)
+            bound = witness.gaussian_bound(u, c, 100)
             assert math.isfinite(bound.value) and bound.value > 0.0, (u, c)
 
     def test_minimum_outside_the_bracket_is_refused(self):
         # At c = 0 the minimizer is r* = -ln(2u²/3)/2 = 11.7 for u = 1e-5,
         # beyond the bracket's upper end 10.
         with pytest.raises(OptimizerFailure):
-            witness.gaussian_bound(1e-5, 0.0)
+            witness.gaussian_bound(1e-5, 0.0, 100)
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(0.5, 6.0), c=st.floats(0.0, 50.0), k=st.integers(10, 300))
+    @example(u=0.5, c=50.0, k=100)  # old projector-comb bound 0.291163, true minimum 0.30324
+    @example(u=0.5, c=50.0, k=20)
+    def test_brute_force_gaussian_oracle(self, u, c, k):
+        bound = witness.gaussian_bound(u, c, k).value
+        grid_min, resolution = _gaussian_grid_minimum(u, c, k)
+        # Slack for rounding: at mu = u the quartic cancels terms of size u⁴.
+        assert bound <= grid_min + 1e-12 * (grid_min + u**4), (bound, grid_min)
+        assert grid_min - bound <= resolution, (bound, grid_min, resolution)
+
+    # u = 0.5 ... 6 in steps of 0.5 for six comb weights.
+    K_GRID = [(0.5 * i, c) for i in range(1, 13) for c in (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)]
+
+    def test_nonincreasing_in_k(self):
+        # A sharper ridge sits closer to the projector comb, whose Gaussian
+        # minimum lies lowest; the slack is rounding.
+        ks = (10, 20, 50, 100, 300, 1000, 10_000)
+        values = {k: [witness.gaussian_bound(u, c, k).value for u, c in self.K_GRID] for k in ks}
+        for k_low, k_high in zip(ks, ks[1:]):
+            for (u, c), low, high in zip(self.K_GRID, values[k_low], values[k_high]):
+                assert high <= low * (1.0 + 1e-12), (u, c, k_low, k_high)
+
+    def test_projector_comb_limit(self):
+        # At k = 10^4 the ridge's harmonic weights are within e^{-m²/k} of
+        # the projector comb's (-1)^m.
+        for u, c in self.K_GRID:
+            assert witness.gaussian_bound(u, c, 10_000).value == pytest.approx(_theta3_bound(u, c), rel=5e-4), (u, c)
 
     def test_lower_bound_over_random_gaussians(self):
         # 500 squeezed-displaced-rotated vacuums at N=60 must sit above the
@@ -235,7 +336,7 @@ class TestGaussianBound:
 
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)
         w = np.asarray(witness.build_witness(spec))
-        bound = witness.gaussian_bound(3.0, 10.0).value
+        bound = witness.gaussian_bound(3.0, 10.0, 100).value
 
         rng = np.random.default_rng(42)
         worst = np.inf
@@ -252,9 +353,24 @@ class TestGaussianBound:
 
 
 class TestSqueezingDb:
+    def test_every_caller_benchmarks_at_the_spec_k(self):
+        # At u = 0.5, c = 50 the squeezed-vacuum branch wins, so the bound
+        # moves with k: k = 20 sits 0.69 dB above k = 100.
+        spec = WitnessSpec(u=0.5, phi=0.0, c=50.0, dim=6, k=20)
+        bound = witness.gaussian_bound(0.5, 50.0, 20).value
+        assert bound != witness.gaussian_bound(0.5, 50.0, 100).value
+        vac = fock.vacuum(6)
+        report = witness.witness_report(vac, spec)
+        assert report["gaussian_bound"] == bound
+        assert witness.sqe_squeezing_db(vac, spec) == report["xi_db"] == witness.ratio_db(report["expectation"], bound)
+        front = pareto.evolve("fidelity", spec, pareto.NsgaConfig(seed=1, population=4, generations=0))
+        assert front.points
+        for point in front.points:
+            assert point.xi_sqe_db == witness.ratio_db(point.objective_1, bound)
+
     def test_zero_for_ratio_one(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=12)
-        bound = witness.gaussian_bound(3.0, 10.0)
+        bound = witness.gaussian_bound(3.0, 10.0, 100)
         # A state whose expectation equals the bound would read exactly 0 dB;
         # check the formula with the expectation as its own benchmark.
         vac = fock.vacuum(12)
@@ -288,7 +404,7 @@ class TestSqueezingDb:
         assert witness.ratio_db(4.0, 2.0) == 10.0 * math.log10(2.0)
 
     def test_ground_xi_nonincreasing_in_dim(self):
-        bound = witness.gaussian_bound(3.0, 10.0)
+        bound = witness.gaussian_bound(3.0, 10.0, 100)
         xis = []
         for dim in range(3, 17):
             spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100)
