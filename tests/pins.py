@@ -110,6 +110,16 @@ def construction_values() -> dict:
     values["build_q0_N30_sha256"] = _sha(breeding.build_q0(30))
     values["displacement_x_u3_N25_sha256"] = _sha(fock.displacement_x(3.0, 25))
     values["squeeze_r1_N60_sha256"] = _sha(fock.squeeze(1.0, 60))
+    values["p0_kernel_sha256"] = {f"{kind}|N={n}": _sha(fock.p0_kernel(kind, n)) for kind in ("BS", "QND") for n in (30, 60)}
+    values["two_mode_coupler_QND_N8_sha256"] = _sha(fock.two_mode_coupler("QND", 8))
+    # The N = 6 inputs of a frontier run at the CLI defaults; its target and
+    # benchmark are `ideal_gate_target|BS|N=6` and `gaussian_min_q0|N=6`.
+    values["frontier_N6_sha256"] = {
+        "build_witness": _sha(witness.build_witness(WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=6, k=100))),
+        "two_mode_coupler_BS": _sha(fock.two_mode_coupler("BS", 6)),
+        "momentum_eigenbra": _sha(fock.momentum_eigenbra(6)),
+        "gkp_witness_matrix": _sha(breeding.gkp_witness(6).matrix),
+    }
     values["momentum_comb_sha256"] = {
         f"u={u}|phi={label}|N={n}": _sha(witness.momentum_comb(u, phi, 100, n))
         for u in (2.0, 3.0, 4.0)
