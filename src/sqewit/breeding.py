@@ -120,9 +120,7 @@ class _CandidateObjective:
         dim = q0.shape[0]
         big = dim + _Q0_PAD
         self.xeig, self.peig, self.seig = (fock.generator_spectrum(name, big) for name in fock.GENERATORS)
-        seed = np.zeros(big, dtype=complex)
-        seed[0] = 1.0
-        self.s_seed = self.seig.vectors.conj().T @ seed
+        self.s_seed = self.seig.vectors.conj().T @ fock.vacuum(big).amps
         self.x_inv = self.xeig.vectors.conj().T
         self.p_inv = self.peig.vectors.conj().T
         self.p_rows = self.peig.vectors[:dim]
@@ -251,20 +249,22 @@ class GkpWitness:
 
 @lru_cache(maxsize=16)
 def gkp_witness(dim: int) -> GkpWitness:
-    """Q0 at dim and its Gaussian benchmark, built once per dimension."""
+    """Q0 at dim and its Gaussian benchmark, built once per dimension.
+
+    The benchmark is the minimum of <Q0> over squeezed displaced vacuum
+    states: a multi-start grid over squeezing in [-3, 3] and displacements
+    over one comb period in each quadrature, whose three best points are
+    refined by the in-package bounded Nelder-Mead (`_nelder_mead`, bitwise
+    scipy 1.17.1's). States are built numerically at the padded dimension
+    and cropped, so the benchmark shares the truncation behavior of
+    everything it is compared against.
+    """
     q0 = build_q0(dim)
     return GkpWitness(matrix=q0, gaussian_min=_gaussian_min(q0))
 
 
 def gaussian_min_q0(dim: int) -> float:
-    """Minimum grid-witness expectation over squeezed displaced vacuum states.
-
-    Multi-start grid over squeezing in [-3, 3] and displacements over one
-    comb period in each quadrature, refined by the in-package bounded
-    Nelder-Mead (`_nelder_mead`, bitwise scipy 1.17.1's). States are
-    built numerically at the padded dimension and cropped, so the benchmark
-    shares the truncation behavior of everything it is compared against.
-    """
+    """`gkp_witness(dim).gaussian_min`; only `perfbench/baseline.py` calls it."""
     return gkp_witness(dim).gaussian_min
 
 

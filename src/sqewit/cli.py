@@ -144,7 +144,7 @@ def main():
 def cmd_witness(ctx, state_path, u, phi, c, k, dim, out):
     """Witness expectation, Gaussian benchmark, and squeezing in dB."""
     serialize.check_writable(out)
-    state, _ = serialize.load_state(state_path)
+    state = serialize.load_state(state_path)
     if dim is not None and dim != state.dim:
         raise ContractViolationError(
             f"state file dimension {state.dim} does not match requested dim {dim}"
@@ -213,7 +213,7 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
 def cmd_gate(ctx, state_path, kind, u, phi, out):
     """Virtual interaction fidelity of a resource state."""
     serialize.check_writable(out)
-    state, _ = serialize.load_state(state_path)
+    state = serialize.load_state(state_path)
     _emit(ctx, gates.gate_report(state, kind, u, phi), out, state)
 
 
@@ -230,7 +230,7 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
     if state_out is None:
         state_out = str(Path(state_path).with_suffix("")) + f".bred{rounds}.json"
     serialize.check_writable(out, state_out)
-    state, _ = serialize.load_state(state_path)
+    state = serialize.load_state(state_path)
     run = breeding.breed_protocol(state, rounds)
     report = breeding.breeding_report(run)
     serialize.save_state(state_out, run.final, {"config": _effective_config(ctx)})
@@ -289,7 +289,7 @@ def cmd_frontier(ctx, problem, u, phi, c, dim, k, pop, gens, rounds, seed, out):
 def cmd_wigner(state_path, xmax, pmax, step, out):
     """Wigner function on a symmetric grid, as plot-ready CSV."""
     serialize.check_writable(out)
-    state, _ = serialize.load_state(state_path)
+    state = serialize.load_state(state_path)
     if step <= 0 or xmax <= 0 or pmax <= 0:
         raise InputFormatError("xmax, pmax, and step must be positive")
     xs = _symmetric_grid(xmax, step)

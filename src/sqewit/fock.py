@@ -4,15 +4,17 @@ Conventions used throughout the package: natural units with [x, p] = i,
 quadratures x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2), vacuum variance 1/2.
 The Gaussian gates `displacement_x` and `squeeze` are built max(20, N // 2)
 levels above the requested N and cropped back, which keeps the low-photon
-block accurate despite truncation; the padding is internal, and
-`ExactDisplacements` gives the closed-form block where that matters.
+block accurate despite truncation; the padding is internal.
 `states.squeezed_cat` applies these gates in its own padded dimension, so a
 cat is padded twice: an N = 60 cat exponentiates 135-level spectra. Every
-padded spectrum, including those of `breeding`'s Q0 and its Gaussian
-candidates, comes from one cached, read-only eigendecomposition per
-generator and size (`generator_spectrum`).
-That block costs O(N²): one Laguerre recurrence over the degree, vectorized
-over the order, that repeats scipy's scalar loop operation for operation.
+single-mode spectrum that is exponentiated comes from one cached, read-only
+eigendecomposition per generator and size (`generator_spectrum`): those of
+the padded gates, of `breeding`'s Q0 and its Gaussian candidates, and the
+unpadded x and p spectra of the QND coupler and its p = 0 kernel.
+`ExactDisplacements` gives the closed-form displacement block where
+padding is not enough. That block costs O(N²): one Laguerre recurrence over
+the degree, vectorized over the order, that repeats scipy's scalar loop
+operation for operation.
 Its binomials are exact integers rounded once (to inf past the largest
 float, from N = 1031 on), from one table per process;
 scipy's `binom` is up to 6.2e-13 off those from (i, j) = (31, 14) on, so
@@ -48,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._special import lgam
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _require
 
 HERMITICITY_TOL = 1e-12
 
@@ -160,9 +162,10 @@ GENERATORS = ("x", "p", "squeeze")
 def generator_spectrum(name: str, dim: int) -> EigenDecomposition:
     """Read-only eigendecomposition of x, p or the squeeze generator at dim levels.
 
-    The one spectral route of the padded Gaussian constructions: the
-    displacements, squeezing, Q0 and the Gaussian-benchmark candidates all
-    exponentiate these, so each is solved once per process and size.
+    The one spectral route of the Gaussian constructions: the padded
+    displacements, squeezing, Q0 and the Gaussian-benchmark candidates, and
+    the unpadded QND coupler and its p = 0 kernel, all exponentiate these,
+    so each is solved once per process and size.
     name is "x", "p" or "squeeze" (the Hermitian -iG of `squeeze`).
     """
     if name not in GENERATORS:
@@ -252,8 +255,7 @@ class ExactDisplacements:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ContractViolationError(f"dimension must be >= 1, got {dim}")
+        _require("dim", dim, at_least=1, integer=True)
         n = np.arange(dim)
         # Packed layout, degree-major: degree j holds orders d = 0..dim-1-j.
         offsets = np.concatenate(([0], np.cumsum(dim - n)))
@@ -305,6 +307,7 @@ class ExactDisplacements:
 
     def __call__(self, s: float) -> np.ndarray:
         """The dim x dim block of exp(-i s p)."""
+        _require("s", s)
         if s == 0.0:
             return np.eye(self.dim)
         alpha = s / np.sqrt(2.0)
@@ -357,14 +360,6 @@ def _check_coupler_args(kind: str, dim: int) -> None:
         raise ContractViolationError(f"dimension must be >= 1, got {dim}")
 
 
-def _qnd_factors(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # exp(-i x1 p2): the generator's eigenbasis is the Kronecker product of
-    # the single-mode x and p eigenbases, so the big eigensolve factorizes.
-    x, p = quadratures(dim)
-    (mu, w), (lam, v) = hermitian_eig(x), hermitian_eig(p)
-    return mu, w, lam, v
-
-
 def _bs_sector_blocks(dim: int):
     """Yield (s, n1, block) for each photon sector n1 + n2 = s of exp(+i H).
 
@@ -385,14 +380,14 @@ def _bs_sector_blocks(dim: int):
 def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
     """Dense dim² x dim² unitary coupler, O(N⁴) in memory.
 
-    Assembled, uncached, from the same BS sector blocks and QND factors as
-    `p0_kernel`, which is what the gate and breeding paths use; the `pareto`
-    frontier objectives build this one.
+    Assembled, uncached, from the same BS sector blocks and cached x and p
+    spectra as `p0_kernel`, which is what the gate and breeding paths use;
+    the `pareto` frontier objectives build this one.
     """
     kind = kind.upper()
     _check_coupler_args(kind, dim)
     if kind == "QND":
-        mu, w, lam, v = _qnd_factors(dim)
+        (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
         k = np.kron(w, v)
         phases = np.exp(-1j * np.outer(mu, lam).ravel())
         return (k * phases) @ k.conj().T
@@ -423,9 +418,10 @@ def p0_kernel(kind: str, dim: int) -> np.ndarray:
     _check_coupler_args(kind, dim)
     bra = momentum_eigenbra(dim)
     if kind == "QND":
-        # U = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)†; the bra folds into w,
-        # leaving d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
-        mu, w, lam, v = _qnd_factors(dim)
+        # exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the x and
+        # p eigenbases; the bra folds into w, leaving
+        # d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
+        (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
         d = (w.conj() * (bra @ w)) @ np.exp(-1j * np.outer(mu, lam))
         kernel = (v[:, None, :] * d[None, :, :]) @ v.conj().T
     else:

@@ -89,7 +89,8 @@ def save_state(path: str | Path, state: FockState, metadata: dict | None = None)
     write_text(path, json_text(state_to_dict(state, metadata)))
 
 
-def state_from_dict(payload: dict) -> tuple[FockState, dict]:
+def state_from_dict(payload: dict) -> FockState:
+    """The state a state file's JSON object holds; its metadata must be an object."""
     if not isinstance(payload, dict):
         raise InputFormatError("state file must contain a JSON object")
     try:
@@ -123,13 +124,12 @@ def state_from_dict(payload: dict) -> tuple[FockState, dict]:
             RuntimeWarning,
             stacklevel=2,
         )
-    metadata = payload.get("metadata", {})
-    if not isinstance(metadata, dict):
+    if not isinstance(payload.get("metadata", {}), dict):
         raise InputFormatError("metadata must be an object")
-    return FockState(amps), metadata
+    return FockState(amps)
 
 
-def load_state(path: str | Path) -> tuple[FockState, dict]:
+def load_state(path: str | Path) -> FockState:
     return state_from_dict(read_json(path))
 
 

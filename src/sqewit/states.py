@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, witness
-from .errors import ContractViolationError, TruncationLossError
+from .errors import ContractViolationError, TruncationLossError, _require
 from .fock import FockState
 from .witness import WitnessSpec
 
@@ -27,10 +27,8 @@ class CatSpec:
 
     def __post_init__(self):
         for name in ("u", "r", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractViolationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dim < 2:
-            raise ContractViolationError(f"cat dimension must be >= 2, got {self.dim}")
+            _require(name, getattr(self, name))
+        _require("dim", self.dim, at_least=2, integer=True)
 
 
 def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockState:
@@ -45,8 +43,9 @@ def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockSt
     The crop loss is measured against the exact squared norm of the cat,
     2 + 2 cos(phi) exp(-u² e^{2r}). If the crop discards max_loss of it or
     more, the state does not fit and a TruncationLossError names the
-    dimension that would.
+    dimension that would; max_loss lies in (0, 1].
     """
+    _require("max_loss", max_loss, above=0, at_most=1)
     dim = spec.dim
     big = dim + fock._pad(dim)
     # 2 + 2 cos(phi) e^{-t}, arranged so an odd cat near u = 0 keeps its digits.
@@ -60,9 +59,7 @@ def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockSt
     sq = fock.squeeze(spec.r, big)
     d_plus = fock.displacement_x(spec.u, big)
     d_minus = fock.displacement_x(-spec.u, big)
-    seed = np.zeros(big, dtype=complex)
-    seed[0] = 1.0
-    vec = (d_plus + np.exp(1j * spec.phi) * d_minus) @ (sq @ seed)
+    vec = (d_plus + np.exp(1j * spec.phi) * d_minus) @ (sq @ fock.vacuum(big).amps)
     # loss[n - 1] is the share of the exact norm outside the first n levels.
     loss = 1.0 - np.cumsum(np.abs(vec) ** 2) / total
     if loss[dim - 1] >= max_loss:
@@ -104,17 +101,12 @@ def even_cat_expectation_closed_form(u: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stellar_rank_bound(dim: int, sector: str) -> int:
-    """Upper bound on the stellar rank of a dim-level state in `sector`: its highest Fock level."""
-    return int(_sector_indices(dim, sector)[-1])
-
-
 @dataclass(frozen=True)
 class GroundStateReport:
     state: FockState
     eigenvalue: float
     xi_db: float
-    stellar_rank_bound: int
+    stellar_rank_bound: int  # the sector's highest Fock level, which bounds the stellar rank
     degenerate: bool
     sector: str  # "even", "odd", or "full"
 
@@ -169,7 +161,7 @@ def optimal_sqe_approximation(spec: WitnessSpec) -> GroundStateReport:
         state=state,
         eigenvalue=float(eig.values[0]),
         xi_db=witness.sqe_squeezing_db(state, spec),
-        stellar_rank_bound=stellar_rank_bound(spec.dim, sector),
+        stellar_rank_bound=int(idx[-1]),
         degenerate=gap < DEGENERACY_GAP,
         sector=sector,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from ._special import lgam
-from .errors import ContractViolationError, OptimizerFailure
+from .errors import OptimizerFailure, _require
 from .fock import FockState
 
 EXPECTATION_FLOOR = 1e-14
@@ -48,16 +48,11 @@ class WitnessSpec:
     k: int = 100
 
     def __post_init__(self):
-        if not 0 < self.u < math.inf:
-            raise ContractViolationError(f"u must be finite and > 0, got {self.u}")
-        if not math.isfinite(self.phi):
-            raise ContractViolationError(f"phi must be finite, got {self.phi}")
-        if not 0 <= self.c < math.inf:
-            raise ContractViolationError(f"c must be finite and >= 0, got {self.c}")
-        if self.k < 1:
-            raise ContractViolationError(f"k must be >= 1, got {self.k}")
-        if self.dim < 1:
-            raise ContractViolationError(f"dim must be >= 1, got {self.dim}")
+        _require("u", self.u, above=0)
+        _require("phi", self.phi)
+        _require("c", self.c, at_least=0)
+        _require("dim", self.dim, at_least=1, integer=True)
+        _require("k", self.k, at_least=1, integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +66,7 @@ def position_quartic(u: float, dim: int) -> np.ndarray:
     The 4-level margin absorbs the ladder reach of the fourth power, leaving
     the cropped block essentially free of truncation error.
     """
-    if u < 0:
-        raise ContractViolationError(f"u must be >= 0, got {u}")
+    _require("u", u, at_least=0)
     x, _ = fock.quadratures(dim + 4)
     shifted = x @ x - (u * u) * np.eye(dim + 4)
     return fock.crop(shifted @ shifted, dim)
@@ -84,6 +78,8 @@ def comb_prefactor(u: float, k: int) -> float:
     Evaluated through log-gamma so large k does not overflow; it makes each
     sin^2k bump integrate to unity, matching a unit-weight projector.
     """
+    _require("u", u, above=0)
+    _require("k", k, at_least=1, integer=True)
     return u / math.sqrt(math.pi) * math.exp(lgam(k + 1) - lgam(k + 0.5))
 
 
@@ -127,10 +123,8 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
     far narrower than any reachable eigenvalue spacing and the sampled
     diagonal never converges.
     """
-    if k < 1:
-        raise ContractViolationError(f"k must be >= 1, got {k}")
-    if u <= 0:
-        raise ContractViolationError(f"u must be > 0, got {u}")
+    prefactor = comb_prefactor(u, k)
+    _require("phi", phi)
     ms, cs = _sin_power_harmonics(k)
     displace = fock.ExactDisplacements(dim)
     out = cs[0] * np.eye(dim, dtype=complex)
@@ -140,7 +134,7 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
             continue
         d = displace(-2.0 * m * u)
         out += c * (np.exp(1j * m * phi) * d + np.exp(-1j * m * phi) * d.T)
-    return comb_prefactor(u, k) * out
+    return prefactor * out
 
 
 def comb_points(u: float, phi: float, j_values: np.ndarray) -> np.ndarray:
@@ -148,27 +142,19 @@ def comb_points(u: float, phi: float, j_values: np.ndarray) -> np.ndarray:
     return ((2.0 * j_values - 1.0) * np.pi - phi) / (2.0 * u)
 
 
-def _auto_j_cut(u: float, phi: float, n: int) -> int:
+def comb_diagonal_exact(u: float, phi: float, n: int) -> float:
+    """Brute-force diagonal of the exact projector comb on Fock level n.
+
+    Sums |psi_n(p_j)|² over the comb points j in [1 - j_cut, j_cut], with a
+    cut that keeps every omitted term below the 1e-12 Hermite tail bound.
+    """
+    _require("u", u, above=0)
+    _require("phi", phi)
+    _require("n", n, at_least=0, integer=True)
     # Hermite functions are negligible (< 1e-12) beyond the classical
     # turning point plus a 10-unit Gaussian tail margin.
     p_max = math.sqrt(2.0 * n + 1.0) + 10.0
-    return int(math.ceil((2.0 * u * p_max + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
-
-
-def comb_diagonal_exact(u: float, phi: float, n: int, j_cut: int | None = None) -> float:
-    """Brute-force diagonal of the exact projector comb on Fock level n.
-
-    Sums |psi_n(p_j)|² over comb points j in [1 - j_cut, j_cut]; the default
-    cut keeps every omitted term below the 1e-12 Hermite tail bound.
-    """
-    if u <= 0:
-        raise ContractViolationError(f"u must be > 0, got {u}")
-    if n < 0:
-        raise ContractViolationError(f"Fock level must be >= 0, got {n}")
-    if j_cut is None:
-        j_cut = _auto_j_cut(u, phi, n)
-    if j_cut < 1:
-        raise ContractViolationError(f"j_cut must be >= 1, got {j_cut}")
+    j_cut = int(math.ceil((2.0 * u * p_max + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
     js = np.arange(1 - j_cut, j_cut + 1)
     pts = comb_points(u, phi, js)
     phi_n = fock.hermite_functions(n, pts)[n]
@@ -277,12 +263,9 @@ def gaussian_bound(u: float, c: float, k: int) -> GaussianBound:
     with the comb weight) and it is returned unconditionally. Cached per
     (u, c, k); the result is immutable.
     """
-    if not 0 < u < math.inf:
-        raise ContractViolationError(f"u must be finite and > 0, got {u}")
-    if not 0 <= c < math.inf:
-        raise ContractViolationError(f"c must be finite and >= 0, got {c}")
-    if k < 1:
-        raise ContractViolationError(f"k must be >= 1, got {k}")
+    _require("u", u, above=0)
+    _require("c", c, at_least=0)
+    _require("k", k, at_least=1, integer=True)
 
     lo, hi = GAUSSIAN_R_BRACKET
     r_star, e_a = _golden_min(lambda r: squeezed_vacuum_expectation(u, c, r, k), lo, hi)

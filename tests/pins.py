@@ -14,15 +14,25 @@ problem of the pareto store. All of them read one shared computation.
   harmonic still evaluated its Laguerre factors elementwise with
   `scipy.special.eval_genlaguerre`; the N = 62 and 200 digests were
   re-recorded when `fock.ExactDisplacements` took exact binomials in place
-  of `scipy.special.binom` (a largest move of 8.8e-14 of the largest entry). `gaussian_min_q0` at N = 40 and 60, the
-  gate-breed benchmark's dimensions, was recorded while each Gaussian
-  candidate still went through all its eigenbases per evaluation and every
-  padded builder solved its own spectrum. The `gaussian_bound` keys at
+  of `scipy.special.binom` (a largest move of 8.8e-14 of the largest
+  entry). `gaussian_min_q0`, the GKP benchmark `gkp_witness(N).gaussian_min`,
+  at N = 40 and 60, the gate-breed benchmark's dimensions, was recorded
+  while each Gaussian candidate still went through all its eigenbases per
+  evaluation and every padded builder solved its own spectrum. The `gaussian_bound` keys at
   u = 3 (k = 100) were recorded while the benchmark still priced the comb
   as the k -> infinity projector comb; they sit where that made no
   difference (c = 0, and the infinitely squeezed branch). The three keys
   named with u, c and k sit on the squeezed-vacuum branch and were added
   when the benchmark came to price the witness's own sin^2k harmonics.
+  The `p0_kernel_sha256` keys, `two_mode_coupler_QND_N8_sha256` and the
+  `frontier_N6_sha256` keys were recorded while the QND kernel and coupler
+  still solved their own x and p spectra. `frontier_N6_sha256`, with
+  `ideal_gate_target|BS|N=6`, `gaussian_min_q0|N=6` and
+  `gaussian_bound|c=10.0`, holds every input of a frontier run at the CLI
+  defaults (u = 3, phi = 0, c = 10, k = 100, N = 6). NSGA-II turns a
+  last-bit move of any of them into other fronts, so a move of an N = 6
+  key will likely move perfbench's frontier references too: one last-bit
+  change of the comb weights moved 23 of its 48.
 - `csv`: the sha256 of the files the CLI writes, not only its CSV tables.
   The CSV keys were recorded while `serialize.write_csv` still formatted
   each cell on its own (`f"{value:.17g}"` for floats, `str` otherwise, one
@@ -41,7 +51,7 @@ problem of the pareto store. All of them read one shared computation.
 
 All stores are computed in one child process with one BLAS thread: a
 threaded BLAS sums the larger products in another order, which moves
-`gaussian_min_q0(30)` by one ulp.
+the `gaussian_min_q0|N=30` key by one ulp.
 
 Re-record only on purpose. From the repository root, with sqewit importable
 (`pip install -e .` or `PYTHONPATH=src`):
@@ -97,7 +107,7 @@ def construction_values() -> dict:
     # One gate-breed benchmark pool cat, at the pool's smallest dimension.
     values["squeezed_cat"] = _hexes(states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=math.pi, dim=30)).amps)
     for n in (6, 30, 40, 60):
-        values["gaussian_min_q0"][f"N={n}"] = breeding.gaussian_min_q0(n).hex()
+        values["gaussian_min_q0"][f"N={n}"] = breeding.gkp_witness(n).gaussian_min.hex()
     for key, (u, c, k) in (
         ("c=0.0", (3.0, 0.0, 100)),
         ("c=10.0", (3.0, 10.0, 100)),

@@ -364,7 +364,7 @@ def test_criterion_10_grid_witness_vacuum_oracle():
     q0 = np.asarray(breeding.build_q0(60))
     value = fock.expectation(q0, fock.vacuum(60))
     want = (1 - math.exp(-math.pi / 4)) + (1 - math.exp(-math.pi))
-    gmin = breeding.gaussian_min_q0(80)
+    gmin = breeding.gkp_witness(80).gaussian_min
     ok = abs(value - want) <= 1e-4 and gmin <= value
     line = _report(
         10,

@@ -7,7 +7,9 @@ Each maps to the parameter names of its `inspect.signature`, or to None
 where there is none (a constant, a click command, an exception class).
 Classes add an entry per public method or property, and `__call__`.
 A change that adds, removes or renames a name or a parameter updates
-`API_SURFACE` here, in the same diff.
+`API_SURFACE` here, in the same diff. The benchmark under `perfbench/`
+reads some names, private ones too, by string; the last test checks that
+each is still bound or is named stale.
 """
 
 import ast
@@ -45,7 +47,7 @@ API_SURFACE = {
         "EXPECTATION_FLOOR": None, "GAUSSIAN_R_BRACKET": None, "WitnessSpec": ("u", "phi", "c", "dim", "k"),
         "position_quartic": ("u", "dim"), "comb_prefactor": ("u", "k"),
         "momentum_comb": ("u", "phi", "k", "dim"), "comb_points": ("u", "phi", "j_values"),
-        "comb_diagonal_exact": ("u", "phi", "n", "j_cut"),
+        "comb_diagonal_exact": ("u", "phi", "n"),
         "AccuracyRow": ("n", "exact", "approx", "rel_error"), "accuracy_scan": ("u", "k", "n_max"),
         "build_witness": ("spec",),
         "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r", "k"),
@@ -55,7 +57,6 @@ API_SURFACE = {
     "sqewit.states": {
         "TRUNCATION_LOSS_MAX": None, "DEGENERACY_GAP": None, "CatSpec": ("u", "r", "phi", "dim"),
         "squeezed_cat": ("spec", "max_loss"), "even_cat_expectation_closed_form": ("u", "r"),
-        "stellar_rank_bound": ("dim", "sector"),
         "GroundStateReport": ("state", "eigenvalue", "xi_db", "stellar_rank_bound", "degenerate", "sector"),
         "optimal_sqe_approximation": ("spec",), "ground_state_sweep": ("u", "phi", "c", "dims", "k"),
         "ideal_gate_target": ("kind", "u", "phi", "dim"),
@@ -136,3 +137,58 @@ def test_python_api_surface_unchanged():
     assert modules == set(API_SURFACE)
     got = {name: _surface(importlib.import_module(name)) for name in API_SURFACE}
     assert got == API_SURFACE
+
+
+# Names perfbench reads that sqewit no longer binds. perfbench skips a name
+# it cannot find, so the layer it would time reads zero; each entry goes
+# when perfbench's wrapper table is next rewritten (ROADMAP item 8).
+STALE_PERFBENCH_NAMES = {"fock.displacement_x_exact", "fock.displacement_p", "fock._coupler_cached"}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_reads():
+    """`module.name` of each sqewit attribute perfbench wraps, reads or counts.
+
+    From `tracer.py`: the targets of `_wrap(tracer, module, name, ...)`, with
+    a loop variable resolved to the names of its `for name in (...)`, and
+    each `getattr(module, "name")`. From `worker.py`: the `CACHES` table.
+    From every perfbench file: each `sqewit.module.name` it spells out.
+    """
+    modules = {path.stem for path in Path(sqewit.__file__).parent.glob("*.py")}
+    reads = set()
+
+    def visit(node, loops):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops = {**loops, node.target.id: [elt.value for elt in node.iter.elts]}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_wrap", "getattr"):
+            owner, attr = node.args[1:3] if node.func.id == "_wrap" else node.args[:2]
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                names = [attr.value] if isinstance(attr, ast.Constant) else loops[attr.id]
+                reads.update(f"{owner.id}.{name}" for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse((PERFBENCH / "tracer.py").read_text()), {})
+    for node in ast.parse((PERFBENCH / "worker.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CACHES"]:
+            reads.update(f"{module}.{name}" for module, name in ast.literal_eval(node.value).values())
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            chain = ast.unparse(node).split(".") if isinstance(node, ast.Attribute) else []
+            if len(chain) == 3 and chain[0] == "sqewit" and chain[1] in modules:
+                reads.add(f"{chain[1]}.{chain[2]}")
+    return reads
+
+
+def test_every_name_perfbench_reads_is_bound_or_known_stale():
+    reads = _perfbench_reads()
+    # The parse reaches each kind of read: plain and looped _wrap, getattr, CACHES, a spelled-out name.
+    assert {"fock.two_mode_coupler", "fock.matrix_function", "pareto.decode", "breeding.gkp_witness",
+            "pareto.NsgaConfig"} <= reads
+
+    def bound(name):
+        module, attr = name.split(".")
+        return hasattr(importlib.import_module(f"sqewit.{module}"), attr)
+
+    missing = {name for name in reads if not bound(name)}
+    assert missing <= STALE_PERFBENCH_NAMES, missing - STALE_PERFBENCH_NAMES

@@ -136,7 +136,7 @@ class TestGridWitness:
 class TestGaussianMinimum:
     def test_below_vacuum(self):
         vac_value = (1.0 - math.exp(-math.pi / 4.0)) + (1.0 - math.exp(-math.pi))
-        gmin = breeding.gaussian_min_q0(80)
+        gmin = breeding.gkp_witness(80).gaussian_min
         assert gmin <= vac_value
         assert 0.95 <= gmin <= 1.06
 
@@ -202,8 +202,8 @@ class TestGaussianMinimum:
         # The box minimum sits at strong squeezing where truncation bites;
         # measured drift is ~3e-3 between these dimensions (not the 1e-4 a
         # fully converged benchmark would show).
-        g80 = breeding.gaussian_min_q0(80)
-        g100 = breeding.gaussian_min_q0(100)
+        g80 = breeding.gkp_witness(80).gaussian_min
+        g100 = breeding.gkp_witness(100).gaussian_min
         assert abs(g80 - g100) < 5e-3
 
 

@@ -94,8 +94,13 @@ def test_state_from_dict_refuses_non_number_pairs(amplitudes):
         serialize.state_from_dict({"dim": 1, "amplitudes": amplitudes})
 
 
+def test_state_from_dict_refuses_metadata_that_is_not_an_object():
+    with pytest.raises(InputFormatError, match="metadata must be an object"):
+        serialize.state_from_dict({"dim": 1, "amplitudes": [[1.0, 0.0]], "metadata": [1]})
+
+
 def test_state_from_dict_takes_integer_and_float_pairs():
-    state, _ = serialize.state_from_dict({"dim": 2, "amplitudes": [[0, 1], [0.0, 0.0]]})
+    state = serialize.state_from_dict({"dim": 2, "amplitudes": [[0, 1], [0.0, 0.0]]})
     assert np.array_equal(state.amps, [1j, 0.0])
     with pytest.raises(InputFormatError, match="finite"):
         serialize.state_from_dict({"dim": 1, "amplitudes": [[10**400, 0]]})
@@ -273,8 +278,8 @@ class TestGroundCommand:
             n, eigenvalue, xi_db, stellar_bound = row.split(",")
             text = (out / f"state_N{n}.json").read_text()
             assert text == serialize.json_text(json.loads(text))
-            state, meta = serialize.load_state(out / f"state_N{n}.json")
-            assert state.dim == int(n)
+            assert serialize.load_state(out / f"state_N{n}.json").dim == int(n)
+            meta = json.loads(text)["metadata"]
             assert meta["config"] == config
             assert type(meta["eigenvalue"]) is float and meta["eigenvalue"] == float(eigenvalue)
             assert type(meta["xi_db"]) is float and meta["xi_db"] == float(xi_db)
@@ -329,8 +334,8 @@ class TestBreedCommand:
             ],
         )
         assert result.exit_code == 0
-        original, _ = serialize.load_state(vacuum_file)
-        bred, _ = serialize.load_state(out_state)
+        original = serialize.load_state(vacuum_file)
+        bred = serialize.load_state(out_state)
         assert np.array_equal(original.amps, bred.amps)
         report = json.loads(report_path.read_text())
         assert report["per_round_gkp_db"] == []

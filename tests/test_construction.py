@@ -42,6 +42,7 @@ def test_no_knobs_without_callers():
     assert (pareto.CROSSOVER_PROB, pareto.CROSSOVER_ETA, pareto.MUTATION_ETA) == (0.9, 15.0, 20.0)
     assert "cfg" not in inspect.signature(pareto.variation).parameters
     assert "sector" not in inspect.signature(states.optimal_sqe_approximation).parameters
+    assert "j_cut" not in inspect.signature(witness.comb_diagonal_exact).parameters
     # The Gaussian benchmark prices the witness's own comb: k has no default.
     for func in (witness.gaussian_bound, witness.squeezed_vacuum_expectation):
         assert inspect.signature(func).parameters["k"].default is inspect.Parameter.empty, func.__name__
@@ -50,9 +51,12 @@ def test_no_knobs_without_callers():
         (fock, "momentum_wavefunction"),
         (fock, "momentum_wavefunction_coeffs"),
         (fock, "number_operator"),
+        (fock, "_qnd_factors"),
         (fock.FockState, "padded"),
         (witness.GaussianBound, "as_dict"),
         (witness, "theta3_half_pi"),
+        (witness, "_auto_j_cut"),
+        (states, "stellar_rank_bound"),
         (gates, "interaction_fidelity"),
         (pareto, "worst_corner"),
         (cli, "_apply_config"),

@@ -42,9 +42,8 @@ def test_annihilation_rejects_zero_dim():
         (fock.crop, (np.eye(3), 0)),
         (fock.crop, (np.eye(3), 5)),
         (witness.comb_diagonal_exact, (2.0, 0.0, -1)),
-        (witness.comb_diagonal_exact, (2.0, 0.0, 3, 0)),
     ],
-    ids=["hermite_n_max=-1", "eigenbra_dim=0", "crop=-1", "crop=0", "crop=5_of_3", "comb_n=-1", "comb_j_cut=0"],
+    ids=["hermite_n_max=-1", "eigenbra_dim=0", "crop=-1", "crop=0", "crop=5_of_3", "comb_n=-1"],
 )
 def test_out_of_range_dimension_or_index_raises_contract_violation(func, args):
     # They raised IndexError or ValueError, or returned a wrong block or 0.0.

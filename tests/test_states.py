@@ -10,6 +10,12 @@ from sqewit.witness import WitnessSpec
 
 
 class TestSqueezedCat:
+    @pytest.mark.parametrize("max_loss", [math.nan, 0.0, -1e-4, 1.5, math.inf])
+    def test_max_loss_outside_the_unit_interval_is_refused(self, max_loss):
+        # A NaN bound would switch the guard off, and this cat loses 32% of its norm at N = 20.
+        with pytest.raises(ContractViolationError, match="^max_loss must be"):
+            states.squeezed_cat(CatSpec(u=3.0, r=2.0, phi=0.0, dim=20), max_loss=max_loss)
+
     def test_degenerate_cat_is_vacuum(self):
         st = states.squeezed_cat(CatSpec(u=0.0, r=0.0, phi=0.0, dim=12))
         assert fock.overlap_fidelity(st, fock.vacuum(12)) == pytest.approx(1.0, abs=1e-12)
@@ -95,19 +101,16 @@ class TestClosedForm:
 
 class TestOptimalApproximation:
     def test_stellar_bound_formula(self):
-        assert states.stellar_rank_bound(4, "even") == 2
-        assert states.stellar_rank_bound(5, "even") == 4
+        # Even sector: the highest even level below dim (N = 4 -> 2, N = 5 -> 4).
         for dim in range(2, 12):
-            expected = dim - 2 if dim % 2 == 0 else dim - 1
-            assert states.stellar_rank_bound(dim, "even") == expected
-        assert states.stellar_rank_bound(10, "odd") == states.stellar_rank_bound(10, "full") == 9
-        assert states.stellar_rank_bound(9, "odd") == 7
+            report = states.optimal_sqe_approximation(WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=dim, k=100))
+            assert report.stellar_rank_bound == (dim - 2 if dim % 2 == 0 else dim - 1)
 
     @pytest.mark.parametrize("dim, sector", [(1, "odd"), (0, "even"), (0, "full"), (5, "parity")])
     def test_stellar_bound_of_an_empty_or_unknown_sector_is_a_contract_violation(self, dim, sector):
         # As for every out-of-range dimension or index in the package.
         with pytest.raises(ContractViolationError):
-            states.stellar_rank_bound(dim, sector)
+            states._sector_indices(dim, sector)
 
     @pytest.mark.parametrize("phi, dim, bound", [(math.pi, 10, 9), (math.pi / 2, 10, 9), (math.pi, 9, 7)])
     def test_stellar_bound_is_the_highest_level_of_the_sector(self, phi, dim, bound):

@@ -97,9 +97,9 @@ class TestExactCombDiagonal:
         assert witness.comb_diagonal_exact(3.0, 0.0, 0) == pytest.approx(ref, rel=1e-12)
 
     def test_cut_convergence(self):
-        a = witness.comb_diagonal_exact(3.0, 0.0, 1)
-        b = witness.comb_diagonal_exact(3.0, 0.0, 1, j_cut=50)
-        assert a == pytest.approx(b, abs=1e-10)
+        # The automatic cut agrees with a far wider sum over j in [-49, 50].
+        phi_1 = fock.hermite_functions(1, witness.comb_points(3.0, 0.0, np.arange(-49, 51)))[1]
+        assert witness.comb_diagonal_exact(3.0, 0.0, 1) == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
 
     def test_reflection_symmetry_at_phi_zero(self):
         # The phi=0 comb is symmetric under j -> 1-j; summing one half and
@@ -169,12 +169,22 @@ class TestBuildWitness:
             WitnessSpec(u=1.0, phi=0.0, c=1.0, dim=5, k=0)
 
 
-# Valid keyword arguments of each entry point that refuses non-finite values
-# (and, for gaussian_bound, k < 1) before they reach the numerics.
+def _displace(s):
+    return fock.ExactDisplacements(5)(s)
+
+
+# Valid keyword arguments of each entry point that refuses non-finite values,
+# and a k that is not an integer >= 1, before they reach the numerics.
 _VALID_INPUTS = {
     WitnessSpec: {"u": 3.0, "phi": 0.0, "c": 10.0, "dim": 8},
     CatSpec: {"u": 2.0, "r": 0.5, "phi": 0.0, "dim": 8},
     witness.gaussian_bound: {"u": 3.0, "c": 10.0, "k": 100},
+    witness.momentum_comb: {"u": 3.0, "phi": 0.0, "k": 100, "dim": 8},
+    witness.position_quartic: {"u": 3.0, "dim": 8},
+    witness.comb_prefactor: {"u": 3.0, "k": 100},
+    witness.comb_diagonal_exact: {"u": 3.0, "phi": 0.0, "n": 2},
+    witness.accuracy_scan: {"u": 3.0, "k": 100, "n_max": 3},
+    _displace: {"s": 1.0},
 }
 
 
@@ -185,6 +195,14 @@ _VALID_INPUTS = {
         *((CatSpec, field, bad) for field in ("u", "r", "phi") for bad in (math.nan, math.inf, -math.inf)),
         *((witness.gaussian_bound, field, bad) for field in ("u", "c") for bad in (math.nan, math.inf)),
         (witness.gaussian_bound, "k", 0),
+        *((witness.momentum_comb, field, bad) for field in ("u", "phi") for bad in (math.nan, math.inf)),
+        *((witness.position_quartic, "u", bad) for bad in (math.nan, math.inf)),
+        (witness.comb_prefactor, "u", math.nan),
+        (witness.comb_diagonal_exact, "u", math.inf),
+        (witness.comb_diagonal_exact, "phi", math.nan),
+        (witness.accuracy_scan, "u", math.nan),
+        (_displace, "s", math.nan),
+        *((make, "k", 100.5) for make in (WitnessSpec, witness.gaussian_bound, witness.momentum_comb)),
     ],
 )
 def test_unusable_inputs_are_refused_by_name(make, field, bad):
