@@ -268,9 +268,10 @@ def gaussian_min_q0(dim: int) -> float:
     return gkp_witness(dim).gaussian_min
 
 
-def gkp_squeezing_db(state: FockState, witness: GkpWitness) -> float:
+def gkp_squeezing_db(state: FockState) -> float:
     """GKP nonlinear squeezing of the state in decibels (negative is better
-    than every Gaussian); `witness` is `gkp_witness(state.dim)`."""
+    than every Gaussian), against `gkp_witness(state.dim)`."""
+    witness = gkp_witness(state.dim)
     return ratio_db(fock.expectation(witness.matrix, state), witness.gaussian_min)
 
 
@@ -280,10 +281,9 @@ def breeding_report(run: BreedingRun) -> dict:
     Computed values only; the round count is `len(per_round_gkp_db)`, and
     the inputs are the caller's to record.
     """
-    wit = gkp_witness(run.input.dim)
     return {
-        "input_gkp_db": gkp_squeezing_db(run.input, wit),
-        "per_round_gkp_db": [gkp_squeezing_db(s, wit) for s in run.outputs_per_round],
+        "input_gkp_db": gkp_squeezing_db(run.input),
+        "per_round_gkp_db": [gkp_squeezing_db(s) for s in run.outputs_per_round],
         "success_norms": run.success_norms,
-        "gaussian_min_q0": wit.gaussian_min,
+        "gaussian_min_q0": gkp_witness(run.input.dim).gaussian_min,
     }

@@ -191,10 +191,10 @@ def cmd_ground(ctx, u, phi, c, k, dims, out_dir):
     # One row per dimension feeds both its index.csv line and its state file's metadata.
     rows = [
         {"eigenvalue": report.eigenvalue, "xi_db": report.xi_db, "stellar_bound": report.stellar_rank_bound}
-        for _, report in sweep
+        for report in sweep
     ]
     serialize.make_dir(out)
-    for (dim, report), row in zip(sweep, rows):
+    for dim, report, row in zip(dim_list, sweep, rows):
         meta = {"config": _effective_config(ctx), "sector": report.sector, **row}
         serialize.save_state(out / f"state_N{dim}.json", report.state, meta)
     serialize.write_csv(out / "index.csv", ("N", *rows[0]), (dim_list, *zip(*(row.values() for row in rows))))

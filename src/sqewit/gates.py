@@ -35,7 +35,7 @@ def couple_and_condition(mode1: FockState, mode2: FockState, kind: str) -> GateO
     if mode1.dim != mode2.dim:
         raise ContractViolationError(f"mode dimensions differ: {mode1.dim} vs {mode2.dim}")
     dim = mode1.dim
-    kernel = fock.p0_kernel(kind.upper(), dim)
+    kernel = fock.p0_kernel(kind, dim)
     out = kernel.reshape(dim, dim * dim) @ np.kron(mode1.amps, mode2.amps)
     success = float(np.linalg.norm(out))
     if success < ANNIHILATION_EPS:

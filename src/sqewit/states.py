@@ -88,6 +88,8 @@ def even_cat_expectation_closed_form(u: float, r: float) -> float:
     Decreasing in r and tending to zero as r grows; the exponential inner
     term is branched to its asymptotic form once e^{2r} u² overflows exp.
     """
+    _require("u", u)
+    _require("r", r)
     t = math.exp(2.0 * r) * u * u
     if t > 700.0:
         interference = 0.0
@@ -167,15 +169,10 @@ def optimal_sqe_approximation(spec: WitnessSpec) -> GroundStateReport:
     )
 
 
-def ground_state_sweep(
-    u: float, phi: float, c: float, dims: list[int], k: int = 100
-) -> list[tuple[int, GroundStateReport]]:
-    """Optimal approximations over a range of truncation dimensions."""
-    out = []
-    for dim in dims:
-        spec = WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)
-        out.append((dim, optimal_sqe_approximation(spec)))
-    return out
+def ground_state_sweep(u: float, phi: float, c: float, dims: list[int], k: int = 100) -> list[GroundStateReport]:
+    """Optimal approximations over a range of truncation dimensions, in the
+    order of `dims`; each report's dimension is `report.state.dim`."""
+    return [optimal_sqe_approximation(WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)) for dim in dims]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +189,10 @@ def ideal_gate_target(kind: str, u: float, phi: float, dim: int) -> FockState:
     normalized truncation to dim, however much of the norm the crop drops,
     so fidelities stay comparable at small dimensions.
     """
-    kind = kind.upper()
+    fock._check_coupler_args(kind, dim)
     if kind == "QND":
         return squeezed_cat(CatSpec(u=u, r=0.0, phi=phi, dim=dim), max_loss=1.0)
-    if kind == "BS":
-        return squeezed_cat(
-            CatSpec(u=u / math.sqrt(2.0), r=math.log(2.0) / 2.0, phi=phi, dim=dim),
-            max_loss=1.0,
-        )
-    raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {fock.COUPLER_KINDS}")
+    return squeezed_cat(
+        CatSpec(u=u / math.sqrt(2.0), r=math.log(2.0) / 2.0, phi=phi, dim=dim),
+        max_loss=1.0,
+    )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from ._special import lgam
-from .errors import OptimizerFailure, _require
+from .errors import ContractViolationError, OptimizerFailure, _require
 from .fock import FockState
 
 EXPECTATION_FLOOR = 1e-14
@@ -172,11 +172,12 @@ def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     """Per-level relative error of the sin^2k comb against the exact comb sum.
 
     Both combs are taken at phi = 0. The approximate diagonal is read from
-    a build at twice the scanned depth so the quoted error reflects the
-    ridge approximation, not truncation.
+    a build at n_max + 1 levels. Its `fock.ExactDisplacements` blocks are
+    exact truncations, so a larger build adds nothing but the size-dependent
+    skip rule of `momentum_comb`, which drops the strongest harmonics from
+    159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it).
     """
-    build_dim = 2 * n_max + 2
-    approx = np.real(np.diag(momentum_comb(u, 0.0, k, build_dim)))
+    approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
     rows = []
     for n in range(n_max + 1):
         exact = comb_diagonal_exact(u, 0.0, n)
@@ -241,6 +242,9 @@ def squeezed_vacuum_expectation(u: float, c: float, r: float, k: int) -> float:
     c_m e^(-m² u² e^(2r)), and comb_prefactor(u, k) c_0 = u/pi, so the comb
     part is (u c/pi) [1 + 2 sum_m (c_m/c_0) e^(-m² u² e^(2r))].
     """
+    for name, value in (("u", u), ("c", c), ("r", r)):
+        _require(name, value)
+    _require("k", k, at_least=1, integer=True)
     ms, cs = _sin_power_harmonics(k)
     decay = np.exp(-(ms[1:] ** 2) * (u * u * math.exp(2.0 * r)))
     comb = 1.0 + 2.0 * float(np.dot(cs[1:] / cs[0], decay))
@@ -284,8 +288,14 @@ def ratio_db(value: float, benchmark: float) -> float:
     """10 log10(value / benchmark), with value raised to EXPECTATION_FLOOR.
 
     Witness expectations are nonnegative, but rounding can leave them at or
-    below zero, where the log is undefined; such a clamp warns.
+    below zero, where the log is undefined; such a clamp warns. A
+    non-finite value or benchmark is refused by name.
     """
+    # Inline, not `_require`: the gkp frontier calls this once per row.
+    if not math.isfinite(value):
+        raise ContractViolationError(f"value must be finite, got {value}")
+    if not math.isfinite(benchmark):
+        raise ContractViolationError(f"benchmark must be finite, got {benchmark}")
     if value <= EXPECTATION_FLOOR:
         warnings.warn(
             f"witness expectation {value:.3e} at or below the positivity floor; clamped",

@@ -32,7 +32,12 @@ problem of the pareto store. All of them read one shared computation.
   defaults (u = 3, phi = 0, c = 10, k = 100, N = 6). NSGA-II turns a
   last-bit move of any of them into other fronts, so a move of an N = 6
   key will likely move perfbench's frontier references too: one last-bit
-  change of the comb weights moved 23 of its 48.
+  change of the comb weights moved 23 of its 48. The
+  `accuracy_scan_u2_k100_nmax80_approx_sha256` key was added when the scan
+  came to read its diagonal from a build at n_max + 1 levels (at twice the
+  depth, the skip rule of `momentum_comb` dropped the m = 1 harmonic), and
+  `hermite_functions_N1000_sha256`, on `hermite_grid(1000)`, when the
+  recurrence came to lift starts that underflow.
 - `csv`: the sha256 of the files the CLI writes, not only its CSV tables.
   The CSV keys were recorded while `serialize.write_csv` still formatted
   each cell on its own (`f"{value:.17g}"` for floats, `str` otherwise, one
@@ -98,6 +103,18 @@ def _sha(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def hermite_grid(levels: int) -> tuple[np.ndarray, float]:
+    """A uniform grid and its step on which `levels` Hermite functions are orthonormal.
+
+    It reaches 8 past the turning point sqrt(2 levels + 1), at half the step
+    that resolves the products of the first `levels` functions.
+    """
+    half_width = math.sqrt(2 * levels + 1) + 8.0
+    step = 0.5 * math.pi / half_width
+    m = int(half_width / step)
+    return np.arange(-m, m + 1) * step, step
+
+
 def construction_values() -> dict:
     values = {"ideal_gate_target": {}, "gaussian_min_q0": {}, "gaussian_bound": {}}
     for kind in ("BS", "QND"):
@@ -136,6 +153,9 @@ def construction_values() -> dict:
         for label, phi in (("0", 0.0), ("pi", math.pi), ("pi/3", math.pi / 3))
         for n in (12, 62, 200)
     }
+    scan = witness.accuracy_scan(2.0, 100, 80)
+    values["accuracy_scan_u2_k100_nmax80_approx_sha256"] = _sha(np.array([row.approx for row in scan]))
+    values["hermite_functions_N1000_sha256"] = _sha(fock.hermite_functions(999, hermite_grid(1000)[0]))
     return values
 
 

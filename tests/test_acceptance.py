@@ -288,10 +288,9 @@ def test_criterion_07_wigner_sanity():
 def test_criterion_08_breeding_direction():
     started = time.time()
     cat = states.squeezed_cat(CatSpec(u=2 * math.sqrt(math.pi), r=1.2, phi=0.0, dim=60))
-    wit = breeding.gkp_witness(60)
-    xi_in = breeding.gkp_squeezing_db(cat, wit)
+    xi_in = breeding.gkp_squeezing_db(cat)
     run = breeding.breed_protocol(cat, 2)
-    xi_out = breeding.gkp_squeezing_db(run.final, wit)
+    xi_out = breeding.gkp_squeezing_db(run.final)
     leak = max(np.max(np.abs(out.amps[1::2])) for out in run.outputs_per_round)
     elapsed = time.time() - started
     ok = xi_out < xi_in and leak <= 1e-8 and elapsed < 300.0

@@ -69,7 +69,7 @@ API_SURFACE = {
         "breed_round": ("a", "b"), "BreedingRun": ("input", "outputs_per_round", "success_norms"),
         "BreedingRun.final": None, "breed_protocol": ("state", "rounds"), "build_q0": ("dim",),
         "GkpWitness": ("matrix", "gaussian_min"), "gkp_witness": ("dim",), "gaussian_min_q0": ("dim",),
-        "gkp_squeezing_db": ("state", "witness"), "breeding_report": ("run",),
+        "gkp_squeezing_db": ("state",), "breeding_report": ("run",),
     },
     "sqewit.pareto": {
         "GENE_LOW": None, "GENE_HIGH": None, "DECODE_EPS": None, "PROBLEMS": None, "CROSSOVER_PROB": None,

@@ -483,18 +483,19 @@ class TestOpaccuracyCommand:
         assert got == pytest.approx(lib[0].exact, rel=1e-15)
 
 
-    def test_build_past_binomial_overflow(self, runner, tmp_path):
-        # --nmax 515 builds the comb at 1032 levels, past row 1030 where the
-        # largest binomials overflow float64; the diagonal it reads does not.
-        # Its approximations are non-finite from n = 151 on, where the
-        # large-|s| harmonics overflow (ROADMAP item 2).
+    def test_deep_scan_exact_column_finite(self, runner, tmp_path):
+        # --nmax 515 builds the comb at 516 levels. The exact column stays
+        # finite at every level; the approximations are non-finite from
+        # n = 183 on, where the large-|s| harmonics overflow (ROADMAP item 2).
+        # Builds past row 1030, where the largest binomials overflow, are
+        # `test_fock.py::test_displacement_exact_diagonal_past_binomial_overflow`.
         out = tmp_path / "acc.csv"
         result = runner.invoke(main, ["opaccuracy", "--nmax", "515", "--out", str(out)])
         assert result.exit_code == 0, result.output
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (516, 4)
         assert np.all(np.isfinite(rows[:, :2]))
-        assert np.all(np.isfinite(rows[:151]))
+        assert np.all(np.isfinite(rows[:183]))
 
 
 class TestConfigMerge:

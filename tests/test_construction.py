@@ -43,6 +43,8 @@ def test_no_knobs_without_callers():
     assert "cfg" not in inspect.signature(pareto.variation).parameters
     assert "sector" not in inspect.signature(states.optimal_sqe_approximation).parameters
     assert "j_cut" not in inspect.signature(witness.comb_diagonal_exact).parameters
+    # GKP squeezing finds its own witness, `breeding.gkp_witness(state.dim)`.
+    assert "witness" not in inspect.signature(breeding.gkp_squeezing_db).parameters
     # The Gaussian benchmark prices the witness's own comb: k has no default.
     for func in (witness.gaussian_bound, witness.squeezed_vacuum_expectation):
         assert inspect.signature(func).parameters["k"].default is inspect.Parameter.empty, func.__name__

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, eval_genlaguerre, gammaln
 
+import pins
 from sqewit import fock, states, witness
 from sqewit.errors import ContractViolationError
 from sqewit.witness import WitnessSpec
@@ -277,6 +278,23 @@ def test_displacement_exact_diagonal_past_binomial_overflow(s):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    extra=st.integers(0, 199),
+    s=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_displacement_exact_block_is_the_crop_of_every_larger_build(n, extra, s):
+    # The exact truncation of exp(-i s p) does not depend on the build size:
+    # `witness.accuracy_scan` reads its n_max + 1-level diagonal on this.
+    # Bitwise, NaN entries of large |s| included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        small = fock.ExactDisplacements(n)(s)
+        large = fock.ExactDisplacements(min(n + extra, 200))(s)
+    assert small.tobytes() == large[:n, :n].tobytes()
+
+
 @pytest.mark.parametrize("s", [-6.0, -36.0, 0.7, 60.0])
 def test_displacement_exact_block_of_double_build(s):
     for dim in (1, 2, 3, 40, 100):
@@ -392,6 +410,30 @@ def test_hermite_functions_orthonormal():
     phi = fock.hermite_functions(8, grid)
     overlaps = np.trapezoid(phi[:, None, :] * phi[None, :, :], grid, axis=-1)
     assert np.max(np.abs(overlaps - np.eye(9))) < 1e-8
+
+
+@pytest.mark.parametrize("levels", [700, 800, 1000])
+def test_hermite_functions_orthonormal_past_the_start_underflow(levels):
+    # phi_0 underflows past |t| = 37.6, and the recurrence carried its 0 up to
+    # every level: the Gram defect was 3.2e-10 at 700 levels, 0.16 at 800
+    # and 0.34 at 1000 on this grid.
+    t, step = pins.hermite_grid(levels)
+    h = fock.hermite_functions(levels - 1, t)
+    assert np.max(np.abs((h * step) @ h.T - np.eye(levels))) <= 1e-12
+
+
+def test_hermite_functions_bitwise_where_the_start_is_a_normal_float():
+    # The lifted recurrence touches only points whose phi_0 is subnormal or
+    # 0; elsewhere every value is that of the plain recurrence.
+    t = np.concatenate([np.linspace(-37.6, 37.6, 3001), [-40.0, 39.0, 45.0]])
+    got = fock.hermite_functions(400, t)
+    want = np.zeros_like(got)
+    want[0] = np.pi ** (-0.25) * np.exp(-0.5 * t * t)
+    want[1] = np.sqrt(2.0) * t * want[0]
+    for n in range(2, 401):
+        want[n] = np.sqrt(2.0 / n) * t * want[n - 1] - np.sqrt((n - 1) / n) * want[n - 2]
+    assert np.array_equal(got[:, :-3], want[:, :-3])
+    assert np.all(want[:, -3:] == 0.0) and np.all(got[-1, -3:] != 0.0)
 
 
 def test_state_normalization_and_errors():

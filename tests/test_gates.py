@@ -43,6 +43,21 @@ class TestConditionalOutput:
         with pytest.raises(ContractViolationError):
             gates.couple_and_condition(fock.vacuum(8), fock.vacuum(10), "BS")
 
+    @pytest.mark.parametrize("kind", ["bs", "Qnd", "CZ"])
+    def test_coupler_kind_is_spelled_as_in_coupler_kinds(self, kind):
+        # The kinds are "BS" and "QND" exactly; the CLI's case-insensitive
+        # choice is the one place that folds case. Every route refuses
+        # another spelling with one message.
+        vac = fock.vacuum(4)
+        for call in (
+            lambda: gates.couple_and_condition(vac, vac, kind),
+            lambda: gates.gate_report(vac, kind, 2.0, 0.0),
+            lambda: states.ideal_gate_target(kind, 2.0, 0.0, 4),
+            lambda: fock.two_mode_coupler(kind, 4),
+        ):
+            with pytest.raises(ContractViolationError, match=f"^unknown coupler kind '{kind}'"):
+                call()
+
     def test_success_norm_bounded_by_bra_norm(self):
         rng = np.random.default_rng(11)
         bra_norm = np.linalg.norm(fock.momentum_eigenbra(14))
@@ -171,6 +186,6 @@ class TestInteractionFidelity:
             assert abs(f50 - f60) < 1e-3
 
     def test_gate_report_fields(self):
-        report = gates.gate_report(fock.vacuum(20), "bs", 2.0, 0.0)
+        report = gates.gate_report(fock.vacuum(20), "BS", 2.0, 0.0)
         assert set(report) == {"fidelity", "success_norm"}
         assert 0.0 <= report["fidelity"] <= 1.0

@@ -157,7 +157,8 @@ class TestOptimalApproximation:
 
     def test_eigenvalue_nonincreasing_with_ties(self):
         sweep = states.ground_state_sweep(3.0, 0.0, 10.0, list(range(3, 13)))
-        eigs = [rep.eigenvalue for _, rep in sweep]
+        assert [rep.state.dim for rep in sweep] == list(range(3, 13))
+        eigs = [rep.eigenvalue for rep in sweep]
         assert all(b <= a + 1e-10 for a, b in zip(eigs, eigs[1:]))
         # The even subspace only grows at odd dims, so consecutive pairs tie.
         assert eigs[2] == pytest.approx(eigs[3], abs=1e-9)

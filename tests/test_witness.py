@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from sqewit import fock, pareto, witness
+from sqewit import fock, pareto, states, witness
 from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
@@ -128,6 +128,15 @@ class TestAccuracyScan:
         errs = [r.rel_error for r in rows]
         assert np.mean(np.array(errs) > 0.01) > 0.5
 
+    def test_reads_the_build_at_its_own_depth(self):
+        # The diagonal came from a 2 n_max + 2 = 162-level build, where the
+        # skip rule of `momentum_comb` drops the m = 1 harmonic (ROADMAP item
+        # 2): a largest relative error of 1.65 where the 81-level build gives 0.18.
+        rows = witness.accuracy_scan(2.0, 100, 80)
+        want = np.real(np.diag(witness.momentum_comb(2.0, 0.0, 100, 81)))
+        assert np.array_equal([row.approx for row in rows], want)
+        assert max(row.rel_error for row in rows) < 0.2
+
     def test_u1_n0_regression(self):
         row = witness.accuracy_scan(1.0, 100, 0)[0]
         assert row.exact == pytest.approx(0.095692164458517, rel=1e-9)
@@ -185,6 +194,9 @@ _VALID_INPUTS = {
     witness.comb_diagonal_exact: {"u": 3.0, "phi": 0.0, "n": 2},
     witness.accuracy_scan: {"u": 3.0, "k": 100, "n_max": 3},
     _displace: {"s": 1.0},
+    witness.squeezed_vacuum_expectation: {"u": 3.0, "c": 10.0, "r": 0.5, "k": 100},
+    states.even_cat_expectation_closed_form: {"u": 2.0, "r": 0.5},
+    witness.ratio_db: {"value": 1.0, "benchmark": 2.0},
 }
 
 
@@ -203,6 +215,15 @@ _VALID_INPUTS = {
         (witness.accuracy_scan, "u", math.nan),
         (_displace, "s", math.nan),
         *((make, "k", 100.5) for make in (WitnessSpec, witness.gaussian_bound, witness.momentum_comb)),
+        # These returned NaN, inf or a clamped dB value, or raised another error.
+        *(
+            (witness.squeezed_vacuum_expectation, field, bad)
+            for field in ("u", "c", "r")
+            for bad in (math.nan, math.inf, -math.inf)
+        ),
+        (witness.squeezed_vacuum_expectation, "k", math.nan),
+        *((states.even_cat_expectation_closed_form, field, bad) for field in ("u", "r") for bad in (math.nan, math.inf)),
+        *((witness.ratio_db, field, bad) for field in ("value", "benchmark") for bad in (math.nan, math.inf, -math.inf)),
     ],
 )
 def test_unusable_inputs_are_refused_by_name(make, field, bad):
