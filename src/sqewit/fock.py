@@ -589,8 +589,16 @@ def wigner(state: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
             for n in range(state.dim - d - 1, -1, -1):
                 s, s1 = math.sqrt((n + 1) * (n + d + 1)), math.sqrt((n + 2) * (n + d + 2))
                 b1, b2 = rho[n, n + d] - (2 * n + d + 1 - t) / s * b1 - s / s1 * b2, b1
-            w = b1[where].reshape(w.shape) + w * two_alpha / math.sqrt(d + 1)
-        w = np.real(w) * np.exp(-0.5 * np.abs(two_alpha) ** 2) / np.pi
+            # In place, so no step holds another grid-sized array; b + x is x + b bitwise.
+            w *= two_alpha
+            w /= math.sqrt(d + 1)
+            w += b1[where].reshape(w.shape)
+        gauss = np.abs(two_alpha) ** 2
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
+        gauss *= w.real
+        gauss /= np.pi
+        w = gauss
     if not np.isfinite(w).all():
         radius = np.hypot(xs[:, None], ps)[~np.isfinite(w)].min()
         raise ContractViolationError(f"Wigner sum of {state.dim} levels overflows float64 from radius {radius:.4g}")

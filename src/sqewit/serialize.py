@@ -1,8 +1,9 @@
 """State files, reports, and grid emission (JSON for records, CSV for tables).
 
 This is the package's only module that touches the filesystem: every read
-and write goes through `read_json`, `write_text` or `make_dir`, which turn a
-path that cannot be read or written into an InputFormatError naming it.
+and write goes through `read_json`, `write_text`, `write_csv` or `make_dir`,
+which turn a path that cannot be read or written into an InputFormatError
+naming it.
 `check_writable` raises the same error before a command computes anything,
 so that a bad output path leaves no partial output behind.
 Floating-point values are written so they round-trip exactly: CSV cells use
@@ -14,24 +15,29 @@ formatted with "%.17g", the formatter of f"{value:.17g}", once per distinct
 value: a Wigner grid's x and p columns repeat each grid point hundreds of
 times, so most of their cells cost one gather. The values are deduplicated
 on their bit patterns, because float equality would merge -0.0 with 0.0,
-which are written "-0" and "0". Any other column is formatted with str, and
-the rows are joined once. The text is the same as formatting cell by cell.
+which are written "-0" and "0". Any other column is formatted with str.
+The rows are then streamed to the file in chunks of a few thousand, so the
+writer's memory is the distinct texts plus one chunk, not the table's text.
+The text is the same as formatting cell by cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import ContractViolationError, InputFormatError
 from .fock import FockState
 
 NORM_WARN_TOL = 1e-6
+_CHUNK_ROWS = 4096  # rows per write of write_csv
 
 
 def state_to_dict(state: FockState, metadata: dict | None = None) -> dict:
@@ -133,28 +139,62 @@ def load_state(path: str | Path) -> FockState:
     return state_from_dict(read_json(path))
 
 
-def _column_cells(column) -> list[str]:
-    """The CSV cells of one column, in order."""
+def _column_texts(column) -> tuple[list[str], np.ndarray | None]:
+    """One column's distinct cell texts and, per row, the index of its text.
+
+    The index is None when the texts are the cells themselves, in order.
+    """
     is_float64 = isinstance(column, np.ndarray) and column.dtype == np.float64
     if not (is_float64 or all(isinstance(value, float) for value in column)):
-        return [str(value) for value in column]
+        return [str(value) for value in column], None
     bits, where = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
-    texts = ["%.17g" % value for value in bits.view(np.float64).tolist()]
-    return [texts[i] for i in where.tolist()]
+    return ["%.17g" % value for value in bits.view(np.float64).tolist()], where
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
     """Write a table given by columns, one per header name, all of one length.
 
     A column holds one type. A float64 array, or a sequence of floats, has
-    "%.17g" cells, each distinct bit pattern formatted once and gathered;
-    keying on bits keeps -0.0 ("-0") apart from 0.0 ("0"). Any other column
-    (ints, for one, which numpy would read as floats from 2**63 on) has str
-    cells. Lines end in "\n", the last one included; a table with no
-    rows is its header line.
+    "%.17g" cells, each distinct bit pattern formatted once; keying on bits
+    keeps -0.0 ("-0") apart from 0.0 ("0"). Any other column (ints, for
+    one, which numpy would read as floats from 2**63 on) has str cells.
+    Lines end in "\n", the last one included; a table with no rows is its
+    header line. Every column is formatted before the file is opened, and
+    the rows are then written in chunks of `_CHUNK_ROWS`, so the writer
+    holds the distinct texts and one chunk's text, never the whole table's.
+    A header with more or fewer names than columns, or columns of different
+    lengths, raise ContractViolationError. A failed write deletes the
+    partial file if it is a regular file (a device or a symlink stays), then
+    raises; an OSError becomes InputFormatError.
     """
-    cells = [_column_cells(column) for column in columns]
-    write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+    if len(header) != len(columns):
+        raise ContractViolationError(f"CSV header names {len(header)} columns, but {len(columns)} are given")
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ContractViolationError(f"CSV columns must have one length, got lengths {lengths}")
+    rows = lengths[0] if lengths else 0
+    formatted = [_column_texts(column) for column in columns]
+    try:
+        handle = open(path, "w")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
+            handle.write(",".join(header) + "\n")
+            for start in range(0, rows, _CHUNK_ROWS):
+                chunk = slice(start, start + _CHUNK_ROWS)
+                cells = [
+                    texts[chunk] if where is None else map(texts.__getitem__, where[chunk].tolist())
+                    for texts, where in formatted
+                ]
+                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise InputFormatError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def json_text(payload: dict) -> str:
