@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fock, gates
-from .errors import ContractViolationError, OptimizerFailure
+from .errors import OptimizerFailure, _require
 from .fock import FockState
 from .gates import GateOutcome
 from .witness import ratio_db
@@ -62,8 +62,7 @@ def breed_protocol(state: FockState, rounds: int) -> BreedingRun:
     The schedule is the binary tree consuming 2^rounds copies of the input;
     rounds = 0 returns the input unchanged.
     """
-    if rounds < 0:
-        raise ContractViolationError(f"rounds must be >= 0, got {rounds}")
+    _require("rounds", rounds, at_least=0, integer=True)
     outputs: list[FockState] = []
     norms: list[float] = []
     current = state
@@ -88,6 +87,7 @@ def build_q0(dim: int) -> np.ndarray:
     holds the matrix per dimension. The x and p spectra come from
     `fock.generator_spectrum`, shared with the Gaussian candidates.
     """
+    _require("dim", dim, at_least=1, integer=True)
     big = dim + _Q0_PAD
     term_x = fock.matrix_function(
         fock.generator_spectrum("x", big), lambda lam: 2.0 * np.sin(lam * math.sqrt(math.pi) / 2.0) ** 2

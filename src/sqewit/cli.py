@@ -106,7 +106,7 @@ _state_option = click.option("--state", "state_path", required=True, type=click.
 _u_option = click.option("--u", type=_FLOAT, default=3.0, show_default=True)
 _phi_option = click.option("--phi", type=_FLOAT, default=0.0, show_default=True)
 _c_option = click.option("--c", type=_FLOAT, default=10.0, show_default=True)
-_k_option = click.option("--k", type=int, default=100, show_default=True)
+_k_option = click.option("--k", type=int, default=witness.WitnessSpec.k, show_default=True)
 
 
 def _witness_options(func):
@@ -243,8 +243,8 @@ def cmd_breed(ctx, state_path, rounds, out, state_out):
 @click.option("--problem", type=click.Choice(pareto.PROBLEMS), default="fidelity", show_default=True)
 @_witness_options
 @click.option("--dim", type=int, default=6, show_default=True)
-@click.option("--pop", type=int, default=200, show_default=True)
-@click.option("--gens", type=int, default=500, show_default=True)
+@click.option("--pop", type=int, default=pareto.NsgaConfig.population, show_default=True)
+@click.option("--gens", type=int, default=pareto.NsgaConfig.generations, show_default=True)
 @click.option("--rounds", type=int, default=2, show_default=True, help="breeding rounds (gkp problem)")
 @click.option("--seed", type=int, required=True, help="mandatory: runs are refused without a seed")
 @click.option("--out", required=True, type=click.Path(), help="frontier CSV path")

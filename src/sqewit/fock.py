@@ -76,8 +76,7 @@ def _pad(dim: int) -> int:
 
 def annihilation(dim: int) -> np.ndarray:
     """Truncated annihilation operator: a[n-1, n] = sqrt(n)."""
-    if dim < 1:
-        raise ContractViolationError(f"dimension must be >= 1, got {dim}")
+    _require("dim", dim, at_least=1, integer=True)
     a = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     a[n - 1, n] = np.sqrt(n)
@@ -95,8 +94,7 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def crop(matrix: np.ndarray, dim: int) -> np.ndarray:
     """Top-left dim x dim block as a fresh array, 1 <= dim <= the matrix's size."""
-    if not 1 <= dim <= min(matrix.shape):
-        raise ContractViolationError(f"cannot crop a {matrix.shape} matrix to dimension {dim}")
+    _require("dim", dim, at_least=1, at_most=min(matrix.shape), integer=True)
     return np.array(matrix[:dim, :dim], copy=True)
 
 
@@ -351,19 +349,17 @@ def coupler_generator(kind: str, dim: int) -> np.ndarray:
     QND couples as x1*p2; BS as (pi/4)(p1*x2 - p2*x1). Mode-1 major
     Kronecker composition.
     """
+    _check_coupler_args(kind, dim)
     x, p = quadratures(dim)
     if kind == "QND":
         return np.kron(x, p)
-    if kind == "BS":
-        return (np.pi / 4.0) * (np.kron(p, x) - np.kron(x, p))
-    raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
+    return (np.pi / 4.0) * (np.kron(p, x) - np.kron(x, p))
 
 
 def _check_coupler_args(kind: str, dim: int) -> None:
     if kind not in COUPLER_KINDS:
         raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
-    if dim < 1:
-        raise ContractViolationError(f"dimension must be >= 1, got {dim}")
+    _require("dim", dim, at_least=1, integer=True)
 
 
 def _bs_sector_blocks(dim: int):
@@ -459,8 +455,7 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     point whose start is a normal float takes exactly the unlifted
     operations.
     """
-    if n_max < 0:
-        raise ContractViolationError(f"n_max must be >= 0, got {n_max}")
+    _require("n_max", n_max, at_least=0, integer=True)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty((n_max + 1, t.size))
     q = 0.5 * t * t
@@ -491,8 +486,7 @@ def momentum_eigenbra(dim: int) -> np.ndarray:
     evaluates the (unnormalizable) momentum-eigenstate overlap used by
     homodyne post-selection at outcome p = 0.
     """
-    if dim < 1:
-        raise ContractViolationError(f"dim must be >= 1, got {dim}")
+    _require("dim", dim, at_least=1, integer=True)
     phi = hermite_functions(dim - 1, np.array([0.0]))[:, 0]
     return ((-1j) ** np.arange(dim) * phi).conj()
 
@@ -525,8 +519,8 @@ class FockState:
 
 
 def basis_state(dim: int, n: int) -> FockState:
-    if not 0 <= n < dim:
-        raise ContractViolationError(f"Fock index {n} outside [0, {dim})")
+    _require("dim", dim, at_least=1, integer=True)
+    _require("n", n, at_least=0, at_most=dim - 1, integer=True)
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
     return FockState(amps)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import breeding, fock, gates, states, witness
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _require
 from .fock import FockState
 from .witness import WitnessSpec
 
@@ -54,12 +54,11 @@ class NsgaConfig:
     generations: int = 500
 
     def __post_init__(self):
-        if self.population < 2 or self.population % 2:
-            raise ContractViolationError(f"population must be even and >= 2, got {self.population}")
-        if self.generations < 0:
-            raise ContractViolationError(f"generations must be >= 0, got {self.generations}")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _require("population", self.population, at_least=2, integer=True)
+        if self.population % 2:
+            raise ContractViolationError(f"population must be even, got {self.population}")
+        _require("generations", self.generations, at_least=0, integer=True)
+        _require("seed", self.seed, at_least=0, at_most=2**64 - 1, integer=True)
 
 
 def decode(genome: np.ndarray) -> FockState | None:
@@ -169,7 +168,7 @@ class _GkpObjectives:
 
     metric_name = "gkp_db"
 
-    def __init__(self, spec: WitnessSpec, rounds: int = 2):
+    def __init__(self, spec: WitnessSpec, rounds: int):
         self.rounds = rounds
         self.w = witness.build_witness(spec)
         self.coupler = fock.two_mode_coupler("BS", spec.dim)
@@ -413,8 +412,7 @@ def evolve(
     normalized, and invalid genomes and annihilated gates score ``inf``,
     which ``non_dominated_sort`` orders like any other value.
     """
-    if breeding_rounds < 0:
-        raise ContractViolationError(f"breeding_rounds must be >= 0, got {breeding_rounds}")
+    _require("breeding_rounds", breeding_rounds, at_least=0, integer=True)
     objective = _make_objectives(problem, spec, breeding_rounds)
     bound = witness.gaussian_bound(spec.u, spec.c, spec.k)
     rng = np.random.default_rng(cfg.seed)

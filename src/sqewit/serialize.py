@@ -1,9 +1,10 @@
 """State files, reports, and grid emission (JSON for records, CSV for tables).
 
-This is the package's only module that touches the filesystem: every read
-and write goes through `read_json`, `write_text`, `write_csv` or `make_dir`,
-which turn a path that cannot be read or written into an InputFormatError
-naming it.
+This is the package's only module that touches the filesystem. Reads go
+through `read_json`, directories through `make_dir`, and every file write
+(state file, report or table) through one writer, `_write`, which deletes
+its partial file when a write fails. Each turns a path that cannot be read
+or written into an InputFormatError naming it.
 `check_writable` raises the same error before a command computes anything,
 so that a bad output path leaves no partial output behind.
 Floating-point values are written so they round-trip exactly: CSV cells use
@@ -56,13 +57,6 @@ def read_json(path: str | Path):
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise InputFormatError(f"cannot write {path}: {exc}") from exc
-
-
 def check_writable(*paths: str | Path | None) -> None:
     """Raise InputFormatError unless each path can be written as a file.
 
@@ -92,7 +86,7 @@ def make_dir(path: str | Path) -> None:
 
 def save_state(path: str | Path, state: FockState, metadata: dict | None = None) -> None:
     """Write a state file as `dump_json` writes a report; metadata values are JSON values."""
-    write_text(path, json_text(state_to_dict(state, metadata)))
+    _write(path, (json_text(state_to_dict(state, metadata)),))
 
 
 def state_from_dict(payload: dict) -> FockState:
@@ -163,9 +157,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     the rows are then written in chunks of `_CHUNK_ROWS`, so the writer
     holds the distinct texts and one chunk's text, never the whole table's.
     A header with more or fewer names than columns, or columns of different
-    lengths, raise ContractViolationError. A failed write deletes the
-    partial file if it is a regular file (a device or a symlink stays), then
-    raises; an OSError becomes InputFormatError.
+    lengths, raise ContractViolationError; a failed write raises as in `_write`.
     """
     if len(header) != len(columns):
         raise ContractViolationError(f"CSV header names {len(header)} columns, but {len(columns)} are given")
@@ -174,20 +166,34 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
         raise ContractViolationError(f"CSV columns must have one length, got lengths {lengths}")
     rows = lengths[0] if lengths else 0
     formatted = [_column_texts(column) for column in columns]
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for start in range(0, rows, _CHUNK_ROWS):
+            chunk = slice(start, start + _CHUNK_ROWS)
+            cells = [
+                texts[chunk] if where is None else map(texts.__getitem__, where[chunk].tolist())
+                for texts, where in formatted
+            ]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _write(path, lines())
+
+
+def _write(path: str | Path, pieces) -> None:
+    """Write the text pieces to path in order: the package's one file write.
+
+    A failed write deletes the partial file if it is a regular file (a device
+    or a symlink stays), then raises; an OSError becomes InputFormatError.
+    """
     try:
         handle = open(path, "w")
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
     try:
         with handle:
-            handle.write(",".join(header) + "\n")
-            for start in range(0, rows, _CHUNK_ROWS):
-                chunk = slice(start, start + _CHUNK_ROWS)
-                cells = [
-                    texts[chunk] if where is None else map(texts.__getitem__, where[chunk].tolist())
-                    for texts, where in formatted
-                ]
-                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            for piece in pieces:
+                handle.write(piece)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.lstat(path).st_mode):
@@ -203,4 +209,4 @@ def json_text(payload: dict) -> str:
 
 
 def dump_json(path: str | Path, payload: dict) -> None:
-    write_text(path, json_text(payload))
+    _write(path, (json_text(payload),))

@@ -169,7 +169,7 @@ def optimal_sqe_approximation(spec: WitnessSpec) -> GroundStateReport:
     )
 
 
-def ground_state_sweep(u: float, phi: float, c: float, dims: list[int], k: int = 100) -> list[GroundStateReport]:
+def ground_state_sweep(u: float, phi: float, c: float, dims: list[int], k: int) -> list[GroundStateReport]:
     """Optimal approximations over a range of truncation dimensions, in the
     order of `dims`; each report's dimension is `report.state.dim`."""
     return [optimal_sqe_approximation(WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=k)) for dim in dims]

@@ -83,7 +83,7 @@ API_SURFACE = {
     },
     "sqewit.serialize": {
         "NORM_WARN_TOL": None, "state_to_dict": ("state", "metadata"), "read_json": ("path",),
-        "write_text": ("path", "text"), "check_writable": ("paths",), "make_dir": ("path",),
+        "check_writable": ("paths",), "make_dir": ("path",),
         "save_state": ("path", "state", "metadata"), "state_from_dict": ("payload",), "load_state": ("path",),
         "write_csv": ("path", "header", "columns"), "json_text": ("payload",),
         "dump_json": ("path", "payload"),

@@ -1,4 +1,5 @@
-"""The padding-free API: no padding knobs, no knobs without callers, one file boundary.
+"""The padding-free API: no padding knobs, no knobs without callers, one file
+boundary with one file write, and one refusal of bad numeric arguments.
 
 The bitwise values of the Gaussian constructions and the momentum comb are
 the `construction` store of `tests/pins.py`.
@@ -8,8 +9,12 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sqewit
 from sqewit import breeding, cli, fock, gates, pareto, serialize, states, witness
+from sqewit.errors import ContractViolationError
 
 
 def test_no_public_padding_knobs():
@@ -45,9 +50,15 @@ def test_no_knobs_without_callers():
     assert "j_cut" not in inspect.signature(witness.comb_diagonal_exact).parameters
     # GKP squeezing finds its own witness, `breeding.gkp_witness(state.dim)`.
     assert "witness" not in inspect.signature(breeding.gkp_squeezing_db).parameters
-    # The Gaussian benchmark prices the witness's own comb: k has no default.
-    for func in (witness.gaussian_bound, witness.squeezed_vacuum_expectation):
-        assert inspect.signature(func).parameters["k"].default is inspect.Parameter.empty, func.__name__
+    # The Gaussian benchmark prices the witness's own comb, and each default
+    # is declared once (k on `WitnessSpec`, the rounds on `evolve`).
+    for func, param in (
+        (witness.gaussian_bound, "k"),
+        (witness.squeezed_vacuum_expectation, "k"),
+        (states.ground_state_sweep, "k"),
+        (pareto._GkpObjectives, "rounds"),
+    ):
+        assert inspect.signature(func).parameters[param].default is inspect.Parameter.empty, func.__name__
     for module, name in (
         (fock, "creation"),
         (fock, "momentum_wavefunction"),
@@ -74,16 +85,63 @@ def test_no_knobs_without_callers():
     assert "metric_name" in pareto.EvolveResult.__dataclass_fields__
 
 
-def test_only_serialize_touches_files():
-    # One boundary maps read and write failures to InputFormatError (exit 2).
+def _file_calls(node, owner, found):
+    """Append (enclosing function, called name) for each file call under node."""
     file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in file_calls:
+                found.append((owner, name))
+        _file_calls(child, child.name if isinstance(child, ast.FunctionDef) else owner, found)
+
+
+def test_only_serialize_touches_files():
+    # One boundary maps read and write failures to InputFormatError (exit 2),
+    # and one writer, `serialize._write`, opens every file that is written,
+    # so that every write deletes its partial file when it fails.
     calls = []
     for path in sorted(Path(sqewit.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in file_calls:
-                    calls.append((path.stem, name))
-    assert {module for module, _ in calls} == {"serialize"}, calls
+        found = []
+        _file_calls(ast.parse(path.read_text()), None, found)
+        calls += [(path.stem, owner, name) for owner, name in found]
+    assert {module for module, _, _ in calls} == {"serialize"}, calls
+    assert [call for call in calls if call[2] == "open"] == [("serialize", "_write", "open")], calls
+    assert not [call for call in calls if call[2] in ("write_text", "write_bytes")], calls
+
+
+# Bad counts and dimensions, each refused by `errors._require` with a message
+# that names the argument, not by numpy's TypeError, a later failure, or a
+# message about another argument.
+_REFUSALS = {
+    "annihilation": (lambda: fock.annihilation(2.5), "dim"),
+    "crop": (lambda: fock.crop(np.eye(3), 2.5), "dim"),
+    "crop_beyond": (lambda: fock.crop(np.eye(3), 4), "dim"),
+    "hermite_functions": (lambda: fock.hermite_functions(2.5, np.zeros(2)), "n_max"),
+    "momentum_eigenbra": (lambda: fock.momentum_eigenbra(2.5), "dim"),
+    "basis_state_dim": (lambda: fock.vacuum(0), "dim"),
+    "basis_state_n": (lambda: fock.basis_state(3, 3), "n"),
+    "p0_kernel": (lambda: fock.p0_kernel("BS", 2.5), "dim"),
+    "coupler_generator": (lambda: fock.coupler_generator("QND", 0), "dim"),
+    "breed_protocol": (lambda: breeding.breed_protocol(fock.vacuum(2), 1.5), "rounds"),
+    "build_q0": (lambda: breeding.build_q0(2.5), "dim"),
+    "gkp_witness": (lambda: breeding.gkp_witness(0), "dim"),
+    "nsga_seed": (lambda: pareto.NsgaConfig(seed=1.5), "seed"),
+    "nsga_population": (lambda: pareto.NsgaConfig(seed=1, population=4.0), "population"),
+    "nsga_generations": (lambda: pareto.NsgaConfig(seed=1, generations=2.5), "generations"),
+    "evolve": (
+        lambda: pareto.evolve(
+            "gkp", witness.WitnessSpec(u=2.0, phi=0.0, c=1.0, dim=2), pareto.NsgaConfig(seed=1), breeding_rounds=1.5
+        ),
+        "breeding_rounds",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_bad_counts_and_dimensions_are_refused_by_name(case):
+    call, name = _REFUSALS[case]
+    with pytest.raises(ContractViolationError, match=f"^{name} must be "):
+        call()
 

@@ -4,10 +4,13 @@
 chunks. `_row_oracle_text` is the text it wrote when it took rows and
 formatted each cell on its own; the column writer must write the same bytes
 at every chunk size. The sha256 of the CLI's CSV files is the `csv` store of
-`tests/pins.py`. The last tests bound the writer's memory.
+`tests/pins.py`. The failure tests cover every file writer, the JSON ones
+too, since all of them write through `serialize._write`. The last tests
+bound the writer's memory.
 """
 
 import builtins
+import json
 import math
 import os
 import subprocess
@@ -129,15 +132,15 @@ def test_malformed_tables_are_refused_before_the_file_is_opened(tmp_path):
     assert not path.exists()
 
 
-class _SecondWriteRaises:
-    """A text file whose second write raises `error` (the first is the header)."""
+class _WriteRaises:
+    """A text file whose write number `nth` raises `error`."""
 
-    def __init__(self, path, mode, error):
-        self.handle, self.error, self.writes = builtins.open(path, mode), error, 0
+    def __init__(self, path, mode, error, nth):
+        self.handle, self.error, self.nth, self.writes = builtins.open(path, mode), error, nth, 0
 
     def write(self, text):
         self.writes += 1
-        if self.writes == 2:
+        if self.writes == self.nth:
             raise self.error
         return self.handle.write(text)
 
@@ -148,21 +151,25 @@ class _SecondWriteRaises:
         self.handle.close()
 
 
-def _fail_second_write(monkeypatch, error) -> None:
-    """Make write_csv write two-row chunks to files whose second write raises `error`."""
+def _fail_write(monkeypatch, error, nth=2) -> None:
+    """Make write_csv write two-row chunks, and write number `nth` of a file raise `error`.
+
+    The second write of a table is its first chunk (the first is the header);
+    a JSON file has one write.
+    """
     monkeypatch.setattr(serialize, "_CHUNK_ROWS", 2)
-    monkeypatch.setattr(serialize, "open", lambda path, mode: _SecondWriteRaises(path, mode, error), raising=False)
+    monkeypatch.setattr(serialize, "open", lambda path, mode: _WriteRaises(path, mode, error, nth), raising=False)
 
 
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError("chunk")])
 def test_failed_chunk_write_leaves_no_partial_file(tmp_path, monkeypatch, error):
     path = tmp_path / "t.csv"
-    _fail_second_write(monkeypatch, error)
+    _fail_write(monkeypatch, error)
     expected = InputFormatError if isinstance(error, OSError) else MemoryError
     with pytest.raises(expected) as raised:
         serialize.write_csv(path, ("x",), (np.arange(10.0),))
     assert not path.exists()
-    if isinstance(error, OSError):  # the same error write_text raises: the path, then the cause
+    if isinstance(error, OSError):  # the path, then the cause
         assert str(raised.value) == f"cannot write {path}: {error}"
         assert raised.value.__cause__ is error
     else:
@@ -170,12 +177,62 @@ def test_failed_chunk_write_leaves_no_partial_file(tmp_path, monkeypatch, error)
 
 
 def test_failed_write_through_a_symlink_keeps_the_link(tmp_path, monkeypatch):
-    link = tmp_path / "link.csv"
-    link.symlink_to(tmp_path / "target.csv")
-    _fail_second_write(monkeypatch, OSError(5, "Input/output error"))
-    with pytest.raises(InputFormatError):
-        serialize.write_csv(link, ("x",), (np.arange(10.0),))
-    assert link.is_symlink()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "target")
+    writes = (
+        (2, lambda: serialize.write_csv(link, ("x",), (np.arange(10.0),))),
+        (1, lambda: serialize.save_state(link, fock.vacuum(3))),
+        (1, lambda: serialize.dump_json(link, {"a": 1})),
+    )
+    for nth, write in writes:
+        _fail_write(monkeypatch, OSError(5, "Input/output error"), nth)
+        with pytest.raises(InputFormatError, match=f"^cannot write {link}: "):
+            write()
+        assert link.is_symlink()
+
+
+# A child process whose files may not grow past 100 kB, with SIGXFSZ ignored
+# so that a write past the limit fails with EFBIG instead of killing it.
+# Each writer gets more than the limit; the child prints the error text and
+# whether the file is left.
+_FSIZE_CHILD = """\
+import json, os, resource, signal, sys
+import numpy as np
+from sqewit import fock, serialize
+from sqewit.errors import InputFormatError
+
+writers = {
+    "save_state": lambda path: serialize.save_state(path, fock.FockState(np.ones(20000))),
+    "dump_json": lambda path: serialize.dump_json(path, {"values": list(range(50000))}),
+    "write_csv": lambda path: serialize.write_csv(path, ("x",), (np.arange(50000.0),)),
+}
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+writer, path = sys.argv[1], sys.argv[2]
+try:
+    writers[writer](path)
+    error = None
+except InputFormatError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "left": os.path.exists(path)}))
+"""
+
+
+def _run_child(code: str, *args: str) -> str:
+    """Stdout of `python -c code args` with this package on its path."""
+    src = str(Path(serialize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX")
+@pytest.mark.parametrize("writer", ["save_state", "dump_json", "write_csv"])
+def test_write_past_the_file_size_limit_leaves_no_file(tmp_path, writer):
+    path = tmp_path / f"out.{'csv' if writer == 'write_csv' else 'json'}"
+    outcome = json.loads(_run_child(_FSIZE_CHILD, writer, str(path)))
+    assert outcome["error"] is not None and outcome["error"].startswith(f"cannot write {path}: "), outcome
+    assert not outcome["left"]
 
 
 def test_wigner_grid_columns_match_row_oracle():
@@ -196,7 +253,7 @@ def test_wigner_grid_columns_match_row_oracle():
 
 def _recipe_state() -> fock.FockState:
     """The README's wigner input: the N = 8 ground state of u = 3, phi = 0, c = 10."""
-    return states.ground_state_sweep(3.0, 0.0, 10.0, [8])[0].state
+    return states.ground_state_sweep(3.0, 0.0, 10.0, [8], k=100)[0].state
 
 
 def test_writer_traced_peak_on_the_recipe_wigner_table(tmp_path):
@@ -226,9 +283,6 @@ def test_fine_wigner_grid_peak_resident_memory(tmp_path):
         "cli.main(sys.argv[1:], standalone_mode=False)\n"
         "print(next(line for line in Path('/proc/self/status').read_text().splitlines() if line.startswith('VmHWM')))\n"
     )
-    src = str(Path(serialize.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
-    peak_mb = int(result.stdout.split()[-2]) / 1024  # "VmHWM:  197408 kB"
+    peak_mb = int(_run_child(code, *args).split()[-2]) / 1024  # "VmHWM:  197408 kB"
     assert out.stat().st_size > 80e6
     assert peak_mb <= 260, f"wigner --step 0.01 peaked at {peak_mb:.0f} MB resident"

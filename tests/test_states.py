@@ -156,7 +156,7 @@ class TestOptimalApproximation:
         assert np.max(np.abs(full.vectors[0::2, 0])) < 1e-12  # odd ground
 
     def test_eigenvalue_nonincreasing_with_ties(self):
-        sweep = states.ground_state_sweep(3.0, 0.0, 10.0, list(range(3, 13)))
+        sweep = states.ground_state_sweep(3.0, 0.0, 10.0, list(range(3, 13)), k=100)
         assert [rep.state.dim for rep in sweep] == list(range(3, 13))
         eigs = [rep.eigenvalue for rep in sweep]
         assert all(b <= a + 1e-10 for a, b in zip(eigs, eigs[1:]))
