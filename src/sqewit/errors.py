@@ -40,15 +40,18 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _require(name: str, value, *, above=None, at_least=None, at_most=None, integer: bool = False) -> None:
-    """Refuse `value` by name unless it is a finite real (an integer if
-    `integer`) that is > above, >= at_least and <= at_most where given.
+    """Refuse `value` by name unless it is a finite real (an integer, not a
+    bool, if `integer`) that is > above, >= at_least and <= at_most where given.
 
     The package's one route for refusing a numeric argument, every count,
     dimension, index and seed included, by name: a bare `x < 0` lets NaN
     through, and a float dimension would fail later, inside numpy or `range`.
     """
     limits = {op: bound for op, bound in ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None}
-    ok = isinstance(value, numbers.Integral) if integer else isinstance(value, numbers.Real) and math.isfinite(value)
+    if integer:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
     if not (ok and all(_COMPARE[op](value, bound) for op, bound in limits.items())):
         want = " and ".join(["an integer" if integer else "finite", *(f"{op} {b}" for op, b in limits.items())])
         raise ContractViolationError(f"{name} must be {want}, got {value}")

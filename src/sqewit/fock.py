@@ -12,17 +12,9 @@ eigendecomposition per generator and size (`generator_spectrum`): those of
 the padded gates, of `breeding`'s Q0 and its Gaussian candidates, and the
 unpadded x and p spectra of the QND coupler and its p = 0 kernel.
 `ExactDisplacements` gives the closed-form displacement block where
-padding is not enough. That block costs O(N²): one Laguerre recurrence over
-the degree, vectorized over the order, that repeats scipy's scalar loop
-operation for operation.
-Its binomials are exact integers rounded once (to inf past the largest
-float, from N = 1031 on), from one table per process;
-scipy's `binom` is up to 6.2e-13 off those from (i, j) = (31, 14) on, so
-each entry is bitwise equal to the elementwise closed form where scipy's
-binomial is exact and within 1e-12 of it elsewhere (`ExactDisplacements`
-shares its s-independent tables across many s).
-Like that closed form, it still has non-finite entries from N ≈ 250 at
-large |s| (ROADMAP item 2). Each block is the exact truncation of the
+padding is not enough, in O(N²) per block from tables that are pure
+functions of the dimension, and bitwise the elementwise closed form where
+scipy's binomial is exact. Each block is the exact truncation of the
 infinite-dimensional operator, so an N-level block is bitwise the top-left
 N x N block of every larger build.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
@@ -48,9 +40,9 @@ values are those of the plain recurrence, bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -191,17 +183,6 @@ def displacement_x(u: float, dim: int) -> np.ndarray:
     return crop(full, dim)
 
 
-# The s-independent tables of every `ExactDisplacements`, one per process,
-# grown on demand: row i of the binomial triangle, C(i, j) for j = 0..i (each
-# exact integer rounded once, to inf past the largest float, as from row
-# 1030 on), from i(i+1)/2 on, and ln n! = lgam(n + 1). An entry never changes
-# once computed, so a table does not depend on the order of the dimensions it
-# was grown to.
-_pascal_row: list[int] = []  # the last row of the triangle, exact
-_binomials = np.empty(0)
-_log_factorials = np.empty(0)
-
-
 def _rounded(c: int) -> float:
     # The float nearest to c; inf where that passes the largest float, as in
     # IEEE rounding (float(c) raises there instead).
@@ -211,19 +192,25 @@ def _rounded(c: int) -> float:
         return math.inf
 
 
+@lru_cache(maxsize=None)
+def _binomial_row(i: int) -> np.ndarray:
+    # C(i, j) for j = 0..i, read-only, each exact integer rounded once (to inf
+    # from row 1030 on). Exact by C(i, j + 1) = C(i, j) (i - j) / (j + 1).
+    exact = accumulate(range(i), lambda c, j: c * (i - j) // (j + 1), initial=1)
+    row = np.array([_rounded(c) for c in exact])
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=None)
+def _log_factorial(n: int) -> float:
+    return lgam(n + 1.0)
+
+
 def _exact_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # Binomials of rows 0..dim-1 and ln n! for n < dim, at least.
-    global _pascal_row, _binomials, _log_factorials
-    rows = _log_factorials.size
-    if rows < dim:
-        row, flat = _pascal_row, []
-        for _ in range(rows, dim):
-            row = [1, *map(operator.add, row, row[1:]), 1] if row else [1]
-            flat.extend(map(_rounded, row))
-        _pascal_row = row
-        _binomials = np.concatenate((_binomials, flat))
-        _log_factorials = np.concatenate((_log_factorials, [lgam(n + 1.0) for n in range(rows, dim)]))
-    return _binomials, _log_factorials
+    # Binomial rows 0..dim-1 end to end (row i from i(i+1)/2 on), and ln n!, n < dim.
+    binomials = np.concatenate([_binomial_row(i) for i in range(dim)])
+    return binomials, np.array([_log_factorial(n) for n in range(dim)])
 
 
 class ExactDisplacements:
@@ -237,76 +224,70 @@ class ExactDisplacements:
     d = i - j, the block element is
     <n|exp(-i s p)|m> = ±sqrt(j!/i!) |alpha|^d e^(-x/2) L_j^(d)(x),
     the sign being sign(alpha)^d below the diagonal and (-sign(alpha))^d
-    above it. Construction builds, once, everything that does not depend on
-    s: the packed (j, d) layout and its gather index, the
-    ½(lnΓ(j+1) - lnΓ(i+1)) term, the binomials binom(i, j), the
-    recurrence's divisors i and weights (j-1)/i, and the ±1 parity of the
-    upper triangle. The log-factorials and the binomials are gathered from
-    tables shared by all instances: each binomial is the exact integer
-    C(i, j) rounded once (inf past the largest float, from i = 1030 on, as
-    scipy's `binom` gives), each log-factorial a bitwise port of scipy's
-    `gammaln`.
-    Each call then evaluates every L_j^(d)(x) with j + d < dim in one
-    recurrence over the degree j, vectorized over the order d: O(N²) work
+    above it. Construction builds what does not depend on s as dim x dim
+    (j, d) tables: ½(lnΓ(j+1) - lnΓ(i+1)), binom(i, j) and the recurrence's
+    weights (j-1)/i. Entries with j + d >= dim never reach the block: their
+    ½ lnΓ term is NaN (numpy's exp is slow on -inf) and their Laguerre value
+    0, so they raise no floating-point warning. Each binomial is the exact
+    C(i, j) rounded once (inf from i = 1030 on, as scipy's `binom` gives),
+    each log-factorial a bitwise port of scipy's `gammaln`, both from cached
+    pure functions: instances share no mutable state.
+    Each call runs one recurrence over the degree j, vectorized over the
+    order d, then gathers the block from the flat (j, d) table: O(N²) work
     per block, against O(N³) for scipy's elementwise Laguerre evaluation.
-    The recurrence performs exactly the floating-point operations of
-    scipy's scalar loop, in the same order, so every entry is bitwise equal
-    to the elementwise closed form wherever scipy's `binom` is exact (every
-    entry up to N = 31) and within 1e-12 of it elsewhere, where scipy's
-    binomial is the less accurate one. Entries are still non-finite from
-    N ≈ 250 at large |s|, where e^(-x/2) underflows to 0 against a Laguerre
-    factor that overflows (ROADMAP item 2).
+    The recurrence repeats scipy's scalar loop operation for operation, so
+    every entry is bitwise equal to the elementwise closed form wherever
+    scipy's `binom` is exact (every entry up to N = 31; it is up to 6.2e-13
+    off from (i, j) = (31, 14) on) and within 1e-12 of it elsewhere. Like
+    that closed form, entries are non-finite from N ≈ 250 at large |s|,
+    where e^(-x/2) underflows to 0 against a Laguerre factor that overflows
+    (ROADMAP item 2).
     """
 
     def __init__(self, dim: int):
         _require("dim", dim, at_least=1, integer=True)
-        n = np.arange(dim)
-        # Packed layout, degree-major: degree j holds orders d = 0..dim-1-j.
-        offsets = np.concatenate(([0], np.cumsum(dim - n)))
-        degree = np.repeat(n, dim - n)
-        self._order = np.arange(degree.size) - offsets[degree]
-        self._levels = n.astype(float)
+        i, j = np.tril_indices(dim)  # row i and degree j of each entry, d = i - j
+        at = j * dim + (i - j)  # its place in the flat (j, d) tables
         binomials, log_factorials = _exact_tables(dim)
-        self._half_lgamma = 0.5 * (log_factorials[degree] - log_factorials[degree + self._order])
-        # Degrees j >= 2, the recurrence's: packed from 2 dim - 1 on, degree
-        # j at [_steps[j - 2], _steps[j - 1]).
-        j = degree[2 * dim - 1 :]
-        self._steps = (offsets[2:] - (2 * dim - 1)).tolist()
-        i = j + self._order[2 * dim - 1 :]
-        self._row = i.astype(float)
-        self._binom = binomials[i * (i + 1) // 2 + j]
-        self._weight = (j - 1.0) / self._row
-        row, col = np.meshgrid(n, n, indexing="ij")
-        dist = np.abs(row - col)
-        self._index = offsets[np.minimum(row, col)] + dist
-        self._parity = np.where((row < col) & (dist % 2 == 1), -1.0, 1.0)
+        half_lgamma, binom = np.full(dim * dim, np.nan), np.zeros(dim * dim)
+        half_lgamma[at] = 0.5 * (log_factorials[j] - log_factorials[i])
+        binom[at] = binomials
+        self._half_lgamma = half_lgamma.reshape(dim, dim)
+        # The recurrence's binomials and weights (j-1)/i, at j >= 2.
+        self._binom = binom.reshape(dim, dim)[2:]
+        level = np.arange(dim, dtype=float)
+        self._weight = (level[2:, None] - 1.0) / (level[2:, None] + level)
+        # Block element (n, m) is entry (min(n, m), |n - m|); above the diagonal
+        # its sign is (-1)^(n + m) for s > 0, the transpose for s < 0.
+        n, sign = np.arange(dim), 1.0 - 2.0 * (level % 2.0)
+        self._index = np.minimum.outer(n, n) * dim + np.abs(np.subtract.outer(n, n))
+        self._parity = np.where(np.less.outer(n, n), np.multiply.outer(sign, sign), 1.0)
         self.dim = dim
 
     def _laguerre(self, x: float) -> np.ndarray:
         # scipy's loop for L_n^(a)(x), n >= 2: d = -x/(a+1), p = d + 1, then
         # for k = 1..n-1: d = (-x/((k+a)+1))*p + (k/((k+a)+1))*d, p = d + p;
-        # result binom(n+a, n)*p. At degree j = k+1, (k+a)+1 is the exact
-        # integer j+a, the row i of the entry; the factors -x/i of all steps
-        # are taken in one division. The loop raises no floating-point
-        # warnings; neither does this one.
+        # result binom(n+a, n)*p. At degree j = k+1, (k+a)+1 is the exact row
+        # i = j+a; the factors -x/i of all steps are one division, t[i - 1].
+        # The loop raises no floating-point warnings; neither does this one.
         dim = self.dim
-        lag = np.empty(self._order.size)
-        lag[:dim] = 1.0
-        lag[dim : 2 * dim - 1] = (-x + self._levels[: dim - 1]) + 1.0
-        if dim > 2:
-            high = lag[2 * dim - 1 :]
-            with np.errstate(all="ignore"):
-                d = -x / (self._levels[: dim - 2] + 1.0)
-                p = d + 1.0
-                t = -x / self._row
-                for lo, hi in zip(self._steps[:-1], self._steps[1:]):
-                    tj, dj, pj = t[lo:hi], d[: hi - lo], p[: hi - lo]
-                    np.multiply(tj, pj, out=tj)
-                    np.multiply(self._weight[lo:hi], dj, out=dj)
-                    np.add(tj, dj, out=dj)
-                    p = high[lo:hi]
-                    np.add(dj, pj, out=p)
-                high *= self._binom
+        lag = np.zeros((dim, dim))
+        lag[0] = 1.0
+        lag[1:2, : dim - 1] = (-x + np.arange(dim - 1.0)) + 1.0
+        with np.errstate(all="ignore"):
+            d = -x / np.arange(1.0, dim - 1)
+            p = d + 1.0
+            t = -x / np.arange(1.0, dim)
+            # The loop is bound by call overhead: local names, positional outs.
+            multiply, add, weight = np.multiply, np.add, self._weight
+            for j in range(2, dim):
+                w = dim - j
+                dj, pj, p = d[:w], p[:w], lag[j, :w]
+                multiply(t[j - 1 :], pj, p)
+                multiply(weight[j - 2, :w], dj, dj)
+                add(p, dj, dj)
+                add(dj, pj, p)
+            lag[2:] *= self._binom
         return lag
 
     def __call__(self, s: float) -> np.ndarray:
@@ -318,9 +299,9 @@ class ExactDisplacements:
         x = alpha * alpha
         power = np.arange(self.dim) * np.log(abs(alpha))
         power[0] = 0.0
-        magnitude = np.exp((self._half_lgamma + power[self._order]) - 0.5 * x) * self._laguerre(x)
+        magnitude = np.exp((self._half_lgamma + power) - 0.5 * x) * self._laguerre(x)
         parity = self._parity if alpha > 0 else self._parity.T
-        return parity * magnitude[self._index]
+        return parity * np.take(magnitude, self._index)
 
 
 def _squeeze_generator(dim: int) -> np.ndarray:

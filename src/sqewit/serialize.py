@@ -183,8 +183,10 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
 def _write(path: str | Path, pieces) -> None:
     """Write the text pieces to path in order: the package's one file write.
 
-    A failed write deletes the partial file if it is a regular file (a device
-    or a symlink stays), then raises; an OSError becomes InputFormatError.
+    A failed write deletes the partial file, then raises; an OSError becomes
+    InputFormatError. Through a symlink, the partial file is the link's
+    resolved target, which `open` has already emptied: it is deleted if it is
+    a regular file, and the link stays. A device stays.
     """
     try:
         handle = open(path, "w")
@@ -196,8 +198,9 @@ def _write(path: str | Path, pieces) -> None:
                 handle.write(piece)
     except BaseException as exc:
         with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.remove(path)
+            target = os.path.realpath(path)
+            if stat.S_ISREG(os.lstat(target).st_mode):
+                os.remove(target)
         if isinstance(exc, OSError):
             raise InputFormatError(f"cannot write {path}: {exc}") from exc
         raise

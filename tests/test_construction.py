@@ -111,6 +111,18 @@ def test_only_serialize_touches_files():
     assert not [call for call in calls if call[2] in ("write_text", "write_bytes")], calls
 
 
+def test_no_module_rebinds_global_or_enclosing_names():
+    # Process-wide state lives only in caches of pure functions, so no module
+    # has a `global` or `nonlocal` statement that could race between threads.
+    found = [
+        (path.stem, node.lineno)
+        for path in sorted(Path(sqewit.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+    ]
+    assert found == []
+
+
 # Bad counts and dimensions, each refused by `errors._require` with a message
 # that names the argument, not by numpy's TypeError, a later failure, or a
 # message about another argument.
@@ -130,6 +142,11 @@ _REFUSALS = {
     "nsga_seed": (lambda: pareto.NsgaConfig(seed=1.5), "seed"),
     "nsga_population": (lambda: pareto.NsgaConfig(seed=1, population=4.0), "population"),
     "nsga_generations": (lambda: pareto.NsgaConfig(seed=1, generations=2.5), "generations"),
+    "annihilation_bool": (lambda: fock.annihilation(True), "dim"),
+    "vacuum_bool": (lambda: fock.vacuum(True), "dim"),
+    "momentum_eigenbra_bool": (lambda: fock.momentum_eigenbra(True), "dim"),
+    "build_q0_bool": (lambda: breeding.build_q0(True), "dim"),
+    "nsga_seed_bool": (lambda: pareto.NsgaConfig(seed=True), "seed"),
     "evolve": (
         lambda: pareto.evolve(
             "gkp", witness.WitnessSpec(u=2.0, phi=0.0, c=1.0, dim=2), pareto.NsgaConfig(seed=1), breeding_rounds=1.5

@@ -189,6 +189,7 @@ def test_failed_write_through_a_symlink_keeps_the_link(tmp_path, monkeypatch):
         with pytest.raises(InputFormatError, match=f"^cannot write {link}: "):
             write()
         assert link.is_symlink()
+        assert not (tmp_path / "target").exists()
 
 
 # A child process whose files may not grow past 100 kB, with SIGXFSZ ignored

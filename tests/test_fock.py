@@ -1,7 +1,10 @@
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -221,30 +224,30 @@ def test_displacement_exact_bitwise_equals_elementwise_closed_form(s, dim):
     assert got_warnings <= want_warnings
 
 
-def _fresh_tables(monkeypatch):
-    # Empty process-wide tables, restored when the test ends.
-    monkeypatch.setattr(fock, "_pascal_row", [])
-    monkeypatch.setattr(fock, "_binomials", np.empty(0))
-    monkeypatch.setattr(fock, "_log_factorials", np.empty(0))
+def _fresh_tables():
+    # Cold caches of the binomial rows and log-factorials; they are pure, so
+    # clearing them only costs the next build its tables.
+    fock._binomial_row.cache_clear()
+    fock._log_factorial.cache_clear()
 
 
-def test_exact_tables_hold_rounded_exact_binomials(monkeypatch):
-    _fresh_tables(monkeypatch)
+def test_exact_tables_hold_rounded_exact_binomials():
+    _fresh_tables()
     binomials, log_factorials = fock._exact_tables(400)
     assert np.array_equal(binomials, _exact_binomials()[np.tril_indices(400)])
     assert np.array_equal(log_factorials, gammaln(np.arange(1, 401)))
 
 
-def test_exact_tables_independent_of_build_order(monkeypatch):
+def test_exact_tables_independent_of_build_order():
     # Jobs of one process share the tables, so a block must not depend on
     # the dimensions built before it.
-    _fresh_tables(monkeypatch)
+    _fresh_tables()
     fock._exact_tables(40)
     grown = fock._exact_tables(300)
-    _fresh_tables(monkeypatch)
+    _fresh_tables()
     built = fock._exact_tables(300)
     assert all(np.array_equal(a, b) for a, b in zip(grown, built))
-    _fresh_tables(monkeypatch)
+    _fresh_tables()
     first = [fock.ExactDisplacements(40)(s) for s in (-6.0, 0.7, 3.0)]
     fock.ExactDisplacements(300)
     again = [fock.ExactDisplacements(40)(s) for s in (-6.0, 0.7, 3.0)]
@@ -263,6 +266,31 @@ def test_exact_tables_round_overflowing_binomials_to_inf():
         assert np.array_equal(np.isinf(row), np.isinf(binom(i, np.arange(i + 1))))
     assert not np.isinf(binomials[: 1030 * 1031 // 2]).any()
     assert np.isinf(binomials[1030 * 1031 // 2 :]).any()
+
+
+def test_exact_displacements_built_in_threads_equal_serial_builds():
+    # Eight threads build blocks at eight dimensions at once from cold tables,
+    # switching every microsecond: each block is bitwise its serial build,
+    # and a later serial build at a larger dimension is unchanged.
+    dims, s = (10, 40, 80, 120, 160, 200, 240, 280), 2.7
+    serial = {dim: fock.ExactDisplacements(dim)(s).tobytes() for dim in (*dims, 300)}
+    barrier = threading.Barrier(len(dims))
+
+    def build(dim):
+        barrier.wait()
+        return fock.ExactDisplacements(dim)(s).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            _fresh_tables()
+            with ThreadPoolExecutor(len(dims)) as pool:
+                built = list(pool.map(build, dims))
+            assert [got == serial[dim] for got, dim in zip(built, dims)] == [True] * len(dims)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fock.ExactDisplacements(300)(s).tobytes() == serial[300]
 
 
 @pytest.mark.parametrize("s", [-6.0, 0.7, 20.0])
