@@ -10,7 +10,7 @@ cat is padded twice: an N = 60 cat exponentiates 135-level spectra. Every
 single-mode spectrum that is exponentiated comes from one cached, read-only
 eigendecomposition per generator and size (`generator_spectrum`): those of
 the padded gates, of `breeding`'s Q0 and its Gaussian candidates, and the
-unpadded x and p spectra of the QND coupler and its p = 0 kernel.
+unpadded x and p spectra of the QND coupler and its p = 0 factor.
 `ExactDisplacements` gives the closed-form displacement block where
 padding is not enough, in O(N²) per block from tables that are pure
 functions of the dimension, and bitwise the elementwise closed form where
@@ -18,13 +18,16 @@ scipy's binomial is exact. Each block is the exact truncation of the
 infinite-dimensional operator, so an N-level block is bitwise the top-left
 N x N block of every larger build.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
-Two-mode couplers reach the gate and breeding paths only as N x N x N
-kernels already contracted with <p = 0| on mode 1 (`p0_kernel`). The dense
-N² x N² unitary (`two_mode_coupler`) is built only by the `pareto` frontier
-objectives, once per run at their few-level N. The BS kernel is
-exact for N-level inputs with a vacuum ancilla. The QND kernel is not: it is
-the unpadded N-level exponential, whose error grows as the input fills the
-space (see `p0_kernel`).
+Two-mode couplers reach the gate and breeding paths only already
+contracted with <p = 0| on mode 1: the beam splitter as an N x N x N kernel
+(`bs_p0_kernel`), the QND coupler as one N x N factor (`qnd_p0_factor`) that
+`gates.couple_and_condition` contracts with the cached p eigenvectors in
+O(N²), never forming an N³ array. The dense N² x N² unitary
+(`two_mode_coupler`) is built only by the `pareto` frontier objectives, once
+per run at their few-level N. The BS kernel is exact for N-level inputs with
+a vacuum ancilla. The QND factor is not: it is the unpadded N-level
+exponential, whose error grows as the input fills the space (see
+`qnd_p0_factor`).
 `wigner` sums each diagonal of the density matrix against its Laguerre
 functions by Clenshaw's recurrence and the diagonals by Horner's rule, in
 O(grid) memory and exact to rounding (within 1e-12 of a quadrature oracle up
@@ -160,7 +163,7 @@ def generator_spectrum(name: str, dim: int) -> EigenDecomposition:
 
     The one spectral route of the Gaussian constructions: the padded
     displacements, squeezing, Q0 and the Gaussian-benchmark candidates, and
-    the unpadded QND coupler and its p = 0 kernel, all exponentiate these,
+    the unpadded QND coupler and its p = 0 factor, all exponentiate these,
     so each is solved once per process and size.
     name is "x", "p" or "squeeze" (the Hermitian -iG of `squeeze`).
     """
@@ -320,7 +323,7 @@ def squeeze(r: float, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-mode couplers and their p = 0 kernels
+# Two-mode couplers and their p = 0 contractions
 # ---------------------------------------------------------------------------
 
 
@@ -364,8 +367,8 @@ def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
     """Dense dim² x dim² unitary coupler, O(N⁴) in memory.
 
     Assembled, uncached, from the same BS sector blocks and cached x and p
-    spectra as `p0_kernel`, which is what the gate and breeding paths use;
-    the `pareto` frontier objectives build this one.
+    spectra as `bs_p0_kernel` and `qnd_p0_factor`, which are what the gate
+    and breeding paths use; the `pareto` frontier objectives build this one.
     """
     _check_coupler_args(kind, dim)
     if kind == "QND":
@@ -381,38 +384,49 @@ def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def p0_kernel(kind: str, dim: int) -> np.ndarray:
-    """Coupler contracted with <p = 0| on mode 1, as a read-only dim³ tensor.
+def bs_p0_kernel(dim: int) -> np.ndarray:
+    """Beam splitter contracted with <p = 0| on mode 1, as a read-only dim³ tensor.
 
     T[k, n1, n2] = sum_j <p=0|j> <j, k|U|n1, n2>, so the unnormalized mode-2
     state conditioned on p = 0 from |a> ⊗ |b> is
-    T.reshape(dim, dim²) @ kron(a, b). Cached per (kind, dim); kind is "QND"
-    or "BS" exactly.
-
-    Known error: the QND kernel exponentiates x1*p2 in the eigenbases of the
-    unpadded dim-level x and p, and the output above level dim - 1 is
-    dropped before the gate normalizes. It is therefore not exact for
-    inputs that fill the space. On the 60-level u = 3, r = 2 squeezed cat
-    with a vacuum ancilla it gives F_QND = 0.999804 against the ideal
-    target, where the exact channel out(x2) = (2 pi)^(-1/2) int psi(x1)
-    phi_0(x2 - x1) dx1 gives 0.999535 (= F_BS): a 2.7e-4 fidelity gap.
+    T.reshape(dim, dim²) @ kron(a, b). Built from the photon-sector blocks
+    and cached per dimension; exact for dim-level inputs with a vacuum
+    ancilla.
     """
-    _check_coupler_args(kind, dim)
+    _require("dim", dim, at_least=1, integer=True)
     bra = momentum_eigenbra(dim)
-    if kind == "QND":
-        # exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the x and
-        # p eigenbases; the bra folds into w, leaving
-        # d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
-        (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
-        d = (w.conj() * (bra @ w)) @ np.exp(-1j * np.outer(mu, lam))
-        kernel = (v[:, None, :] * d[None, :, :]) @ v.conj().T
-    else:
-        # Within sector s, output row k1 leaves k = s - k1 photons in mode 2.
-        kernel = np.zeros((dim, dim, dim), dtype=complex)
-        for s, n1, block in _bs_sector_blocks(dim):
-            kernel[(s - n1)[:, None], n1, s - n1] = bra[n1][:, None] * block
+    # Within sector s, output row k1 leaves k = s - k1 photons in mode 2.
+    kernel = np.zeros((dim, dim, dim), dtype=complex)
+    for s, n1, block in _bs_sector_blocks(dim):
+        kernel[(s - n1)[:, None], n1, s - n1] = bra[n1][:, None] * block
     kernel.flags.writeable = False
     return kernel
+
+
+@lru_cache(maxsize=8)
+def qnd_p0_factor(dim: int) -> np.ndarray:
+    """The mode-1 factor of the QND coupler contracted with <p = 0|, read-only dim x dim.
+
+    exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the
+    eigenbases w of x and v of p (`generator_spectrum`); the bra folds into
+    w, leaving d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
+    The unnormalized mode-2 state conditioned on p = 0 from |a> ⊗ |b> is
+    then v @ ((a @ d) * (b @ conj(v))): a sum over the dim eigenvalues of p
+    of single-mode factors, O(dim²) in time and memory. Cached per dimension.
+
+    Known error: this exponentiates x1*p2 in the eigenbases of the unpadded
+    dim-level x and p, and the output above level dim - 1 is dropped before
+    the gate normalizes. It is therefore not exact for inputs that fill the
+    space. On the 60-level u = 3, r = 2 squeezed cat with a vacuum ancilla
+    it gives F_QND = 0.999804 against the ideal target, where the exact
+    channel out(x2) = (2 pi)^(-1/2) int psi(x1) phi_0(x2 - x1) dx1 gives
+    0.999535 (= F_BS): a 2.7e-4 fidelity gap.
+    """
+    _require("dim", dim, at_least=1, integer=True)
+    (mu, w), lam = generator_spectrum("x", dim), generator_spectrum("p", dim).values
+    d = (w.conj() * (momentum_eigenbra(dim) @ w)) @ np.exp(-1j * np.outer(mu, lam))
+    d.flags.writeable = False
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,12 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
         if _displacement_negligible(x, dim):
             continue
         d = displace(-2.0 * m * u)
-        out += c * (np.exp(1j * m * phi) * d + np.exp(-1j * m * phi) * d.T)
+        # out += c * (e^(i m phi) d + e^(-i m phi) dᵀ), the same operations in the
+        # same order, with two N x N temporaries in place of four.
+        term = np.exp(1j * m * phi) * d
+        term += np.exp(-1j * m * phi) * d.T
+        np.multiply(c, term, out=term)
+        out += term
     return prefactor * out
 
 

@@ -24,10 +24,12 @@ problem of the pareto store. All of them read one shared computation.
   difference (c = 0, and the infinitely squeezed branch). The three keys
   named with u, c and k sit on the squeezed-vacuum branch and were added
   when the benchmark came to price the witness's own sin^2k harmonics.
-  The `p0_kernel_sha256` keys, `two_mode_coupler_QND_N8_sha256` and the
-  `frontier_N6_sha256` keys were recorded while the QND kernel and coupler
-  still solved their own x and p spectra. `frontier_N6_sha256`, with
-  `ideal_gate_target|BS|N=6`, `gaussian_min_q0|N=6` and
+  The `p0_kernel_sha256` keys (now the beam splitter's alone),
+  `two_mode_coupler_QND_N8_sha256` and the `frontier_N6_sha256` keys were
+  recorded while the QND kernel and coupler still solved their own x and p
+  spectra. The `qnd_p0_factor_sha256` keys replaced the QND p = 0 kernel's
+  when the gate came to contract that factor in O(N²), with no N³ kernel.
+  `frontier_N6_sha256`, with `ideal_gate_target|BS|N=6`, `gaussian_min_q0|N=6` and
   `gaussian_bound|c=10.0`, holds every input of a frontier run at the CLI
   defaults (u = 3, phi = 0, c = 10, k = 100, N = 6). NSGA-II turns a
   last-bit move of any of them into other fronts, so a move of an N = 6
@@ -137,7 +139,8 @@ def construction_values() -> dict:
     values["build_q0_N30_sha256"] = _sha(breeding.build_q0(30))
     values["displacement_x_u3_N25_sha256"] = _sha(fock.displacement_x(3.0, 25))
     values["squeeze_r1_N60_sha256"] = _sha(fock.squeeze(1.0, 60))
-    values["p0_kernel_sha256"] = {f"{kind}|N={n}": _sha(fock.p0_kernel(kind, n)) for kind in ("BS", "QND") for n in (30, 60)}
+    values["p0_kernel_sha256"] = {f"BS|N={n}": _sha(fock.bs_p0_kernel(n)) for n in (30, 60)}
+    values["qnd_p0_factor_sha256"] = {f"N={n}": _sha(fock.qnd_p0_factor(n)) for n in (30, 60)}
     values["two_mode_coupler_QND_N8_sha256"] = _sha(fock.two_mode_coupler("QND", 8))
     # The N = 6 inputs of a frontier run at the CLI defaults; its target and
     # benchmark are `ideal_gate_target|BS|N=6` and `gaussian_min_q0|N=6`.

@@ -134,7 +134,8 @@ _REFUSALS = {
     "momentum_eigenbra": (lambda: fock.momentum_eigenbra(2.5), "dim"),
     "basis_state_dim": (lambda: fock.vacuum(0), "dim"),
     "basis_state_n": (lambda: fock.basis_state(3, 3), "n"),
-    "p0_kernel": (lambda: fock.p0_kernel("BS", 2.5), "dim"),
+    "bs_p0_kernel": (lambda: fock.bs_p0_kernel(2.5), "dim"),
+    "qnd_p0_factor": (lambda: fock.qnd_p0_factor(0), "dim"),
     "coupler_generator": (lambda: fock.coupler_generator("QND", 0), "dim"),
     "breed_protocol": (lambda: breeding.breed_protocol(fock.vacuum(2), 1.5), "rounds"),
     "build_q0": (lambda: breeding.build_q0(2.5), "dim"),

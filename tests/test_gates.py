@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -67,8 +68,18 @@ class TestConditionalOutput:
             assert 0.0 < out.success_norm <= bra_norm + 1e-12
 
 
+@functools.lru_cache(maxsize=4)
+def _qnd_kernel_oracle(dim):
+    # The dim³ QND kernel T[k, n1, n2] = sum_j v[k, j] d[n1, j] conj(v[n2, j]),
+    # formed in full as a small-N reference for the gate's O(dim²) route;
+    # T.reshape(dim, dim²) @ kron(a, b) is the unnormalized conditioned output.
+    (mu, w), (lam, v) = fock.generator_spectrum("x", dim), fock.generator_spectrum("p", dim)
+    d = (w.conj() * (fock.momentum_eigenbra(dim) @ w)) @ np.exp(-1j * np.outer(mu, lam))
+    return ((v[:, None, :] * d[None, :, :]) @ v.conj().T).reshape(dim, dim * dim)
+
+
 class TestP0Kernel:
-    """The p = 0 kernel: agreement with the dense route, and its footprint."""
+    """The p = 0 contractions: agreement with the dense route, and their footprint."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(2, 10), kind=st.sampled_from(fock.COUPLER_KINDS))
@@ -86,11 +97,46 @@ class TestP0Kernel:
         assert np.max(np.abs(got.output.amps - want / norm)) <= 1e-12
         assert abs(got.success_norm - norm) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.one_of(st.integers(1, 16), st.sampled_from([30, 60])),
+        vacuum_ancilla=st.booleans(),
+    )
+    def test_qnd_factor_matches_cubic_kernel_oracle(self, data, dim, vacuum_ancilla):
+        parts = arrays(np.float64, (2, 2 * dim), elements=st.floats(-1.0, 1.0))
+        a, b = (v[:dim] + 1j * v[dim:] for v in data.draw(parts))
+        assume(np.linalg.norm(a) > 0.1 and (vacuum_ancilla or np.linalg.norm(b) > 0.1))
+        mode1 = fock.FockState(a)
+        mode2 = fock.vacuum(dim) if vacuum_ancilla else fock.FockState(b)
+        want = _qnd_kernel_oracle(dim) @ np.kron(mode1.amps, mode2.amps)
+        norm = np.linalg.norm(want)
+        assume(norm > 1e-6)
+        got = gates.couple_and_condition(mode1, mode2, "QND")
+        assert np.max(np.abs(got.output.amps * got.success_norm - want)) <= 1e-13 * norm
+        assert np.max(np.abs(got.output.amps - want / norm)) <= 1e-13
+        assert abs(got.success_norm - norm) <= 1e-13 * norm
+
+    def test_qnd_gate_holds_no_cubic_array(self):
+        # An N³ kernel at N = 200 is 128 MB, built through a temporary as large.
+        dim = 200
+        state = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=dim))
+        fock.qnd_p0_factor.cache_clear()
+        fock.generator_spectrum.cache_clear()
+        tracemalloc.start()
+        try:
+            gates.couple_and_condition(state, fock.vacuum(dim), "QND")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_gate_and_breed_peak_memory(self):
-        # At N = 80 the dense coupler alone would take 655 MB; each kernel
-        # is 80³ complex entries (8 MB).
+        # At N = 80 the dense coupler alone would take 655 MB; the BS kernel
+        # is 80³ complex entries (8 MB) and the QND factor 80² (100 kB).
         cat = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=80))
-        fock.p0_kernel.cache_clear()
+        fock.bs_p0_kernel.cache_clear()
+        fock.qnd_p0_factor.cache_clear()
         jobs = (
             lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "BS"),
             lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "QND"),
