@@ -10,7 +10,7 @@ cat is padded twice: an N = 60 cat exponentiates 135-level spectra. Every
 single-mode spectrum that is exponentiated comes from one cached, read-only
 eigendecomposition per generator and size (`generator_spectrum`): those of
 the padded gates, of `breeding`'s Q0 and its Gaussian candidates, and the
-unpadded x and p spectra of the QND coupler and its p = 0 factor.
+unpadded x and p spectra of the QND coupler and its p = 0 contraction.
 `ExactDisplacements` gives the closed-form displacement block where
 padding is not enough, in O(N²) per block from tables that are pure
 functions of the dimension, and bitwise the elementwise closed form where
@@ -18,16 +18,15 @@ scipy's binomial is exact. Each block is the exact truncation of the
 infinite-dimensional operator, so an N-level block is bitwise the top-left
 N x N block of every larger build.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
-Two-mode couplers reach the gate and breeding paths only already
-contracted with <p = 0| on mode 1: the beam splitter as an N x N x N kernel
-(`bs_p0_kernel`), the QND coupler as one N x N factor (`qnd_p0_factor`) that
-`gates.couple_and_condition` contracts with the cached p eigenvectors in
-O(N²), never forming an N³ array. The dense N² x N² unitary
+Two-mode couplers reach the gate and breeding paths only through
+`_p0_output`, the one place that couples two N-level modes and contracts
+mode 1 with <p = 0|: the beam splitter through a cached N x N x N kernel,
+exact for N-level inputs with a vacuum ancilla; the QND coupler through one
+N x N factor and the cached p eigenvectors in O(N²), never forming an N³
+array, but as the unpadded N-level exponential, whose error grows as the
+input fills the space (see `_p0_output`). The dense N² x N² unitary
 (`two_mode_coupler`) is built only by the `pareto` frontier objectives, once
-per run at their few-level N. The BS kernel is exact for N-level inputs with
-a vacuum ancilla. The QND factor is not: it is the unpadded N-level
-exponential, whose error grows as the input fills the space (see
-`qnd_p0_factor`).
+per run at their few-level N.
 `wigner` sums each diagonal of the density matrix against its Laguerre
 functions by Clenshaw's recurrence and the diagonals by Horner's rule, in
 O(grid) memory and exact to rounding (within 1e-12 of a quadrature oracle up
@@ -163,7 +162,7 @@ def generator_spectrum(name: str, dim: int) -> EigenDecomposition:
 
     The one spectral route of the Gaussian constructions: the padded
     displacements, squeezing, Q0 and the Gaussian-benchmark candidates, and
-    the unpadded QND coupler and its p = 0 factor, all exponentiate these,
+    the unpadded QND coupler and its p = 0 contraction, all exponentiate these,
     so each is solved once per process and size.
     name is "x", "p" or "squeeze" (the Hermitian -iG of `squeeze`).
     """
@@ -367,8 +366,8 @@ def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
     """Dense dim² x dim² unitary coupler, O(N⁴) in memory.
 
     Assembled, uncached, from the same BS sector blocks and cached x and p
-    spectra as `bs_p0_kernel` and `qnd_p0_factor`, which are what the gate
-    and breeding paths use; the `pareto` frontier objectives build this one.
+    spectra as `_p0_output`, which is what the gate and breeding paths use;
+    the `pareto` frontier objectives build this one.
     """
     _check_coupler_args(kind, dim)
     if kind == "QND":
@@ -384,18 +383,13 @@ def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def bs_p0_kernel(dim: int) -> np.ndarray:
-    """Beam splitter contracted with <p = 0| on mode 1, as a read-only dim³ tensor.
-
-    T[k, n1, n2] = sum_j <p=0|j> <j, k|U|n1, n2>, so the unnormalized mode-2
-    state conditioned on p = 0 from |a> ⊗ |b> is
-    T.reshape(dim, dim²) @ kron(a, b). Built from the photon-sector blocks
-    and cached per dimension; exact for dim-level inputs with a vacuum
-    ancilla.
-    """
+def _bs_p0_kernel(dim: int) -> np.ndarray:
+    # T[k, n1, n2] = sum_j <p=0|j> <j, k|U_BS|n1, n2>, read-only, from the
+    # photon-sector blocks; within sector s, output row k1 leaves k = s - k1
+    # photons in mode 2. Breeding conditions many pairs at one dimension, so
+    # the last few dimensions are cached.
     _require("dim", dim, at_least=1, integer=True)
     bra = momentum_eigenbra(dim)
-    # Within sector s, output row k1 leaves k = s - k1 photons in mode 2.
     kernel = np.zeros((dim, dim, dim), dtype=complex)
     for s, n1, block in _bs_sector_blocks(dim):
         kernel[(s - n1)[:, None], n1, s - n1] = bra[n1][:, None] * block
@@ -403,30 +397,33 @@ def bs_p0_kernel(dim: int) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=8)
-def qnd_p0_factor(dim: int) -> np.ndarray:
-    """The mode-1 factor of the QND coupler contracted with <p = 0|, read-only dim x dim.
+def _p0_output(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unnormalized mode-2 amplitudes of <p = 0|_1 U (|a> ⊗ |b>), a and b of equal dim.
 
-    exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the
+    BS: the dim³ kernel above, T.reshape(dim, dim²) @ kron(a, b); exact for
+    dim-level inputs with a vacuum ancilla.
+    QND: exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the
     eigenbases w of x and v of p (`generator_spectrum`); the bra folds into
-    w, leaving d[n1, j] = sum_i (bra w)_i conj(w[n1, i]) exp(-i mu_i lam_j).
-    The unnormalized mode-2 state conditioned on p = 0 from |a> ⊗ |b> is
-    then v @ ((a @ d) * (b @ conj(v))): a sum over the dim eigenvalues of p
-    of single-mode factors, O(dim²) in time and memory. Cached per dimension.
+    w, leaving the dim x dim factor d[n1, j] = sum_i (bra w)_i conj(w[n1, i])
+    exp(-i mu_i lam_j), and the output v @ ((a @ d) * (b @ conj(v))) is a
+    sum over the dim eigenvalues of p, O(dim²) in time and memory.
 
-    Known error: this exponentiates x1*p2 in the eigenbases of the unpadded
-    dim-level x and p, and the output above level dim - 1 is dropped before
-    the gate normalizes. It is therefore not exact for inputs that fill the
-    space. On the 60-level u = 3, r = 2 squeezed cat with a vacuum ancilla
-    it gives F_QND = 0.999804 against the ideal target, where the exact
-    channel out(x2) = (2 pi)^(-1/2) int psi(x1) phi_0(x2 - x1) dx1 gives
-    0.999535 (= F_BS): a 2.7e-4 fidelity gap.
+    Known error (QND): x1*p2 is exponentiated in the eigenbases of the
+    unpadded dim-level x and p, and the output above level dim - 1 is
+    dropped before the gate normalizes. It is therefore not exact for inputs
+    that fill the space. On the 60-level u = 3, r = 2 squeezed cat with a
+    vacuum ancilla it gives F_QND = 0.999804 against the ideal target, where
+    the exact channel out(x2) = (2 pi)^(-1/2) int psi(x1) phi_0(x2 - x1) dx1
+    gives 0.999535 (= F_BS): a 2.7e-4 fidelity gap.
     """
-    _require("dim", dim, at_least=1, integer=True)
-    (mu, w), lam = generator_spectrum("x", dim), generator_spectrum("p", dim).values
+    dim = a.size
+    _check_coupler_args(kind, dim)
+    if kind == "BS":
+        return _bs_p0_kernel(dim).reshape(dim, dim * dim) @ np.kron(a, b)
+    (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
     d = (w.conj() * (momentum_eigenbra(dim) @ w)) @ np.exp(-1j * np.outer(mu, lam))
-    d.flags.writeable = False
-    return d
+    # conj(conj(b) @ v) = b @ conj(v) spares a conjugated copy of v.
+    return v @ ((a @ d) * np.conj(b.conj() @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +443,10 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     start phi_0(t) is below the smallest normal float (|t| > 37.6), the
     recurrence runs on a mantissa lifted by 2^L and carries the lift as a
     per-point exponent; a mantissa past 2^500 is rescaled by an exact
-    2^-500. So phi_n does not inherit the underflow of phi_0, and every
-    point whose start is a normal float takes exactly the unlifted
-    operations.
+    2^-500. So phi_n does not inherit the underflow of phi_0. Every point
+    whose start is a normal float has exponent 0, which `ldexp` applies
+    exactly, and never reaches the rescale (|phi_n| < 1), so it takes
+    exactly the operations of the plain recurrence.
     """
     _require("n_max", n_max, at_least=0, integer=True)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -457,19 +455,18 @@ def hermite_functions(n_max: int, t: np.ndarray) -> np.ndarray:
     # phi_0 = pi^(-1/4) e^(L ln 2 - q) 2^(-L), with L ln 2 split so the lifted
     # start is exact to rounding; L is capped where every level underflows.
     lift = np.where(np.pi ** (-0.25) * np.exp(-q) < _TINY, np.rint(np.minimum(q, 1e6) / math.log(2.0)), 0.0)
-    lifted = bool(lift.any())
     exponent = -lift.astype(int)
     cur = np.pi ** (-0.25) * np.exp((lift * _LN2_HI - q) + lift * _LN2_LO)
     prev = np.zeros(t.size)
-    out[0] = np.ldexp(cur, exponent) if lifted else cur
+    np.ldexp(cur, exponent, out=out[0])
     for n in range(1, n_max + 1):
-        prev, cur = cur, np.sqrt(2.0 / n) * t * cur - np.sqrt((n - 1) / n) * prev
-        if lifted:
-            big = np.abs(cur) > 2.0**500
+        prev, cur = cur, math.sqrt(2.0 / n) * t * cur - math.sqrt((n - 1) / n) * prev
+        big = np.abs(cur) > 2.0**500
+        if big.any():
             cur[big] *= 2.0**-500
             prev[big] *= 2.0**-500
             exponent[big] += 500
-        out[n] = np.ldexp(cur, exponent) if lifted else cur
+        np.ldexp(cur, exponent, out=out[n])
     return out
 
 

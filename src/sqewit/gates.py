@@ -3,13 +3,9 @@
 A resource in mode 1 is coupled to a target mode by a QND or balanced
 beam-splitter unitary; homodyne detection of mode 1 conditioned on p = 0 is
 an exact contraction against the momentum eigenbra, leaving a normalized
-conditional state and a success amplitude in mode 2. Both steps together are
-one cached contraction per coupler and dimension, shared by the gates and by
-every breeding round, which never form the dim² x dim² unitary; only the
-`pareto` frontier objectives still build it (`fock.two_mode_coupler`). The
-beam splitter's is a dim³ kernel (`fock.bs_p0_kernel`). The QND coupler's is
-one dim x dim factor (`fock.qnd_p0_factor`), contracted with the p
-eigenvectors in O(dim²) time and memory, with no dim³ array.
+conditional state and a success amplitude in mode 2. The coupling and the
+contraction are one step, `fock._p0_output`, shared with every breeding
+round; this module only normalizes its output.
 """
 
 from __future__ import annotations
@@ -37,15 +33,7 @@ def couple_and_condition(mode1: FockState, mode2: FockState, kind: str) -> GateO
     """Apply the coupler to mode1 ⊗ mode2 and post-select p = 0 on mode 1."""
     if mode1.dim != mode2.dim:
         raise ContractViolationError(f"mode dimensions differ: {mode1.dim} vs {mode2.dim}")
-    dim = mode1.dim
-    fock._check_coupler_args(kind, dim)
-    a, b = mode1.amps, mode2.amps
-    if kind == "QND":
-        # sum_j v[:, j] (a @ d)_j (b @ conj(v))_j; conj(conj(b) @ v) spares a conjugated copy of v.
-        v = fock.generator_spectrum("p", dim).vectors
-        out = v @ ((a @ fock.qnd_p0_factor(dim)) * np.conj(b.conj() @ v))
-    else:
-        out = fock.bs_p0_kernel(dim).reshape(dim, dim * dim) @ np.kron(a, b)
+    out = fock._p0_output(kind, mode1.amps, mode2.amps)
     success = float(np.linalg.norm(out))
     if success < ANNIHILATION_EPS:
         raise ProjectionAnnihilatedError(

@@ -153,9 +153,11 @@ class _FidelityObjectives:
         out[:, 0] = _quadratic_forms(self.w, amps)
         outputs, alive = _condition_p0(self.bra, np.matmul(self.coupler_cols, amps[:, :, None]))
         out[:, 1] = math.inf
-        # np.vdot and the scalar abs per row, a bitwise requirement: np.abs
-        # over a complex array rounds differently from the scalar abs, and
-        # no batched complex dot is sure to call zdotc as np.vdot does.
+        # np.vdot, the scalar abs and the scalar ** 2 per row, a bitwise
+        # requirement: np.abs over a complex array rounds differently from the
+        # scalar abs, numpy's ** 2 is x * x where the scalar's is pow (an ulp
+        # apart at x = 0.043889346331312105), and no batched complex dot is
+        # sure to call zdotc as np.vdot does.
         out[alive, 1] = [abs(np.vdot(self.target, row)) ** 2 for row in outputs]
         return out
 

@@ -27,8 +27,11 @@ problem of the pareto store. All of them read one shared computation.
   The `p0_kernel_sha256` keys (now the beam splitter's alone),
   `two_mode_coupler_QND_N8_sha256` and the `frontier_N6_sha256` keys were
   recorded while the QND kernel and coupler still solved their own x and p
-  spectra. The `qnd_p0_factor_sha256` keys replaced the QND p = 0 kernel's
-  when the gate came to contract that factor in O(N²), with no N³ kernel.
+  spectra. The QND p = 0 kernel's keys gave way to `qnd_p0_factor_sha256`
+  when the gate came to contract one N x N factor in O(N²), with no N³
+  kernel, and those to the `qnd_gate` keys (the QND gate's `success_norm`
+  and output on squeezed cats) when that factor became a local of
+  `fock._p0_output`, no longer a public function to pin.
   `frontier_N6_sha256`, with `ideal_gate_target|BS|N=6`, `gaussian_min_q0|N=6` and
   `gaussian_bound|c=10.0`, holds every input of a frontier run at the CLI
   defaults (u = 3, phi = 0, c = 10, k = 100, N = 6). NSGA-II turns a
@@ -88,7 +91,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import sqewit
-from sqewit import breeding, fock, pareto, states, witness
+from sqewit import breeding, fock, gates, pareto, states, witness
 from sqewit.cli import main
 from sqewit.pareto import NsgaConfig
 from sqewit.states import CatSpec
@@ -139,8 +142,17 @@ def construction_values() -> dict:
     values["build_q0_N30_sha256"] = _sha(breeding.build_q0(30))
     values["displacement_x_u3_N25_sha256"] = _sha(fock.displacement_x(3.0, 25))
     values["squeeze_r1_N60_sha256"] = _sha(fock.squeeze(1.0, 60))
-    values["p0_kernel_sha256"] = {f"BS|N={n}": _sha(fock.bs_p0_kernel(n)) for n in (30, 60)}
-    values["qnd_p0_factor_sha256"] = {f"N={n}": _sha(fock.qnd_p0_factor(n)) for n in (30, 60)}
+    values["p0_kernel_sha256"] = {f"BS|N={n}": _sha(fock._bs_p0_kernel(n)) for n in (30, 60)}
+    values["qnd_gate"] = {}
+    for label, n, ancilla in (
+        ("vacuum|N=30", 30, None),
+        ("vacuum|N=60", 60, None),
+        ("cat|N=30", 30, CatSpec(u=1.0, r=0.5, phi=0.0, dim=30)),
+    ):
+        cat = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=math.pi, dim=n))
+        mode2 = fock.vacuum(n) if ancilla is None else states.squeezed_cat(ancilla)
+        got = gates.couple_and_condition(cat, mode2, "QND")
+        values["qnd_gate"][label] = [got.success_norm.hex(), _sha(got.output.amps)]
     values["two_mode_coupler_QND_N8_sha256"] = _sha(fock.two_mode_coupler("QND", 8))
     # The N = 6 inputs of a frontier run at the CLI defaults; its target and
     # benchmark are `ideal_gate_target|BS|N=6` and `gaussian_min_q0|N=6`.

@@ -7,9 +7,9 @@ references that carry the same sin^2k comb, and gate fidelities at the
 dimension the truncation guard accepts (N = 215 for ACCEPT-04's u = 3 cats,
 the first crop that keeps 1 - 1e-4 of their exact norm). One clause fails on
 a known program fault: ACCEPT-04's F_QND = F_BS equality, which the unpadded
-QND route (`fock.qnd_p0_factor`, contracted by `gates.couple_and_condition`)
-misses by 2.7e-4 on the 60-level r = 2 cat; it waits on the exact QND kernel
-(ROADMAP item 3).
+QND branch of `fock._p0_output`, the p = 0 conditioning behind
+`gates.couple_and_condition`, misses by 2.7e-4 on the 60-level r = 2 cat; it
+waits on the exact QND kernel (ROADMAP item 3).
 """
 
 import math
@@ -211,8 +211,8 @@ def test_criterion_04_gate_limit_fidelity():
     )
     assert ok, (
         line
-        + " | the equality clause fails on the QND route: fock.qnd_p0_factor(N),"
-        " contracted by gates.couple_and_condition, exponentiates x1*p2 in the"
+        + " | the equality clause fails on the QND route: fock._p0_output('QND', ...),"
+        " behind gates.couple_and_condition, exponentiates x1*p2 in the"
         " unpadded N-level x and p eigenbases and"
         " normalizes without the output above level N-1; the exact channel"
         " out(x2) = (2pi)^(-1/2) int psi(x1) phi0(x2 - x1) dx1 gives"

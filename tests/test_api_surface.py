@@ -38,7 +38,7 @@ API_SURFACE = {
         "displacement_x": ("u", "dim"), "ExactDisplacements": ("dim",),
         "ExactDisplacements.__call__": ("self", "s"), "squeeze": ("r", "dim"),
         "coupler_generator": ("kind", "dim"), "two_mode_coupler": ("kind", "dim"),
-        "bs_p0_kernel": ("dim",), "qnd_p0_factor": ("dim",), "hermite_functions": ("n_max", "t"), "momentum_eigenbra": ("dim",),
+        "hermite_functions": ("n_max", "t"), "momentum_eigenbra": ("dim",),
         "FockState": ("amps",), "FockState.dim": None, "basis_state": ("dim", "n"), "vacuum": ("dim",),
         "expectation": ("op", "state"), "overlap_fidelity": ("psi", "phi"),
         "position_wavefunction": ("state", "xs"), "wigner": ("state", "xs", "ps"),

@@ -65,6 +65,8 @@ def test_no_knobs_without_callers():
         (fock, "momentum_wavefunction_coeffs"),
         (fock, "number_operator"),
         (fock, "_qnd_factors"),
+        (fock, "bs_p0_kernel"),
+        (fock, "qnd_p0_factor"),
         (fock.FockState, "padded"),
         (witness.GaussianBound, "as_dict"),
         (witness, "theta3_half_pi"),
@@ -111,6 +113,20 @@ def test_only_serialize_touches_files():
     assert not [call for call in calls if call[2] in ("write_text", "write_bytes")], calls
 
 
+def test_gates_reads_no_coupler_layout():
+    # The p = 0 conditioning is one `fock` function, `_p0_output`: the gate
+    # hands it two amplitude vectors and reads none of the arrays it
+    # contracts (spectra, p eigenvectors, kernels, factors), so a change to
+    # their layout cannot silently break the gate.
+    tree = ast.parse(Path(gates.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    layout = {"generator_spectrum", "vectors", "momentum_eigenbra", "two_mode_coupler", "coupler_generator", "kron", "reshape"}
+    assert {name for name in names if name in layout or "kernel" in name or "factor" in name} == set()
+    assert "_p0_output" in names
+
+
 def test_no_module_rebinds_global_or_enclosing_names():
     # Process-wide state lives only in caches of pure functions, so no module
     # has a `global` or `nonlocal` statement that could race between threads.
@@ -134,8 +150,8 @@ _REFUSALS = {
     "momentum_eigenbra": (lambda: fock.momentum_eigenbra(2.5), "dim"),
     "basis_state_dim": (lambda: fock.vacuum(0), "dim"),
     "basis_state_n": (lambda: fock.basis_state(3, 3), "n"),
-    "bs_p0_kernel": (lambda: fock.bs_p0_kernel(2.5), "dim"),
-    "qnd_p0_factor": (lambda: fock.qnd_p0_factor(0), "dim"),
+    "bs_p0_kernel": (lambda: fock._bs_p0_kernel(2.5), "dim"),
+    "qnd_p0_factor": (lambda: fock._p0_output("QND", np.zeros(0), np.zeros(0)), "dim"),
     "coupler_generator": (lambda: fock.coupler_generator("QND", 0), "dim"),
     "breed_protocol": (lambda: breeding.breed_protocol(fock.vacuum(2), 1.5), "rounds"),
     "build_q0": (lambda: breeding.build_q0(2.5), "dim"),

@@ -112,6 +112,8 @@ class TestP0Kernel:
         want = _qnd_kernel_oracle(dim) @ np.kron(mode1.amps, mode2.amps)
         norm = np.linalg.norm(want)
         assume(norm > 1e-6)
+        raw = fock._p0_output("QND", mode1.amps, mode2.amps)
+        assert np.max(np.abs(raw - want)) <= 1e-13 * norm
         got = gates.couple_and_condition(mode1, mode2, "QND")
         assert np.max(np.abs(got.output.amps * got.success_norm - want)) <= 1e-13 * norm
         assert np.max(np.abs(got.output.amps - want / norm)) <= 1e-13
@@ -121,7 +123,6 @@ class TestP0Kernel:
         # An N³ kernel at N = 200 is 128 MB, built through a temporary as large.
         dim = 200
         state = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=dim))
-        fock.qnd_p0_factor.cache_clear()
         fock.generator_spectrum.cache_clear()
         tracemalloc.start()
         try:
@@ -135,8 +136,7 @@ class TestP0Kernel:
         # At N = 80 the dense coupler alone would take 655 MB; the BS kernel
         # is 80³ complex entries (8 MB) and the QND factor 80² (100 kB).
         cat = states.squeezed_cat(CatSpec(u=3.0, r=0.5, phi=0.0, dim=80))
-        fock.bs_p0_kernel.cache_clear()
-        fock.qnd_p0_factor.cache_clear()
+        fock._bs_p0_kernel.cache_clear()
         jobs = (
             lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "BS"),
             lambda: gates.couple_and_condition(cat, fock.vacuum(cat.dim), "QND"),
