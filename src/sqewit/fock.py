@@ -538,6 +538,38 @@ def overlap_fidelity(psi: FockState, phi: FockState) -> float:
     return float(min(1.0, abs(np.vdot(psi.amps, phi.amps)) ** 2))
 
 
+# The batch helpers below are bitwise the per-state arithmetic they replace:
+# a stacked np.matmul over C-contiguous rows calls, per row, the same BLAS
+# gemv or dot as the 1-D product. Other strides fall back to numpy's no-BLAS
+# loop, and a single zgemm (``rows @ op.T``) sums in another order; either
+# changes the rounding.
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each complex row, bitwise ``np.linalg.norm(row)``.
+
+    ``linalg.norm`` adds two strided real dots, re·re and im·im; a stacked
+    matmul of each row's real and imaginary parts with itself calls the same
+    dot per row.
+    """
+    re, im = rows.real, rows.imag
+    return np.sqrt(
+        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+    )
+
+
+def _quadratic_forms(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Re <a|op|a> for each row a, bitwise ``np.real(np.vdot(a, op @ a))``.
+
+    The stacked row-by-column matmul takes one complex dot of conj(a) per
+    row; conjugation negates the imaginary products exactly, so the real
+    part sums the same products as ``np.vdot``'s.
+    """
+    op_rows = np.matmul(op, rows[:, :, None])
+    return np.matmul(rows.conj()[:, None, :], op_rows)[:, 0, 0].real
+
+
 def position_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
     """<x|psi> on a grid (real Hermite-function expansion)."""
     phi = hermite_functions(state.dim - 1, xs)

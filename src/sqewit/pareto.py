@@ -13,19 +13,21 @@ amplitudes) decoded by normalization. Two frontier problems are built in:
 Both objectives are minimized internally; maximized quantities enter with
 their sign flipped. Runs are deterministic functions of the seed.
 
-Each generation sorts the 2n parents plus offspring once, with an
-O(n log n) two-objective sweep (``non_dominated_sort``); the survivors
-carry their ranks and crowding into the next tournament, so no generation
-re-sorts its parents. The n offspring are scored in one batched pass
-(``_evaluate``): decoding, the witness form, the coupler, the <p = 0|
-conditioning and every breeding round act on all n states at once, bitwise
-as they would on each state alone. Per generation the cost is that pass,
-the sort, and O(n log n) crowding.
+Each generation ranks the 2n parents plus offspring by peeling fronts
+(``_fronts``), and only until the fronts hold the n survivors: one sort in
+(f1, f2) order, then one O(m) array step per front over the m points still
+unranked. Selection on a frontier run's pools needs a few fronts, where
+the whole pool holds tens; a chain, one point per front, is the worst
+case, O(n²). The kept fronts' crowding is one array pass for all of them
+(``_crowding``). The survivors carry their ranks and crowding into the
+next tournament, so no generation re-sorts its parents. The n offspring
+are scored in one batched pass (``_evaluate``): decoding, the witness
+form, the coupler, the <p = 0| conditioning and every breeding round act
+on all n states at once, bitwise as they would on each state alone.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -82,36 +84,8 @@ def decode(genome: np.ndarray) -> FockState | None:
 # ---------------------------------------------------------------------------
 
 
-# Every batched step below is bitwise the per-state arithmetic it replaces:
-# a stacked np.matmul over C-contiguous rows calls, per row, the same BLAS
-# gemv or dot as the 1-D product. Other strides fall back to numpy's no-BLAS
-# loop, and a single zgemm (``rows @ op.T``) sums in another order; either
-# changes the rounding.
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each complex row, bitwise ``np.linalg.norm(row)``.
-
-    ``linalg.norm`` adds two strided real dots, re·re and im·im; a stacked
-    matmul of each row's real and imaginary parts with itself calls the same
-    dot per row.
-    """
-    re, im = rows.real, rows.imag
-    return np.sqrt(
-        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
-    )
-
-
-def _quadratic_forms(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Re <a|op|a> for each row a, bitwise ``np.real(np.vdot(a, op @ a))``.
-
-    The stacked row-by-column matmul takes one complex dot of conj(a) per
-    row; conjugation negates the imaginary products exactly, so the real
-    part sums the same products as ``np.vdot``'s.
-    """
-    op_rows = np.matmul(op, rows[:, :, None])
-    return np.matmul(rows.conj()[:, None, :], op_rows)[:, 0, 0].real
+# Every batched step below is bitwise the per-state arithmetic it replaces;
+# `fock._row_norms` and `fock._quadratic_forms` say why.
 
 
 def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +97,7 @@ def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     dim = bra.size
     out = np.matmul(bra, joint.reshape(-1, dim, dim))
-    norms = _row_norms(out)
+    norms = fock._row_norms(out)
     alive = norms >= gates.ANNIHILATION_EPS
     return out[alive] / norms[alive, None], alive
 
@@ -150,15 +124,16 @@ class _FidelityObjectives:
         """
         amps = np.ascontiguousarray(amps, dtype=complex)
         out = np.empty((amps.shape[0], 2))
-        out[:, 0] = _quadratic_forms(self.w, amps)
+        out[:, 0] = fock._quadratic_forms(self.w, amps)
         outputs, alive = _condition_p0(self.bra, np.matmul(self.coupler_cols, amps[:, :, None]))
         out[:, 1] = math.inf
-        # np.vdot, the scalar abs and the scalar ** 2 per row, a bitwise
-        # requirement: np.abs over a complex array rounds differently from the
-        # scalar abs, numpy's ** 2 is x * x where the scalar's is pow (an ulp
-        # apart at x = 0.043889346331312105), and no batched complex dot is
-        # sure to call zdotc as np.vdot does.
-        out[alive, 1] = [abs(np.vdot(self.target, row)) ** 2 for row in outputs]
+        # The overlaps are one stacked dot of conj(target) per row, bitwise
+        # np.vdot's; the scalar abs (hypot) and the scalar ** 2 (pow) are a
+        # bitwise requirement: np.abs over a complex array rounds differently,
+        # and numpy's array ** 2 is x * x (an ulp from pow at
+        # x = 0.043889346331312105).
+        overlaps = np.matmul(self.target.conj(), outputs[:, :, None])[:, 0]
+        out[alive, 1] = [abs(z) ** 2 for z in overlaps.tolist()]
         return out
 
     def metric_value(self, objective_2: float) -> float:
@@ -185,7 +160,7 @@ class _GkpObjectives:
         """
         amps = np.ascontiguousarray(amps, dtype=complex)
         out = np.empty((amps.shape[0], 2))
-        out[:, 0] = _quadratic_forms(self.w, amps)
+        out[:, 0] = fock._quadratic_forms(self.w, amps)
         current, rows = amps, np.arange(amps.shape[0])
         pair_dim = self.coupler.shape[1]
         for _ in range(self.rounds):
@@ -198,7 +173,7 @@ class _GkpObjectives:
         # once per clamped value.
         out[rows, 1] = [
             -witness.ratio_db(float(value), self.gkp.gaussian_min)
-            for value in _quadratic_forms(self.gkp.matrix, current)
+            for value in fock._quadratic_forms(self.gkp.matrix, current)
         ]
         return out
 
@@ -219,6 +194,49 @@ def _make_objectives(problem: str, spec: WitnessSpec, breeding_rounds: int):
 # ---------------------------------------------------------------------------
 
 
+def _fronts(objectives, fill: int | None = None) -> list[np.ndarray]:
+    """The first fronts of ``objectives``, until they hold ``fill`` points (all by default).
+
+    Peels one front per step. The points are sorted once by (f1, f2), and a
+    run of equal points is one distinct point: equal points never dominate
+    each other, so a run shares a front. Over the distinct points still
+    unranked, in that order, a point is dominated exactly when the smallest
+    f2 before it is no larger than its own, since every earlier distinct
+    point has no larger f1 and differs from it. The first is never
+    dominated, so every step ranks at least one point, even on a pool of
+    ``(inf, inf)`` rows.
+    """
+    objs = np.asarray(objectives, dtype=float)
+    if objs.ndim != 2 or objs.shape[1] != 2:
+        raise ContractViolationError(f"expected an (n, 2) objective array, got shape {objs.shape}")
+    if np.isnan(objs).any():
+        raise ContractViolationError("objectives must not contain NaN")
+    n = objs.shape[0]
+    fill = n if fill is None else min(fill, n)
+    order = np.lexsort((objs[:, 1], objs[:, 0]))
+    f1, f2 = objs[order, 0], objs[order, 1]
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (f1[1:] != f1[:-1]) | (f2[1:] != f2[:-1])
+    run_of = np.empty(n, dtype=int)
+    run_of[order] = np.cumsum(new_run) - 1
+    run_f2, run_size = f2[new_run], np.diff(np.append(np.flatnonzero(new_run), n))
+    run_rank = np.full(run_f2.size, n)  # n marks "not ranked"
+    rest = np.arange(run_f2.size)
+    ranked = fronts = 0
+    while ranked < fill and fronts < run_f2.size:  # each step ranks at least one distinct point
+        v = run_f2[rest]
+        dominated = np.zeros(rest.size, dtype=bool)
+        dominated[1:] = np.minimum.accumulate(v)[:-1] <= v[1:]
+        front = rest[~dominated]
+        run_rank[front] = fronts
+        ranked += int(run_size[front].sum())
+        fronts += 1
+        rest = rest[dominated]
+    ranks = run_rank[run_of]
+    by_rank = np.argsort(ranks, kind="stable")[:ranked]
+    return np.split(by_rank, np.cumsum(np.bincount(ranks[by_rank], minlength=fronts))[:-1]) if ranked else []
+
+
 def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     """Partition n two-objective points into fronts by weak Pareto dominance.
 
@@ -229,32 +247,42 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     Equal points never dominate each other, so duplicates, including
     ``(inf, inf)`` rows, share a front.
 
-    Runs in O(n log n): a sweep in (f1, f2) order puts each point in the
-    first front whose latest member does not dominate it, found by binary
-    search over the front tails (Jensen, IEEE TEC 7(5), 503-515, 2003).
+    One sort in (f1, f2) order, then one O(m) array step per front over the
+    m points still unranked (``_fronts``): O(n log n + n·F) for F fronts, so
+    O(n²) at worst, a chain of n points with one point per front.
     NaN cannot be ordered and raises ``ContractViolationError``.
     """
-    objs = np.asarray(objectives, dtype=float)
-    if objs.ndim != 2 or objs.shape[1] != 2:
-        raise ContractViolationError(f"expected an (n, 2) objective array, got shape {objs.shape}")
-    if np.isnan(objs).any():
-        raise ContractViolationError("objectives must not contain NaN")
-    f1, f2 = objs[:, 0].tolist(), objs[:, 1].tolist()
-    ranks = np.empty(objs.shape[0], dtype=int)
-    # tails[r] is (f2, f1) of front r's latest member. An earlier point in
-    # the sweep dominates the current one exactly when its (f2, f1) compares
-    # lower, so the tails increase strictly with r and bisect applies.
-    tails: list[tuple[float, float]] = []
-    for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
-        key = (f2[i], f1[i])
-        r = bisect.bisect_left(tails, key)
-        if r == len(tails):
-            tails.append(key)
-        else:
-            tails[r] = key
-        ranks[i] = r
-    order = np.argsort(ranks, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(ranks))[:-1]) if order.size else []
+    return _fronts(objectives)
+
+
+def _crowding(objs: np.ndarray, sizes) -> np.ndarray:
+    """Crowding distances of the consecutive fronts of ``sizes`` points in ``objs``.
+
+    One pass per objective for all fronts: a stable sort by (front, value),
+    so ties keep their order in ``objs``. Each front's ends get +inf, and
+    each interior point adds its neighbours' gap over the front's span. An
+    objective whose span over a front is zero or infinite adds no gaps
+    there, so no distance is NaN.
+    """
+    front_of = np.repeat(np.arange(len(sizes)), sizes)
+    last = np.cumsum(sizes, dtype=int) - 1
+    first = last + 1 - sizes
+    inner = np.ones(front_of.size, dtype=bool)
+    inner[first] = inner[last] = False
+    dist = np.zeros(front_of.size)
+    for k in range(objs.shape[1]):
+        order = np.lexsort((objs[:, k], front_of))
+        v = objs[order, k]
+        lo, hi = v[first], v[last]
+        span = np.zeros(lo.size)
+        wide = lo < hi  # equal infinite ends span nothing, not inf - inf
+        span[wide] = hi[wide] - lo[wide]
+        dist[order[first]] = np.inf
+        dist[order[last]] = np.inf
+        s = span[front_of]
+        gap = np.flatnonzero(inner & (0.0 < s) & (s < math.inf))
+        dist[order[gap]] += (v[gap + 1] - v[gap - 1]) / s[gap]
+    return dist
 
 
 def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
@@ -263,30 +291,17 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
     An objective whose span over the front is zero or infinite adds no gaps,
     so no distance is NaN.
     """
-    objs = np.asarray(objectives, dtype=float)[front]
-    m = front.size
-    dist = np.zeros(m)
-    if m <= 2:
-        return np.full(m, np.inf)
-    for k in range(objs.shape[1]):
-        order = np.argsort(objs[:, k], kind="stable")
-        lo, hi = objs[order[0], k], objs[order[-1], k]
-        span = hi - lo if lo < hi else 0.0  # equal infinite ends span nothing, not inf - inf
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if 0.0 < span < math.inf:
-            gaps = (objs[order[2:], k] - objs[order[:-2], k]) / span
-            dist[order[1:-1]] += gaps
-    return dist
+    return _crowding(np.asarray(objectives, dtype=float)[front], [front.size] if front.size else [])
 
 
 def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = objectives.shape[0]
-    ranks = np.empty(n, dtype=int)
-    crowd = np.empty(n, dtype=float)
-    for r, front in enumerate(non_dominated_sort(objectives)):
-        ranks[front] = r
-        crowd[front] = crowding_distance(objectives, front)
+    fronts = non_dominated_sort(objectives)
+    sizes = [front.size for front in fronts]
+    idx = np.concatenate(fronts)
+    ranks = np.empty(idx.size, dtype=int)
+    crowd = np.empty(idx.size, dtype=float)
+    ranks[idx] = np.repeat(np.arange(len(sizes)), sizes)
+    crowd[idx] = _crowding(objectives[idx], sizes)
     return ranks, crowd
 
 
@@ -349,7 +364,7 @@ def _evaluate(genomes: np.ndarray, objective) -> np.ndarray:
     """
     dim = genomes.shape[1] // 2
     amps = genomes[:, :dim] + 1j * genomes[:, dim:]
-    norms = _row_norms(amps)
+    norms = fock._row_norms(amps)
     valid = norms > DECODE_EPS
     out = np.full((genomes.shape[0], 2), math.inf)
     out[valid] = objective.batch(amps[valid] / norms[valid, None])
@@ -359,27 +374,25 @@ def _evaluate(genomes: np.ndarray, objective) -> np.ndarray:
 def _select_next(genomes, objectives, target_size):
     """Elitist truncation of the pool to ``target_size`` survivors.
 
-    Returns the survivors' genomes, objectives, ranks and crowding. Every
-    dominator of a survivor also survives, so pool ranks are survivor
-    ranks, and whole fronts keep their relative order and so their
-    crowding; only the truncated front's crowding is recomputed.
+    Returns the survivors' genomes, objectives, ranks and crowding. Fronts
+    are peeled only until they hold ``target_size`` points. Every dominator
+    of a survivor also survives, so pool ranks are survivor ranks, and whole
+    fronts keep their relative order and so their crowding; only the
+    truncated front's crowding is recomputed.
     """
-    kept, ranks, crowd = [], [], []
-    room = target_size
-    for r, front in enumerate(non_dominated_sort(objectives)):
-        if room == 0:
-            break
-        dist = crowding_distance(objectives, front)
-        if front.size > room:
-            # Stable truncation: widest-spaced first, original index breaks ties.
-            front = front[np.lexsort((front, -dist))[:room]]
-            dist = crowding_distance(objectives, front)
-        kept.append(front)
-        ranks.append(np.full(front.size, r))
-        crowd.append(dist)
-        room -= front.size
-    idx = np.concatenate(kept)
-    return genomes[idx], objectives[idx], np.concatenate(ranks), np.concatenate(crowd)
+    fronts = _fronts(objectives, target_size)
+    sizes = [front.size for front in fronts]
+    kept = np.concatenate(fronts)
+    crowd = _crowding(objectives[kept], sizes)
+    cut = kept.size - sizes[-1]  # where the last front starts
+    room = target_size - cut
+    if sizes[-1] > room:
+        # Stable truncation: widest-spaced first, original index breaks ties.
+        last = fronts[-1][np.lexsort((fronts[-1], -crowd[cut:]))[:room]]
+        kept = np.concatenate([kept[:cut], last])
+        crowd = np.concatenate([crowd[:cut], crowding_distance(objectives, last)])
+        sizes[-1] = room
+    return genomes[kept], objectives[kept], np.repeat(np.arange(len(sizes)), sizes), crowd
 
 
 @dataclass(frozen=True)

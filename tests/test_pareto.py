@@ -35,7 +35,7 @@ def brute_force_rank1(objs):
 
 
 def reference_non_dominated_sort(objectives):
-    """The O(n²) peeling sort: fronts of ascending indices, the sweep's oracle."""
+    """The O(n²) peeling sort by dominator counts: fronts of ascending indices, the oracle of ``pareto._fronts``."""
     objs = np.asarray(objectives, dtype=float)
     n = objs.shape[0]
     le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
@@ -56,6 +56,43 @@ def as_lists(fronts):
     return [f.tolist() for f in fronts]
 
 
+def reference_crowding_distance(objectives, front):
+    """One front at a time, one objective at a time: the oracle of ``pareto._crowding``."""
+    objs = np.asarray(objectives, dtype=float)[front]
+    m = front.size
+    dist = np.zeros(m)
+    if m <= 2:
+        return np.full(m, np.inf)
+    for k in range(objs.shape[1]):
+        order = np.argsort(objs[:, k], kind="stable")
+        lo, hi = objs[order[0], k], objs[order[-1], k]
+        span = hi - lo if lo < hi else 0.0
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if 0.0 < span < math.inf:
+            dist[order[1:-1]] += (objs[order[2:], k] - objs[order[:-2], k]) / span
+    return dist
+
+
+def reference_select_next(genomes, objectives, target_size):
+    """The full sort, per-front crowding and stable truncation: the oracle of ``pareto._select_next``."""
+    kept, ranks, crowd = [], [], []
+    room = target_size
+    for r, front in enumerate(reference_non_dominated_sort(objectives)):
+        if room == 0:
+            break
+        dist = reference_crowding_distance(objectives, front)
+        if front.size > room:
+            front = front[np.lexsort((front, -dist))[:room]]
+            dist = reference_crowding_distance(objectives, front)
+        kept.append(front)
+        ranks.append(np.full(front.size, r))
+        crowd.append(dist)
+        room -= front.size
+    idx = np.concatenate(kept)
+    return genomes[idx], objectives[idx], np.concatenate(ranks), np.concatenate(crowd)
+
+
 # Small integer grids force ties in one objective and exact duplicates;
 # infinite entries stand in for invalid genomes and annihilated gates.
 GRID_VALUE = st.one_of(
@@ -68,6 +105,34 @@ def objective_clouds(min_size=0, max_size=80):
     return st.lists(st.tuples(GRID_VALUE, GRID_VALUE), min_size=min_size, max_size=max_size).map(
         lambda rows: np.array(rows, dtype=float).reshape(len(rows), 2)
     )
+
+
+def chain(n):
+    """n points, each dominating the next: one point per front, the peel's worst case."""
+    t = np.arange(n, dtype=float)
+    return np.column_stack([t, t])
+
+
+@st.composite
+def selection_cases(draw):
+    """(pool, survivors): an even pool mixing a cloud with copied rows, ``(inf, inf)`` rows and a shuffled chain."""
+    rows = list(draw(objective_clouds(max_size=60)))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))]
+    rows += [np.array([math.inf, math.inf])] * draw(st.integers(0 if len(rows) >= 2 else 2, 8))
+    rows += list(chain(draw(st.integers(0, 40))) - 2.0)
+    pool = np.array(rows, dtype=float)[: len(rows) // 2 * 2]
+    pool = pool[np.array(draw(st.permutations(range(pool.shape[0]))), dtype=int)]
+    return pool, draw(st.integers(1, pool.shape[0]))
+
+
+@st.composite
+def grouped_clouds(draw):
+    """(objectives, sizes): a cloud cut into consecutive groups of any sizes."""
+    objs = draw(objective_clouds(min_size=1))
+    n = objs.shape[0]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+    return objs, np.diff([0, *cuts, n]).tolist()
 
 
 def oracle_condition_p0(bra, joint):
@@ -178,9 +243,27 @@ class TestNonDominatedSort:
     @example(objs=np.empty((0, 2)))
     @example(objs=np.array([[1.0, 2.0]]))
     @example(objs=np.array([[math.inf, math.inf]] * 3 + [[0.0, math.inf], [math.inf, 0.0]]))
+    @example(objs=np.full((7, 2), math.inf))  # one run of equal points: the peel must still advance
+    @example(objs=chain(40)[::-1])
+    @example(objs=np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     def test_matches_quadratic_oracle(self, objs):
         # Same fronts, same order of indices inside each front.
-        assert as_lists(pareto.non_dominated_sort(objs)) == as_lists(reference_non_dominated_sort(objs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = as_lists(pareto.non_dominated_sort(objs))
+        assert got == as_lists(reference_non_dominated_sort(objs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(objs=objective_clouds(min_size=1), data=st.data())
+    def test_partial_peel_is_a_prefix_of_the_fronts(self, objs, data):
+        # Selection peels only until the fronts hold `fill` points.
+        fill = data.draw(st.integers(1, objs.shape[0]))
+        want = as_lists(reference_non_dominated_sort(objs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = as_lists(pareto._fronts(objs, fill))
+        assert got == want[: len(got)]
+        assert sum(map(len, got)) >= fill > sum(map(len, got[:-1]))
 
     @pytest.mark.parametrize("row", [[math.nan, 0.0], [0.0, math.nan], [math.nan, math.nan]])
     def test_nan_objective_rejected(self, row):
@@ -236,6 +319,23 @@ class TestCrowdingDistance:
             assert np.isinf(dist[0]) and np.isinf(dist[2])
             assert dist[1] == (1.0 if math.isfinite(objs[0][0]) else 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=grouped_clouds())
+    @example(case=(np.array([[0.0, math.inf], [1.0, 5.0], [2.0, 3.0], [math.inf, math.inf]] * 2), [3, 1, 2, 2]))
+    def test_one_pass_matches_per_front_oracle(self, case):
+        # Several groups at once, fronts or not: ties, repeated values, zero
+        # and infinite spans, groups of one and two.
+        objs, sizes = case
+        bounds = np.cumsum([0, *sizes])
+        groups = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        want = np.concatenate([reference_crowding_distance(objs, group) for group in groups])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pareto._crowding(objs, sizes)
+            singles = [pareto.crowding_distance(objs, group) for group in groups]
+        assert got.tobytes() == want.tobytes()
+        assert np.concatenate(singles).tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(objs=objective_clouds(min_size=1))
     def test_no_nan_on_any_front(self, objs):
@@ -248,6 +348,20 @@ class TestCrowdingDistance:
 
 
 class TestSelectNext:
+    @settings(max_examples=300, deadline=None)
+    @given(case=selection_cases())
+    @example(case=(np.full((8, 2), math.inf), 4))
+    @example(case=(chain(40)[::-1], 20))
+    def test_matches_full_sort_oracle(self, case):
+        pool, target = case
+        genomes = np.arange(pool.shape[0], dtype=float)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pareto._select_next(genomes, pool, target)
+        want = reference_select_next(genomes, pool, target)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
     @settings(max_examples=200, deadline=None)
     @given(pool=objective_clouds(min_size=2, max_size=80).map(lambda o: o[: o.shape[0] // 2 * 2]))
     def test_carried_ranks_and_crowding_match_recomputation(self, pool):
