@@ -326,19 +326,6 @@ def squeeze(r: float, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def coupler_generator(kind: str, dim: int) -> np.ndarray:
-    """Hermitian generator of the requested Gaussian coupling.
-
-    QND couples as x1*p2; BS as (pi/4)(p1*x2 - p2*x1). Mode-1 major
-    Kronecker composition.
-    """
-    _check_coupler_args(kind, dim)
-    x, p = quadratures(dim)
-    if kind == "QND":
-        return np.kron(x, p)
-    return (np.pi / 4.0) * (np.kron(p, x) - np.kron(x, p))
-
-
 def _check_coupler_args(kind: str, dim: int) -> None:
     if kind not in COUPLER_KINDS:
         raise ContractViolationError(f"unknown coupler kind {kind!r}; expected one of {COUPLER_KINDS}")
@@ -568,12 +555,6 @@ def _quadratic_forms(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     op_rows = np.matmul(op, rows[:, :, None])
     return np.matmul(rows.conj()[:, None, :], op_rows)[:, 0, 0].real
-
-
-def position_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
-    """<x|psi> on a grid (real Hermite-function expansion)."""
-    phi = hermite_functions(state.dim - 1, xs)
-    return state.amps @ phi.astype(complex)
 
 
 # ---------------------------------------------------------------------------

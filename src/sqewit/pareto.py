@@ -1,7 +1,8 @@
 """From-scratch NSGA-II over pure-state genomes for two-objective frontiers.
 
-Genomes are boxes of 2N real genes in [-1, 1] (real and imaginary Fock
-amplitudes) decoded by normalization. Two frontier problems are built in:
+Genomes are boxes of 2N real genes in [-1, 1], the real parts of N Fock
+amplitudes and then their imaginary parts, normalized into a state
+(``_evaluate``). Two frontier problems are built in:
 
 * ``fidelity``: minimize the witness expectation and the virtual
   interaction fidelity simultaneously; the rank-1 front is the worst-case
@@ -14,13 +15,13 @@ Both objectives are minimized internally; maximized quantities enter with
 their sign flipped. Runs are deterministic functions of the seed.
 
 Each generation ranks the 2n parents plus offspring by peeling fronts
-(``_fronts``), and only until the fronts hold the n survivors: one sort in
-(f1, f2) order, then one O(m) array step per front over the m points still
-unranked. Selection on a frontier run's pools needs a few fronts, where
-the whole pool holds tens; a chain, one point per front, is the worst
-case, O(n²). The kept fronts' crowding is one array pass for all of them
-(``_crowding``). The survivors carry their ranks and crowding into the
-next tournament, so no generation re-sorts its parents. The n offspring
+(``non_dominated_sort``), and only until the fronts hold the n survivors:
+one sort in (f1, f2) order, then one O(m) array step per front over the m
+points still unranked. Selection on a frontier run's pools needs a few
+fronts, where the whole pool holds tens; a chain, one point per front, is
+the worst case, O(n²). The kept fronts' crowding is one array pass for all
+of them (``crowding_distance``). The survivors carry their ranks and
+crowding into the next tournament, so no generation re-sorts its parents. The n offspring
 are scored in one batched pass (``_evaluate``): decoding, the witness
 form, the coupler, the <p = 0| conditioning and every breeding round act
 on all n states at once, bitwise as they would on each state alone.
@@ -35,7 +36,6 @@ import numpy as np
 
 from . import breeding, fock, gates, states, witness
 from .errors import ContractViolationError, _require
-from .fock import FockState
 from .witness import WitnessSpec
 
 GENE_LOW = -1.0
@@ -61,22 +61,6 @@ class NsgaConfig:
             raise ContractViolationError(f"population must be even, got {self.population}")
         _require("generations", self.generations, at_least=0, integer=True)
         _require("seed", self.seed, at_least=0, at_most=2**64 - 1, integer=True)
-
-
-def decode(genome: np.ndarray) -> FockState | None:
-    """Genome -> normalized state; None marks a (near-)zero invalid genome.
-
-    Decoding is scale-invariant: any nonzero multiple of a genome yields
-    the same state.
-    """
-    genome = np.asarray(genome, dtype=float)
-    if genome.ndim != 1 or genome.size % 2:
-        raise ContractViolationError(f"genome must hold 2N real genes, got shape {genome.shape}")
-    dim = genome.size // 2
-    amps = genome[:dim] + 1j * genome[dim:]
-    if np.linalg.norm(amps) <= DECODE_EPS:
-        return None
-    return FockState(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +178,25 @@ def _make_objectives(problem: str, spec: WitnessSpec, breeding_rounds: int):
 # ---------------------------------------------------------------------------
 
 
-def _fronts(objectives, fill: int | None = None) -> list[np.ndarray]:
-    """The first fronts of ``objectives``, until they hold ``fill`` points (all by default).
+def non_dominated_sort(objectives, fill: int | None = None) -> list[np.ndarray]:
+    """The first fronts of n two-objective points, until they hold ``fill`` (all by default).
+
+    Both objectives are minimized: i dominates j when it is no worse in both
+    and strictly better in one. Front r holds the points whose dominators
+    all lie in fronts 0..r-1, and each front is an array of point indices in
+    ascending order (``crowding_distance`` breaks ties by that order).
+    Equal points never dominate each other, so duplicates, including
+    ``(inf, inf)`` rows, share a front. NaN cannot be ordered and raises
+    ``ContractViolationError``.
 
     Peels one front per step. The points are sorted once by (f1, f2), and a
-    run of equal points is one distinct point: equal points never dominate
-    each other, so a run shares a front. Over the distinct points still
-    unranked, in that order, a point is dominated exactly when the smallest
-    f2 before it is no larger than its own, since every earlier distinct
-    point has no larger f1 and differs from it. The first is never
+    run of equal points is one distinct point. Over the distinct points
+    still unranked, in that order, a point is dominated exactly when the
+    smallest f2 before it is no larger than its own, since every earlier
+    distinct point has no larger f1 and differs from it. The first is never
     dominated, so every step ranks at least one point, even on a pool of
-    ``(inf, inf)`` rows.
+    ``(inf, inf)`` rows. That is O(n log n + n·F) for F fronts, so O(n²) at
+    worst, a chain of n points with one point per front.
     """
     objs = np.asarray(objectives, dtype=float)
     if objs.ndim != 2 or objs.shape[1] != 2:
@@ -237,33 +229,17 @@ def _fronts(objectives, fill: int | None = None) -> list[np.ndarray]:
     return np.split(by_rank, np.cumsum(np.bincount(ranks[by_rank], minlength=fronts))[:-1]) if ranked else []
 
 
-def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Partition n two-objective points into fronts by weak Pareto dominance.
+def crowding_distance(objectives, sizes) -> np.ndarray:
+    """Crowding distances of consecutive fronts of ``sizes`` points, ``objectives`` in front order.
 
-    Both objectives are minimized: i dominates j when it is no worse in both
-    and strictly better in one. Front r holds the points whose dominators
-    all lie in fronts 0..r-1, and each front is an array of point indices in
-    ascending order (``crowding_distance`` breaks ties by that order).
-    Equal points never dominate each other, so duplicates, including
-    ``(inf, inf)`` rows, share a front.
-
-    One sort in (f1, f2) order, then one O(m) array step per front over the
-    m points still unranked (``_fronts``): O(n log n + n·F) for F fronts, so
-    O(n²) at worst, a chain of n points with one point per front.
-    NaN cannot be ordered and raises ``ContractViolationError``.
-    """
-    return _fronts(objectives)
-
-
-def _crowding(objs: np.ndarray, sizes) -> np.ndarray:
-    """Crowding distances of the consecutive fronts of ``sizes`` points in ``objs``.
-
+    One front alone is ``crowding_distance(objectives[front], [front.size])``.
     One pass per objective for all fronts: a stable sort by (front, value),
-    so ties keep their order in ``objs``. Each front's ends get +inf, and
-    each interior point adds its neighbours' gap over the front's span. An
-    objective whose span over a front is zero or infinite adds no gaps
+    so ties keep their order in ``objectives``. Each front's ends get +inf,
+    and each interior point adds its neighbours' gap over the front's span.
+    An objective whose span over a front is zero or infinite adds no gaps
     there, so no distance is NaN.
     """
+    objs = np.asarray(objectives, dtype=float)
     front_of = np.repeat(np.arange(len(sizes)), sizes)
     last = np.cumsum(sizes, dtype=int) - 1
     first = last + 1 - sizes
@@ -285,15 +261,6 @@ def _crowding(objs: np.ndarray, sizes) -> np.ndarray:
     return dist
 
 
-def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Crowding distances within one front; boundary points get +inf.
-
-    An objective whose span over the front is zero or infinite adds no gaps,
-    so no distance is NaN.
-    """
-    return _crowding(np.asarray(objectives, dtype=float)[front], [front.size] if front.size else [])
-
-
 def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fronts = non_dominated_sort(objectives)
     sizes = [front.size for front in fronts]
@@ -301,7 +268,7 @@ def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty(idx.size, dtype=int)
     crowd = np.empty(idx.size, dtype=float)
     ranks[idx] = np.repeat(np.arange(len(sizes)), sizes)
-    crowd[idx] = _crowding(objectives[idx], sizes)
+    crowd[idx] = crowding_distance(objectives[idx], sizes)
     return ranks, crowd
 
 
@@ -359,8 +326,11 @@ def variation(parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _evaluate(genomes: np.ndarray, objective) -> np.ndarray:
     """Objectives of each genome in one batched pass; invalid genomes get ``(inf, inf)``.
 
-    Genomes are decoded and normalized as ``decode`` does, bitwise, and the
-    valid rows go to ``objective.batch`` together.
+    A genome of 2N genes holds the real parts of N Fock amplitudes, then
+    their imaginary parts. A genome whose amplitude norm is at most
+    ``DECODE_EPS`` is invalid. The valid rows, divided by their norms
+    (``np.linalg.norm``'s, bitwise), go to ``objective.batch`` together, so
+    nonzero multiples of a genome score alike to rounding.
     """
     dim = genomes.shape[1] // 2
     amps = genomes[:, :dim] + 1j * genomes[:, dim:]
@@ -380,17 +350,17 @@ def _select_next(genomes, objectives, target_size):
     fronts keep their relative order and so their crowding; only the
     truncated front's crowding is recomputed.
     """
-    fronts = _fronts(objectives, target_size)
+    fronts = non_dominated_sort(objectives, target_size)
     sizes = [front.size for front in fronts]
     kept = np.concatenate(fronts)
-    crowd = _crowding(objectives[kept], sizes)
+    crowd = crowding_distance(objectives[kept], sizes)
     cut = kept.size - sizes[-1]  # where the last front starts
     room = target_size - cut
     if sizes[-1] > room:
         # Stable truncation: widest-spaced first, original index breaks ties.
         last = fronts[-1][np.lexsort((fronts[-1], -crowd[cut:]))[:room]]
         kept = np.concatenate([kept[:cut], last])
-        crowd = np.concatenate([crowd[:cut], crowding_distance(objectives, last)])
+        crowd = np.concatenate([crowd[:cut], crowding_distance(objectives[last], [room])])
         sizes[-1] = room
     return genomes[kept], objectives[kept], np.repeat(np.arange(len(sizes)), sizes), crowd
 
@@ -493,16 +463,3 @@ def hypervolume(objectives: np.ndarray, reference: np.ndarray) -> float:
             hv += (ref[0] - x) * (best_y - y)
             best_y = y
     return float(hv)
-
-
-def dominated_front_points(front_objs: np.ndarray, challenger_objs: np.ndarray) -> np.ndarray:
-    """Indices of front points strictly dominated by any challenger.
-
-    A nonempty result flags an under-converged frontier run: a known
-    feasible state beats a reported frontier point in both objectives.
-    """
-    f = np.asarray(front_objs, dtype=float)
-    c = np.asarray(challenger_objs, dtype=float)
-    le = (c[:, None, :] <= f[None, :, :]).all(axis=2)
-    lt = (c[:, None, :] < f[None, :, :]).any(axis=2)
-    return np.nonzero((le & lt).any(axis=0))[0]

@@ -76,28 +76,6 @@ def squeezed_cat(spec: CatSpec, max_loss: float = TRUNCATION_LOSS_MAX) -> FockSt
     return FockState(vec[:dim])
 
 
-def even_cat_expectation_closed_form(u: float, r: float) -> float:
-    """Witness expectation on the ideal even squeezed cat, in closed form.
-
-    This is the k -> infinity value: the projector comb vanishes on even
-    cats, so only the position part (x² - u²)² remains. The sin^2k comb of
-    finite k does not vanish there, and `witness.build_witness` at finite k
-    adds c * <comb_k> on top (0.060 to 0.063 at u = 2, c = 10, k = 100,
-    r <= 1.2).
-
-    Decreasing in r and tending to zero as r grows; the exponential inner
-    term is branched to its asymptotic form once e^{2r} u² overflows exp.
-    """
-    _require("u", u)
-    _require("r", r)
-    t = math.exp(2.0 * r) * u * u
-    if t > 700.0:
-        interference = 0.0
-    else:
-        interference = 4.0 * t * (t - 3.0) / (math.exp(t) + 1.0)
-    return (interference + 8.0 * t + 3.0) / (4.0 * math.exp(4.0 * r))
-
-
 # ---------------------------------------------------------------------------
 # Optimal finite-dimensional approximations (witness ground states)
 # ---------------------------------------------------------------------------

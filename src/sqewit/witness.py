@@ -147,23 +147,33 @@ def comb_points(u: float, phi: float, j_values: np.ndarray) -> np.ndarray:
     return ((2.0 * j_values - 1.0) * np.pi - phi) / (2.0 * u)
 
 
-def comb_diagonal_exact(u: float, phi: float, n: int) -> float:
-    """Brute-force diagonal of the exact projector comb on Fock level n.
+def comb_diagonal_exact(u: float, phi: float, n_max: int) -> np.ndarray:
+    """Brute-force diagonal of the exact projector comb on Fock levels 0..n_max.
 
-    Sums |psi_n(p_j)|² over the comb points j in [1 - j_cut, j_cut], with a
-    cut that keeps every omitted term below the 1e-12 Hermite tail bound.
+    Level n sums |psi_n(p_j)|² over the comb points j in [1 - c(n), c(n)],
+    with a cut c(n) that keeps every omitted term below the 1e-12 Hermite
+    tail bound. One Hermite table on the widest cut, c(n_max), serves every
+    level: each value depends on its own point only, so level n's slice
+    holds the values a table on its own cut would.
     """
     _require("u", u, above=0)
     _require("phi", phi)
-    _require("n", n, at_least=0, integer=True)
-    # Hermite functions are negligible (< 1e-12) beyond the classical
-    # turning point plus a 10-unit Gaussian tail margin.
-    p_max = math.sqrt(2.0 * n + 1.0) + 10.0
-    j_cut = int(math.ceil((2.0 * u * p_max + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
-    js = np.arange(1 - j_cut, j_cut + 1)
-    pts = comb_points(u, phi, js)
-    phi_n = fock.hermite_functions(n, pts)[n]
-    return float(np.sum(phi_n * phi_n))
+    _require("n_max", n_max, at_least=0, integer=True)
+
+    def cut(n):
+        # Hermite functions are negligible (< 1e-12) beyond the classical
+        # turning point plus a 10-unit Gaussian tail margin.
+        p_max = math.sqrt(2.0 * n + 1.0) + 10.0
+        return int(math.ceil((2.0 * u * p_max + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
+
+    widest = cut(n_max)
+    table = fock.hermite_functions(n_max, comb_points(u, phi, np.arange(1 - widest, widest + 1)))
+    out = np.empty(n_max + 1)
+    for n, row in enumerate(table):
+        half = cut(n)
+        row = row[widest - half : widest + half]
+        out[n] = np.sum(row * row)
+    return out
 
 
 class AccuracyRow(NamedTuple):
@@ -183,11 +193,11 @@ def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it).
     """
     approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
+    exact = comb_diagonal_exact(u, 0.0, n_max).tolist()
     rows = []
     for n in range(n_max + 1):
-        exact = comb_diagonal_exact(u, 0.0, n)
-        rel = abs(1.0 - approx[n] / exact)
-        rows.append(AccuracyRow(n=n, exact=exact, approx=float(approx[n]), rel_error=float(rel)))
+        rel = abs(1.0 - approx[n] / exact[n])
+        rows.append(AccuracyRow(n=n, exact=exact[n], approx=float(approx[n]), rel_error=float(rel)))
     return rows
 
 

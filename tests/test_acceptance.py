@@ -23,6 +23,8 @@ from sqewit.errors import TruncationLossError
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
 
+import oracles
+
 
 def _report(num: int, ok: bool, detail: str) -> str:
     line = f"ACCEPT-{num:02d} {'PASS' if ok else 'FAIL'}: {detail}"
@@ -89,7 +91,7 @@ def test_criterion_02_closed_form_agreement():
     for r in (0.0, 0.4, 0.8, 1.2):
         cat = states.squeezed_cat(CatSpec(u=u, r=r, phi=0.0, dim=60))
         got = fock.expectation(w, cat)
-        want = states.even_cat_expectation_closed_form(u, r) + c * _even_cat_comb_expectation(u, r, k)
+        want = oracles.even_cat_expectation_closed_form(u, r) + c * _even_cat_comb_expectation(u, r, k)
         rows.append((r, got, want, abs(1 - got / want)))
     elapsed = time.time() - started
     decreasing = all(b[1] < a[1] for a, b in zip(rows, rows[1:]))

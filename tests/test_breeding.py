@@ -12,6 +12,8 @@ from sqewit import breeding, fock, states
 from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 
+import oracles
+
 U_GRID = 2.0 * math.sqrt(math.pi)
 
 
@@ -50,7 +52,7 @@ class TestBreedRound:
         xs = np.linspace(-8, 8, 3201)
 
         def peak_spacing(state):
-            density = np.abs(fock.position_wavefunction(state, xs)) ** 2
+            density = np.abs(oracles.position_wavefunction(state, xs)) ** 2
             keep = density > 0.15 * density.max()
             idx = np.nonzero(keep[1:-1] & (np.diff(density)[:-1] > 0) & (np.diff(density)[1:] < 0))[0] + 1
             peaks = xs[idx]

@@ -152,7 +152,6 @@ _REFUSALS = {
     "basis_state_n": (lambda: fock.basis_state(3, 3), "n"),
     "bs_p0_kernel": (lambda: fock._bs_p0_kernel(2.5), "dim"),
     "qnd_p0_factor": (lambda: fock._p0_output("QND", np.zeros(0), np.zeros(0)), "dim"),
-    "coupler_generator": (lambda: fock.coupler_generator("QND", 0), "dim"),
     "breed_protocol": (lambda: breeding.breed_protocol(fock.vacuum(2), 1.5), "rounds"),
     "build_q0": (lambda: breeding.build_q0(2.5), "dim"),
     "gkp_witness": (lambda: breeding.gkp_witness(0), "dim"),

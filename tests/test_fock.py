@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, eval_genlaguerre, gammaln
 
+import oracles
 import pins
 from sqewit import fock, states, witness
 from sqewit.errors import ContractViolationError
@@ -378,7 +379,7 @@ def test_gate_unitarity_on_low_levels():
 def test_two_mode_coupler_matches_generic_route():
     n = 10
     for kind, sign in (("QND", -1j), ("BS", 1j)):
-        gen = fock.coupler_generator(kind, n)
+        gen = oracles.coupler_generator(kind, n)
         eig = fock.hermitian_eig(gen)
         ref = (eig.vectors * np.exp(sign * eig.values)) @ eig.vectors.conj().T
         assert np.max(np.abs(fock.two_mode_coupler(kind, n) - ref)) < 1e-12
@@ -386,7 +387,7 @@ def test_two_mode_coupler_matches_generic_route():
 
 def test_bs_generator_conserves_photon_number():
     n = 9
-    gen = fock.coupler_generator("BS", n)
+    gen = oracles.coupler_generator("BS", n)
     total = np.add.outer(np.arange(n), np.arange(n)).ravel()
     off_sector = gen[~np.equal.outer(total, total)]
     assert np.max(np.abs(off_sector)) == 0.0

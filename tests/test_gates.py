@@ -13,6 +13,8 @@ from sqewit import breeding, fock, gates, states
 from sqewit.errors import ContractViolationError, ProjectionAnnihilatedError
 from sqewit.states import CatSpec
 
+import oracles
+
 
 class TestConditionalOutput:
     def test_vacuum_resource_bs(self):
@@ -89,7 +91,7 @@ class TestP0Kernel:
         assume(min(np.linalg.norm(a), np.linalg.norm(b)) > 0.1)
         mode1, mode2 = fock.FockState(a), fock.FockState(b)
         sign = 1j if kind == "BS" else -1j
-        joint = expm(sign * fock.coupler_generator(kind, dim)) @ np.kron(mode1.amps, mode2.amps)
+        joint = expm(sign * oracles.coupler_generator(kind, dim)) @ np.kron(mode1.amps, mode2.amps)
         want = fock.momentum_eigenbra(dim) @ joint.reshape(dim, dim)
         norm = np.linalg.norm(want)
         assume(norm > 1e-3)
@@ -165,7 +167,7 @@ class TestXRepresentationOracle:
         dim = 24
         resource = states.squeezed_cat(CatSpec(u=2.0, r=0.5, phi=0.0, dim=dim))
         xs = np.arange(-14.0, 14.0, 0.01)
-        r_wave = np.real(fock.position_wavefunction(resource, xs))
+        r_wave = np.real(oracles.position_wavefunction(resource, xs))
 
         def vac(t):
             return math.pi ** -0.25 * np.exp(-0.5 * t * t)

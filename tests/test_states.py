@@ -8,6 +8,8 @@ from sqewit.errors import ContractViolationError, TruncationLossError
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
 
+import oracles
+
 
 class TestSqueezedCat:
     @pytest.mark.parametrize("max_loss", [math.nan, 0.0, -1e-4, 1.5, math.inf])
@@ -58,7 +60,7 @@ class TestSqueezedCat:
     def test_peak_positions_in_x(self):
         st = states.squeezed_cat(CatSpec(u=3.0, r=0.8, phi=0.0, dim=50))
         xs = np.linspace(-6, 6, 1201)
-        density = np.abs(fock.position_wavefunction(st, xs)) ** 2
+        density = np.abs(oracles.position_wavefunction(st, xs)) ** 2
         peak = xs[int(np.argmax(density))]
         assert abs(abs(peak) - 3.0) < 0.05
 
@@ -67,24 +69,24 @@ class TestClosedForm:
     def test_value_at_u3_r0(self):
         # [216/(e^9 + 1) + 75] / 4
         direct = (216.0 / (math.exp(9.0) + 1.0) + 75.0) / 4.0
-        assert states.even_cat_expectation_closed_form(3.0, 0.0) == pytest.approx(direct, rel=1e-14)
+        assert oracles.even_cat_expectation_closed_form(3.0, 0.0) == pytest.approx(direct, rel=1e-14)
         assert direct == pytest.approx(18.7567, abs=2e-4)
 
     def test_decreasing_in_r(self):
         for u in (1.0, 2.0, 3.0):
-            vals = [states.even_cat_expectation_closed_form(u, r) for r in np.linspace(0, 4, 30)]
+            vals = [oracles.even_cat_expectation_closed_form(u, r) for r in np.linspace(0, 4, 30)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_limit_is_zero(self):
-        assert states.even_cat_expectation_closed_form(2.0, 40.0) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.even_cat_expectation_closed_form(2.0, 40.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_overflow_guard_continuous(self):
         # Near the exp-overflow branch point the two forms agree.
         u = 30.0
         r_low = 0.5 * math.log(699.0 / (u * u))
         r_high = 0.5 * math.log(701.0 / (u * u))
-        low = states.even_cat_expectation_closed_form(u, r_low)
-        high = states.even_cat_expectation_closed_form(u, r_high)
+        low = oracles.even_cat_expectation_closed_form(u, r_low)
+        high = oracles.even_cat_expectation_closed_form(u, r_high)
         assert high < low
         assert high == pytest.approx(low, rel=1e-2)
 
@@ -95,7 +97,7 @@ class TestClosedForm:
         for r in (0.0, 0.5, 1.0):
             cat = states.squeezed_cat(CatSpec(u=2.0, r=r, phi=0.0, dim=dim))
             got = fock.expectation(quartic, cat)
-            want = states.even_cat_expectation_closed_form(2.0, r)
+            want = oracles.even_cat_expectation_closed_form(2.0, r)
             assert got == pytest.approx(want, rel=0.01)
 
 
@@ -184,7 +186,7 @@ class TestGateTargets:
     def test_bs_target_peaks_at_u_over_sqrt2(self):
         st = states.ideal_gate_target("BS", 3.0, 0.0, 40)
         xs = np.linspace(-5, 5, 2001)
-        density = np.abs(fock.position_wavefunction(st, xs)) ** 2
+        density = np.abs(oracles.position_wavefunction(st, xs)) ** 2
         peak = abs(xs[int(np.argmax(density))])
         assert peak == pytest.approx(3.0 / math.sqrt(2.0), abs=0.05)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from sqewit import fock, pareto, states, witness
+from sqewit import fock, pareto, witness
 from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
@@ -94,12 +94,24 @@ class TestExactCombDiagonal:
         js = np.arange(-30, 31)
         pts = witness.comb_points(3.0, 0.0, js)
         ref = np.sum(np.exp(-pts * pts)) / math.sqrt(math.pi)
-        assert witness.comb_diagonal_exact(3.0, 0.0, 0) == pytest.approx(ref, rel=1e-12)
+        assert witness.comb_diagonal_exact(3.0, 0.0, 0)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_cut_convergence(self):
         # The automatic cut agrees with a far wider sum over j in [-49, 50].
         phi_1 = fock.hermite_functions(1, witness.comb_points(3.0, 0.0, np.arange(-49, 51)))[1]
-        assert witness.comb_diagonal_exact(3.0, 0.0, 1) == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
+        assert witness.comb_diagonal_exact(3.0, 0.0, 1)[1] == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
+
+    @pytest.mark.parametrize("u, phi", [(0.7, 0.0), (2.0, 1.3), (3.0, -2.0), (4.0, 0.0)])
+    def test_one_table_equals_per_level_cuts_bitwise(self, u, phi):
+        # Each level's own cut and table, as the diagonal was once built level by level.
+        def level(n):
+            j_cut = int(math.ceil((2.0 * u * (math.sqrt(2.0 * n + 1.0) + 10.0) + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
+            phi_n = fock.hermite_functions(n, witness.comb_points(u, phi, np.arange(1 - j_cut, j_cut + 1)))[n]
+            return np.sum(phi_n * phi_n)
+
+        for n_max in (0, 5, 80):
+            want = np.array([level(n) for n in range(n_max + 1)])
+            assert witness.comb_diagonal_exact(u, phi, n_max).tobytes() == want.tobytes()
 
     def test_reflection_symmetry_at_phi_zero(self):
         # The phi=0 comb is symmetric under j -> 1-j; summing one half and
@@ -191,11 +203,10 @@ _VALID_INPUTS = {
     witness.momentum_comb: {"u": 3.0, "phi": 0.0, "k": 100, "dim": 8},
     witness.position_quartic: {"u": 3.0, "dim": 8},
     witness.comb_prefactor: {"u": 3.0, "k": 100},
-    witness.comb_diagonal_exact: {"u": 3.0, "phi": 0.0, "n": 2},
+    witness.comb_diagonal_exact: {"u": 3.0, "phi": 0.0, "n_max": 2},
     witness.accuracy_scan: {"u": 3.0, "k": 100, "n_max": 3},
     _displace: {"s": 1.0},
     witness.squeezed_vacuum_expectation: {"u": 3.0, "c": 10.0, "r": 0.5, "k": 100},
-    states.even_cat_expectation_closed_form: {"u": 2.0, "r": 0.5},
     witness.ratio_db: {"value": 1.0, "benchmark": 2.0},
 }
 
@@ -222,7 +233,6 @@ _VALID_INPUTS = {
             for bad in (math.nan, math.inf, -math.inf)
         ),
         (witness.squeezed_vacuum_expectation, "k", math.nan),
-        *((states.even_cat_expectation_closed_form, field, bad) for field in ("u", "r") for bad in (math.nan, math.inf)),
         *((witness.ratio_db, field, bad) for field in ("value", "benchmark") for bad in (math.nan, math.inf, -math.inf)),
     ],
 )
