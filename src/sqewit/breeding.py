@@ -108,11 +108,11 @@ class _CandidateObjective:
     `peig`, `seig`; `s_seed` is the vacuum in the squeeze eigenbasis) and
     cropped to dim. The squeezed vacuum depends on r alone, its x-displaced
     image on (r, dp), and only the last step, a gemv on the first dim rows
-    of the p eigenvectors, on dx. The grid search (`grid_values`) builds
-    each factor once for all the points that share it; calling the object
-    composes all three at one point, for the Nelder-Mead refinement. Every
-    value is bitwise equal to building the candidate in one chain through
-    the three eigenbases.
+    of the p eigenvectors, on dx. Two routes: the start grid (`grid_values`)
+    builds each factor once for all the points that share it; calling the
+    object composes all three at one point, for the Nelder-Mead refinement.
+    Every value is bitwise equal to building the candidate in one chain
+    through the three eigenbases.
     """
 
     def __init__(self, q0: np.ndarray):
@@ -130,18 +130,8 @@ class _CandidateObjective:
         vec = self.seig.vectors @ (np.exp(1j * r * self.seig.values) * self.s_seed)
         return self.x_inv @ vec
 
-    def displaced_in_p(self, squeezed: np.ndarray, dp: float) -> np.ndarray:
-        """exp(i dp x) applied to `squeezed_in_x`, in the p eigenbasis."""
-        vec = self.xeig.vectors @ (np.exp(1j * dp * self.xeig.values) * squeezed)
-        return self.p_inv @ vec
-
-    def value(self, displaced: np.ndarray, dx: float) -> float:
-        """<Q0> on exp(-i dx p) applied to `displaced_in_p`, cropped and normalized."""
-        vec = self.p_rows @ (np.exp(-1j * dx * self.peig.values) * displaced)
-        return fock.expectation(self.q0, FockState(vec))
-
     def grid_values(self, r: float, dxs: np.ndarray, dps: np.ndarray) -> np.ndarray:
-        """`value` at (r, dx, dp) for every dx and dp, in (dx, dp) order, bitwise.
+        """The objective at (r, dx, dp) for every dx and dp, in (dx, dp) order, bitwise.
 
         The displaced vectors (one per dp) and the cropped candidates (one
         per (dx, dp)) are stacks of rows through stacked matmuls, one gemv
@@ -158,7 +148,10 @@ class _CandidateObjective:
 
     def __call__(self, params) -> float:
         """<Q0> at (r, dx, dp); `_nelder_mead` keeps every point in the box."""
-        return self.value(self.displaced_in_p(self.squeezed_in_x(params[0]), params[2]), params[1])
+        r, dx, dp = params
+        displaced = self.p_inv @ (self.xeig.vectors @ (np.exp(1j * dp * self.xeig.values) * self.squeezed_in_x(r)))
+        vec = self.p_rows @ (np.exp(-1j * dx * self.peig.values) * displaced)
+        return fock.expectation(self.q0, FockState(vec))
 
 
 def _nelder_mead(fun, x0, lower, upper, xatol, fatol, maxiter):
@@ -239,7 +232,6 @@ def _gaussian_min(q0: np.ndarray) -> float:
     rs = np.linspace(_R_BOX[0], _R_BOX[1], 13)
     dxs = np.linspace(0.0, _DX_PERIOD, 9, endpoint=False)
     dps = np.linspace(0.0, _DP_PERIOD, 7, endpoint=False)
-    grid = [(r, dx, dp) for r in rs for dx in dxs for dp in dps]
     values = np.concatenate([objective.grid_values(r, dxs, dps) for r in rs])
     order = np.argsort(values, kind="stable")
 
@@ -248,9 +240,9 @@ def _gaussian_min(q0: np.ndarray) -> float:
     best = float(values[order[0]])
     converged = False
     for j in order[:3]:
-        refined, _, ok = _nelder_mead(
-            objective, np.array(grid[int(j)]), lower, upper, xatol=1e-7, fatol=1e-12, maxiter=2000
-        )
+        i_r, i_dx, i_dp = np.unravel_index(j, (rs.size, dxs.size, dps.size))
+        start = np.array([rs[i_r], dxs[i_dx], dps[i_dp]])
+        refined, _, ok = _nelder_mead(objective, start, lower, upper, xatol=1e-7, fatol=1e-12, maxiter=2000)
         converged = converged or ok
         if refined < best:
             best = float(refined)

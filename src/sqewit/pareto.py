@@ -237,16 +237,18 @@ def crowding_distance(objectives, sizes) -> np.ndarray:
     so ties keep their order in ``objectives``. Each front's ends get +inf,
     and each interior point adds its neighbours' gap over the front's span.
     An objective whose span over a front is zero or infinite adds no gaps
-    there, so no distance is NaN.
+    there, so no distance is NaN. An empty front adds no distances.
     """
     objs = np.asarray(objectives, dtype=float)
-    front_of = np.repeat(np.arange(len(sizes)), sizes)
+    sizes = np.asarray(sizes, dtype=int)
+    sizes = sizes[sizes > 0]
+    front_of = np.repeat(np.arange(sizes.size), sizes)
     last = np.cumsum(sizes, dtype=int) - 1
     first = last + 1 - sizes
     inner = np.ones(front_of.size, dtype=bool)
     inner[first] = inner[last] = False
     dist = np.zeros(front_of.size)
-    for k in range(objs.shape[1]):
+    for k in range(objs.shape[-1]):
         order = np.lexsort((objs[:, k], front_of))
         v = objs[order, k]
         lo, hi = v[first], v[last]
@@ -272,17 +274,13 @@ def _rank_and_crowd(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, crowd
 
 
-def _tournament(rng: np.random.Generator, ranks, crowd, picks: int) -> np.ndarray:
-    # Two shuffled pairings per generation, as in the original crowded
-    # tournament: every individual competes exactly twice.
-    n = ranks.size
-    winners = []
-    while len(winners) < picks:
-        order = rng.permutation(n)
-        a, b = order[0::2], order[1::2]
-        better_b = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowd[b] > crowd[a]))
-        winners.extend(np.where(better_b, b, a).tolist())
-    return np.array(winners[:picks], dtype=int)
+def _tournament(rng: np.random.Generator, ranks, crowd) -> np.ndarray:
+    # Two shuffled pairings of the (even) population, as in the original crowded
+    # tournament: every individual competes exactly twice, and n parents win.
+    order = np.concatenate([rng.permutation(ranks.size) for _ in range(2)])
+    a, b = order[0::2], order[1::2]
+    better_b = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowd[b] > crowd[a]))
+    return np.where(better_b, b, a)
 
 
 def variation(parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -405,15 +403,12 @@ def evolve(
 
     genomes = rng.uniform(GENE_LOW, GENE_HIGH, size=(cfg.population, genes))
     objectives = _evaluate(genomes, objective)
-    evaluations = cfg.population
     history = [objectives.min(axis=0)]
 
     ranks, crowd = _rank_and_crowd(objectives)
     for _ in range(cfg.generations):
-        parent_idx = _tournament(rng, ranks, crowd, cfg.population)
-        offspring = variation(genomes[parent_idx], rng)
+        offspring = variation(genomes[_tournament(rng, ranks, crowd)], rng)
         off_objs = _evaluate(offspring, objective)
-        evaluations += cfg.population
         genomes, objectives, ranks, crowd = _select_next(
             np.vstack([genomes, offspring]),
             np.vstack([objectives, off_objs]),
@@ -437,6 +432,7 @@ def evolve(
                 crowding=float(crowd[i]),
             )
         )
+    evaluations = cfg.population * (cfg.generations + 1)
     return EvolveResult(
         points=points, history=np.array(history), metric_name=objective.metric_name, evaluations=evaluations
     )

@@ -106,12 +106,6 @@ def _sin_power_harmonics(k: int) -> tuple[np.ndarray, np.ndarray]:
     return ms, cs
 
 
-def _displacement_negligible(x: float, dim: int) -> bool:
-    # Largest |<n|D|m>| in the dim-block is ~ exp(-x/2) x^dim / dim!; skip
-    # harmonics whose whole block is far below rounding.
-    return 0.5 * x - dim * math.log(max(x, 3.0)) + lgam(dim + 1) > 322.0
-
-
 def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
     """Sharpened comb (u/sqrt(pi)) (k)_(1/2) sin^2k(u p + phi/2), truncated.
 
@@ -121,16 +115,24 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
     `fock.ExactDisplacements(dim)` in O(N²) each. Spectral sampling of
     a padded momentum quadrature is useless here; with k ~ 100 the ridge is
     far narrower than any reachable eigenvalue spacing and the sampled
-    diagonal never converges.
+    diagonal never converges. A build whose cut skips a harmonic that is
+    not negligible (ROADMAP item 2) issues one RuntimeWarning naming it.
     """
     prefactor = comb_prefactor(u, k)
     _require("phi", phi)
     ms, cs = _sin_power_harmonics(k)
     displace = fock.ExactDisplacements(dim)
+    log_dim_factorial = lgam(dim + 1)
+    dropped = []
     out = cs[0] * np.eye(dim, dtype=complex)
     for m, c in zip(ms[1:], cs[1:]):
         x = 2.0 * (m * u) ** 2
-        if _displacement_negligible(x, dim):
+        # The cut skips a block when exp(-x/2) x^dim / dim! is below rounding.
+        # That bounds the block's elements only where x >= 2 dim; below, the
+        # skipped block is not negligible.
+        if 0.5 * x - dim * math.log(max(x, 3.0)) + log_dim_factorial > 322.0:
+            if x < 2.0 * dim:
+                dropped.append(int(m))
             continue
         d = displace(-2.0 * m * u)
         # out += c * (e^(i m phi) d + e^(-i m phi) dᵀ), the same operations in the
@@ -139,16 +141,19 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
         term += np.exp(-1j * m * phi) * d.T
         np.multiply(c, term, out=term)
         out += term
+    if dropped:
+        message = f"comb at u = {u}, dim = {dim} drops non-negligible harmonics m = {dropped} (ROADMAP item 2)"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return prefactor * out
 
 
-def comb_points(u: float, phi: float, j_values: np.ndarray) -> np.ndarray:
-    """Momentum comb positions p_j = ((2j - 1) pi - phi) / (2u)."""
-    return ((2.0 * j_values - 1.0) * np.pi - phi) / (2.0 * u)
+def comb_points(u: float, j_values: np.ndarray) -> np.ndarray:
+    """Positions p_j = (2j - 1) pi / (2u) of the phi = 0 projector comb."""
+    return (2.0 * j_values - 1.0) * np.pi / (2.0 * u)
 
 
-def comb_diagonal_exact(u: float, phi: float, n_max: int) -> np.ndarray:
-    """Brute-force diagonal of the exact projector comb on Fock levels 0..n_max.
+def comb_diagonal_exact(u: float, n_max: int) -> np.ndarray:
+    """Brute-force diagonal of the exact phi = 0 projector comb on Fock levels 0..n_max.
 
     Level n sums |psi_n(p_j)|² over the comb points j in [1 - c(n), c(n)],
     with a cut c(n) that keeps every omitted term below the 1e-12 Hermite
@@ -157,17 +162,16 @@ def comb_diagonal_exact(u: float, phi: float, n_max: int) -> np.ndarray:
     holds the values a table on its own cut would.
     """
     _require("u", u, above=0)
-    _require("phi", phi)
     _require("n_max", n_max, at_least=0, integer=True)
 
     def cut(n):
         # Hermite functions are negligible (< 1e-12) beyond the classical
         # turning point plus a 10-unit Gaussian tail margin.
         p_max = math.sqrt(2.0 * n + 1.0) + 10.0
-        return int(math.ceil((2.0 * u * p_max + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
+        return int(math.ceil(2.0 * u * p_max / (2.0 * math.pi) + 0.5)) + 1
 
     widest = cut(n_max)
-    table = fock.hermite_functions(n_max, comb_points(u, phi, np.arange(1 - widest, widest + 1)))
+    table = fock.hermite_functions(n_max, comb_points(u, np.arange(1 - widest, widest + 1)))
     out = np.empty(n_max + 1)
     for n, row in enumerate(table):
         half = cut(n)
@@ -190,10 +194,11 @@ def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     a build at n_max + 1 levels. Its `fock.ExactDisplacements` blocks are
     exact truncations, so a larger build adds nothing but the size-dependent
     skip rule of `momentum_comb`, which drops the strongest harmonics from
-    159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it).
+    159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it,
+    and warns).
     """
     approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
-    exact = comb_diagonal_exact(u, 0.0, n_max).tolist()
+    exact = comb_diagonal_exact(u, n_max).tolist()
     rows = []
     for n in range(n_max + 1):
         rel = abs(1.0 - approx[n] / exact[n])

@@ -12,6 +12,9 @@ Each function spells out one quantity the package computes another way:
   generation at once).
 - `dominated_front_points`: the points of a reported front that a known
   state beats in both objectives.
+- `tournament`: NSGA-II's crowded binary tournament as shuffled pairings
+  drawn until `picks` winners are in (`pareto._tournament` draws exactly
+  two for a population of winners).
 """
 
 from __future__ import annotations
@@ -93,3 +96,15 @@ def dominated_front_points(front_objs: np.ndarray, challenger_objs: np.ndarray) 
     le = (c[:, None, :] <= f[None, :, :]).all(axis=2)
     lt = (c[:, None, :] < f[None, :, :]).any(axis=2)
     return np.nonzero((le & lt).any(axis=0))[0]
+
+
+def tournament(rng: np.random.Generator, ranks, crowd, picks: int) -> np.ndarray:
+    """`picks` winners of shuffled pairings: lower rank wins, then larger crowding."""
+    n = ranks.size
+    winners = []
+    while len(winners) < picks:
+        order = rng.permutation(n)
+        a, b = order[0::2], order[1::2]
+        better_b = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowd[b] > crowd[a]))
+        winners.extend(np.where(better_b, b, a).tolist())
+    return np.array(winners[:picks], dtype=int)

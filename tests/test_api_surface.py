@@ -47,8 +47,8 @@ API_SURFACE = {
     "sqewit.witness": {
         "EXPECTATION_FLOOR": None, "GAUSSIAN_R_BRACKET": None, "WitnessSpec": ("u", "phi", "c", "dim", "k"),
         "position_quartic": ("u", "dim"), "comb_prefactor": ("u", "k"),
-        "momentum_comb": ("u", "phi", "k", "dim"), "comb_points": ("u", "phi", "j_values"),
-        "comb_diagonal_exact": ("u", "phi", "n_max"),
+        "momentum_comb": ("u", "phi", "k", "dim"), "comb_points": ("u", "j_values"),
+        "comb_diagonal_exact": ("u", "n_max"),
         "AccuracyRow": ("n", "exact", "approx", "rel_error"), "accuracy_scan": ("u", "k", "n_max"),
         "build_witness": ("spec",),
         "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r", "k"),

@@ -164,15 +164,15 @@ class TestGaussianMinimum:
         machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
         want = fock.expectation(q0, _make_candidate((r, dx, dp), dim, *machinery))
         assert objective(np.array([r, dx, dp])) == want
-        # The grid's path: each factor built once, then reused.
-        displaced = objective.displaced_in_p(objective.squeezed_in_x(r), dp)
-        assert objective.value(displaced, dx) == want
+        # The grid's route at the same point.
+        assert objective.grid_values(r, np.array([dx]), np.array([dp])).tolist() == [want]
 
     @pytest.mark.parametrize("dim", [6, 30])
     def test_start_grid_equals_per_point_chain_bitwise(self, dim):
         # `_gaussian_min`'s 13 x 9 x 7 start grid, scored one r at a time in
-        # (dx, dp) order, against the per-point factor chain: all 819 values,
-        # byte for byte (the gaussian_min_q0 pins see only the minimum).
+        # (dx, dp) order, against the Nelder-Mead route, one point per call:
+        # all 819 values, byte for byte (the gaussian_min_q0 pins see only
+        # the minimum).
         objective = breeding._CandidateObjective(breeding.gkp_witness(dim).matrix)
         rs = np.linspace(breeding._R_BOX[0], breeding._R_BOX[1], 13)
         dxs = np.linspace(0.0, breeding._DX_PERIOD, 9, endpoint=False)
@@ -180,12 +180,7 @@ class TestGaussianMinimum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = np.concatenate([objective.grid_values(r, dxs, dps) for r in rs])
-        want = [
-            objective.value(objective.displaced_in_p(objective.squeezed_in_x(r), dp), dx)
-            for r in rs
-            for dx in dxs
-            for dp in dps
-        ]
+        want = [objective(np.array([r, dx, dp])) for r in rs for dx in dxs for dp in dps]
         assert got.shape == (819,)
         assert got.tobytes() == np.array(want).tobytes()
 

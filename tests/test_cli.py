@@ -286,6 +286,24 @@ class TestGroundCommand:
             assert meta["stellar_bound"] == int(stellar_bound)
             assert "dim" not in meta
 
+    def test_comb_cut_warning_names_roadmap_item_2(self, runner, tmp_path):
+        # From 212 levels at u = 3 the comb's cut drops the m = 1 harmonic.
+        # A child process prints the warning to stderr, once, and exits 0;
+        # the files match an in-process run, so the warning moves no byte.
+        args = ["ground", "--u", "3", "--dims", "240", "--out"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sqewit.cli; sqewit.cli.main()"
+        command = [sys.executable, "-c", code, *args, "a"]
+        child = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.count("RuntimeWarning") == child.stderr.count("(ROADMAP item 2)") == 1, child.stderr
+        assert "dim = 240 drops non-negligible harmonics m = [1]" in child.stderr
+        with pytest.warns(RuntimeWarning, match=r"u = 3\.0, dim = 240 drops .* \(ROADMAP item 2\)"):
+            assert runner.invoke(main, [*args, str(tmp_path / "b")]).exit_code == 0
+        for name in ("state_N240.json", "index.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_rerun_bitwise_identical(self, runner, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -483,14 +501,17 @@ class TestOpaccuracyCommand:
         assert got == pytest.approx(lib[0].exact, rel=1e-15)
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     def test_deep_scan_exact_column_finite(self, runner, tmp_path):
         # --nmax 515 builds the comb at 516 levels. The exact column stays
         # finite at every level; the approximations are non-finite from
-        # n = 183 on, where the large-|s| harmonics overflow (ROADMAP item 2).
+        # n = 183 on, where the large-|s| harmonics overflow (ROADMAP item 2),
+        # with numpy's invalid-value warnings, and the build drops m = 1, 2.
         # Builds past row 1030, where the largest binomials overflow, are
         # `test_fock.py::test_displacement_exact_diagonal_past_binomial_overflow`.
         out = tmp_path / "acc.csv"
-        result = runner.invoke(main, ["opaccuracy", "--nmax", "515", "--out", str(out)])
+        with pytest.warns(RuntimeWarning, match=r"u = 3\.0, dim = 516 drops non-negligible harmonics m = \[1, 2\]"):
+            result = runner.invoke(main, ["opaccuracy", "--nmax", "515", "--out", str(out)])
         assert result.exit_code == 0, result.output
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (516, 4)

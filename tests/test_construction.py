@@ -48,6 +48,11 @@ def test_no_knobs_without_callers():
     assert "cfg" not in inspect.signature(pareto.variation).parameters
     assert "sector" not in inspect.signature(states.optimal_sqe_approximation).parameters
     assert "j_cut" not in inspect.signature(witness.comb_diagonal_exact).parameters
+    # Every caller took the exact comb at phi = 0, and every tournament
+    # picked as many parents as the population.
+    for func in (witness.comb_diagonal_exact, witness.comb_points):
+        assert "phi" not in inspect.signature(func).parameters, func.__name__
+    assert "picks" not in inspect.signature(pareto._tournament).parameters
     # GKP squeezing finds its own witness, `breeding.gkp_witness(state.dim)`.
     assert "witness" not in inspect.signature(breeding.gkp_squeezing_db).parameters
     # The Gaussian benchmark prices the witness's own comb, and each default
@@ -71,6 +76,9 @@ def test_no_knobs_without_callers():
         (witness.GaussianBound, "as_dict"),
         (witness, "theta3_half_pi"),
         (witness, "_auto_j_cut"),
+        (witness, "_displacement_negligible"),
+        (breeding._CandidateObjective, "displaced_in_p"),
+        (breeding._CandidateObjective, "value"),
         (states, "stellar_rank_bound"),
         (gates, "interaction_fidelity"),
         (pareto, "worst_corner"),

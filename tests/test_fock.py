@@ -46,7 +46,7 @@ def test_annihilation_rejects_zero_dim():
         (fock.crop, (np.eye(3), -1)),
         (fock.crop, (np.eye(3), 0)),
         (fock.crop, (np.eye(3), 5)),
-        (witness.comb_diagonal_exact, (2.0, 0.0, -1)),
+        (witness.comb_diagonal_exact, (2.0, -1)),
     ],
     ids=["hermite_n_max=-1", "eigenbra_dim=0", "crop=-1", "crop=0", "crop=5_of_3", "comb_n=-1"],
 )

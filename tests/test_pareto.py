@@ -305,6 +305,15 @@ class TestCrowdingDistance:
         dist = pareto.crowding_distance([[1.0, 2.0]], [1])
         assert np.isinf(dist[0])
 
+    def test_empty_fronts_add_no_distances(self):
+        # These raised a bare IndexError: an empty `sizes` list cast `first`
+        # to float, and a zero size indexed past the end.
+        objs = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
+        for points, sizes in (([], []), (np.zeros((0, 2)), [0]), (np.zeros((0, 2)), np.array([], dtype=int))):
+            assert pareto.crowding_distance(points, sizes).shape == (0,)
+        want = pareto.crowding_distance(objs, [3]).tobytes()
+        assert pareto.crowding_distance(objs, [0, 3, 0]).tobytes() == want
+
     def test_infinite_objective_spreads_no_gap(self):
         # The infinite span once gave the middle point inf / inf = NaN, with an
         # "invalid value encountered in divide" warning; a NaN point is the
@@ -353,6 +362,22 @@ class TestCrowdingDistance:
                 dist = pareto.crowding_distance(objs[front], [front.size])
                 assert not np.isnan(dist).any()
                 assert np.isinf(dist).sum() >= min(front.size, 2)
+
+
+class TestTournament:
+    @pytest.mark.parametrize("seed", [0, 1, 6500])
+    def test_two_rounds_equal_the_drawn_until_full_oracle(self, seed):
+        # The oracle draws pairings until `picks` winners are in; with picks
+        # the (even) population that is two rounds, and the same RNG draws.
+        for n in range(2, 201, 2):
+            setup = np.random.default_rng([seed, n])
+            ranks = setup.integers(0, 4, n)
+            crowd = np.where(setup.random(n) < 0.2, np.inf, setup.random(n))
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = pareto._tournament(rng, ranks, crowd)
+            want = oracles.tournament(oracle_rng, ranks, crowd, n)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestSelectNext:
@@ -439,6 +464,7 @@ class TestEvolve:
         cfg = NsgaConfig(seed=11, population=40, generations=30)
         a = pareto.evolve("fidelity", SPEC6, cfg)
         b = pareto.evolve("fidelity", SPEC6, cfg)
+        assert a.evaluations == b.evaluations == 40 * (30 + 1)
         assert len(a.points) == len(b.points)
         for pa, pb in zip(a.points, b.points):
             assert np.array_equal(pa.genome, pb.genome)

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -88,37 +91,73 @@ class TestMomentumComb:
         assert total == pytest.approx(1.0, rel=1e-12)
 
 
+class TestCombCutWarning:
+    # The cut of `momentum_comb` skips the strongest harmonics of large
+    # builds (ROADMAP item 2); each such build warns once, naming them.
+    def test_warns_from_159_levels_at_u_2(self):
+        named = r"u = 2\.0, dim = 159 drops non-negligible harmonics m = \[1\] \(ROADMAP item 2\)$"
+        with pytest.warns(RuntimeWarning, match=named):
+            witness.momentum_comb(2.0, 0.0, 100, 159)
+
+    @pytest.mark.parametrize("dim", [6, 158])
+    def test_silent_below(self, dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            witness.momentum_comb(2.0, 0.0, 100, dim)
+
+    @pytest.mark.parametrize("u, dim, silent", [(0.5, 120, 118), (2.0, 200, 158), (3.0, 230, 211)])
+    def test_named_harmonics_are_the_whole_error(self, u, dim, silent):
+        # The blocks of `fock.ExactDisplacements` are exact truncations, so
+        # the last silent build is the leading block of the larger one, but
+        # for the harmonics the larger one drops: exactly those it names.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = witness.momentum_comb(u, 0.0, 100, silent)
+        with pytest.warns(RuntimeWarning) as caught:
+            large = witness.momentum_comb(u, 0.0, 100, dim)
+        (warning,) = caught
+        named = json.loads(re.search(r"m = (\[.*\])", str(warning.message)).group(1))
+        cs = witness._sin_power_harmonics(100)[1]
+        displace = fock.ExactDisplacements(silent)
+        dropped = sum(cs[m] * (displace(-2.0 * m * u) + displace(-2.0 * m * u).T) for m in named)
+        want = small - witness.comb_prefactor(u, 100) * dropped
+        assert np.abs(large[:silent, :silent] - want).max() < 1e-12
+
+
 class TestExactCombDiagonal:
     def test_vacuum_sum_is_gaussian_comb(self):
         # n=0, u=3, phi=0: sum of e^{-p_j²}/sqrt(pi) over the comb.
         js = np.arange(-30, 31)
-        pts = witness.comb_points(3.0, 0.0, js)
+        pts = witness.comb_points(3.0, js)
         ref = np.sum(np.exp(-pts * pts)) / math.sqrt(math.pi)
-        assert witness.comb_diagonal_exact(3.0, 0.0, 0)[0] == pytest.approx(ref, rel=1e-12)
+        assert witness.comb_diagonal_exact(3.0, 0)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_cut_convergence(self):
         # The automatic cut agrees with a far wider sum over j in [-49, 50].
-        phi_1 = fock.hermite_functions(1, witness.comb_points(3.0, 0.0, np.arange(-49, 51)))[1]
-        assert witness.comb_diagonal_exact(3.0, 0.0, 1)[1] == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
+        phi_1 = fock.hermite_functions(1, witness.comb_points(3.0, np.arange(-49, 51)))[1]
+        assert witness.comb_diagonal_exact(3.0, 1)[1] == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
 
-    @pytest.mark.parametrize("u, phi", [(0.7, 0.0), (2.0, 1.3), (3.0, -2.0), (4.0, 0.0)])
-    def test_one_table_equals_per_level_cuts_bitwise(self, u, phi):
-        # Each level's own cut and table, as the diagonal was once built level by level.
+    @pytest.mark.parametrize("u", [0.7, 2.0, 3.0, 4.0])
+    def test_one_table_equals_per_level_cuts_bitwise(self, u):
+        # Each level's own cut and table, as the diagonal was once built level
+        # by level, with the comb offset phi = 0 that every caller passed.
         def level(n):
+            phi = 0.0
             j_cut = int(math.ceil((2.0 * u * (math.sqrt(2.0 * n + 1.0) + 10.0) + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
-            phi_n = fock.hermite_functions(n, witness.comb_points(u, phi, np.arange(1 - j_cut, j_cut + 1)))[n]
+            p_j = ((2.0 * np.arange(1 - j_cut, j_cut + 1) - 1.0) * np.pi - phi) / (2.0 * u)
+            phi_n = fock.hermite_functions(n, p_j)[n]
             return np.sum(phi_n * phi_n)
 
         for n_max in (0, 5, 80):
             want = np.array([level(n) for n in range(n_max + 1)])
-            assert witness.comb_diagonal_exact(u, phi, n_max).tobytes() == want.tobytes()
+            assert witness.comb_diagonal_exact(u, n_max).tobytes() == want.tobytes()
 
     def test_reflection_symmetry_at_phi_zero(self):
         # The phi=0 comb is symmetric under j -> 1-j; summing one half and
         # mirroring must reproduce the full result.
         js = np.arange(1, 40)
-        pts = witness.comb_points(3.0, 0.0, js)
-        mirrored = witness.comb_points(3.0, 0.0, 1 - js)
+        pts = witness.comb_points(3.0, js)
+        mirrored = witness.comb_points(3.0, 1 - js)
         assert np.allclose(pts, -mirrored)
 
 
@@ -203,7 +242,7 @@ _VALID_INPUTS = {
     witness.momentum_comb: {"u": 3.0, "phi": 0.0, "k": 100, "dim": 8},
     witness.position_quartic: {"u": 3.0, "dim": 8},
     witness.comb_prefactor: {"u": 3.0, "k": 100},
-    witness.comb_diagonal_exact: {"u": 3.0, "phi": 0.0, "n_max": 2},
+    witness.comb_diagonal_exact: {"u": 3.0, "n_max": 2},
     witness.accuracy_scan: {"u": 3.0, "k": 100, "n_max": 3},
     _displace: {"s": 1.0},
     witness.squeezed_vacuum_expectation: {"u": 3.0, "c": 10.0, "r": 0.5, "k": 100},
@@ -222,7 +261,6 @@ _VALID_INPUTS = {
         *((witness.position_quartic, "u", bad) for bad in (math.nan, math.inf)),
         (witness.comb_prefactor, "u", math.nan),
         (witness.comb_diagonal_exact, "u", math.inf),
-        (witness.comb_diagonal_exact, "phi", math.nan),
         (witness.accuracy_scan, "u", math.nan),
         (_displace, "s", math.nan),
         *((make, "k", 100.5) for make in (WitnessSpec, witness.gaussian_bound, witness.momentum_comb)),
