@@ -3,17 +3,18 @@
 Each breeding round merges two identical copies on a balanced beam splitter
 and keeps mode 2 conditioned on measuring p = 0 in mode 1. Output quality is
 scored by the grid witness Q0 = 2 sin²(x sqrt(pi)/2) + 2 sin²(p sqrt(pi)),
-benchmarked against its numerically minimized Gaussian expectation. The
-minimization refines a start grid with an in-package bounded Nelder-Mead,
-bitwise scipy 1.17.1's `minimize(method="Nelder-Mead", bounds=...)`; the
-package imports nothing from scipy.
+benchmarked against its numerically minimized Gaussian expectation: a start
+grid, then its three best points refined in lockstep (one batch of candidates
+per step) by an in-package bounded Nelder-Mead, bitwise scipy 1.17.1's
+`minimize(method="Nelder-Mead", bounds=...)`; nothing is imported from scipy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -109,10 +110,11 @@ class _CandidateObjective:
     cropped to dim. The squeezed vacuum depends on r alone, its x-displaced
     image on (r, dp), and only the last step, a gemv on the first dim rows
     of the p eigenvectors, on dx. Two routes: the start grid (`grid_values`)
-    builds each factor once for all the points that share it; calling the
-    object composes all three at one point, for the Nelder-Mead refinement.
-    Every value is bitwise equal to building the candidate in one chain
-    through the three eigenbases.
+    builds each factor once for the points that share it; `values` composes
+    all three per point of a batch. Rows go through stacked matmuls, one
+    gemv per row as the 1-D products call, and `fock`'s batch helpers, so
+    each value is bitwise the candidate built in one chain through the three
+    eigenbases, in whatever batch.
     """
 
     def __init__(self, q0: np.ndarray):
@@ -125,108 +127,126 @@ class _CandidateObjective:
         self.p_inv = self.peig.vectors.conj().T
         self.p_rows = self.peig.vectors[:dim]
 
-    def squeezed_in_x(self, r: float) -> np.ndarray:
-        """S(r)|0> in the x eigenbasis."""
-        vec = self.seig.vectors @ (np.exp(1j * r * self.seig.values) * self.s_seed)
-        return self.x_inv @ vec
-
-    def grid_values(self, r: float, dxs: np.ndarray, dps: np.ndarray) -> np.ndarray:
-        """The objective at (r, dx, dp) for every dx and dp, in (dx, dp) order, bitwise.
-
-        The displaced vectors (one per dp) and the cropped candidates (one
-        per (dx, dp)) are stacks of rows through stacked matmuls, one gemv
-        per row as the 1-D products call; `fock`'s batch helpers then
-        normalize and score them, bitwise `FockState` and `fock.expectation`.
-        """
-        squeezed = self.squeezed_in_x(r)
+    def _displaced(self, rs: np.ndarray, dps: np.ndarray) -> np.ndarray:
+        """exp(i dp x) S(r)|0> in the p eigenbasis, a row per dp; rs holds one r or one per dp."""
+        seeds = np.exp(1j * rs[:, None] * self.seig.values) * self.s_seed
+        squeezed = np.matmul(self.x_inv, np.matmul(self.seig.vectors, seeds[:, :, None]))[:, :, 0]
         vecs = np.matmul(self.xeig.vectors, (np.exp(1j * dps[:, None] * self.xeig.values) * squeezed)[:, :, None])
-        displaced = np.matmul(self.p_inv, vecs)[:, :, 0]
-        phases = np.exp(-1j * dxs[:, None] * self.peig.values)
-        candidates = (phases[:, None, :] * displaced[None, :, :]).reshape(-1, displaced.shape[1])
+        return np.matmul(self.p_inv, vecs)[:, :, 0]
+
+    def _scores(self, candidates: np.ndarray) -> np.ndarray:
+        """<Q0> on each candidate row (p basis), cropped to dim and normalized."""
         vecs = np.matmul(self.p_rows, candidates[:, :, None])[:, :, 0]
         return fock._quadratic_forms(self.q0, vecs / fock._row_norms(vecs)[:, None])
 
-    def __call__(self, params) -> float:
-        """<Q0> at (r, dx, dp); `_nelder_mead` keeps every point in the box."""
-        r, dx, dp = params
-        displaced = self.p_inv @ (self.xeig.vectors @ (np.exp(1j * dp * self.xeig.values) * self.squeezed_in_x(r)))
-        vec = self.p_rows @ (np.exp(-1j * dx * self.peig.values) * displaced)
-        return fock.expectation(self.q0, FockState(vec))
+    def grid_values(self, r: float, dxs: np.ndarray, dps: np.ndarray) -> np.ndarray:
+        """The objective at (r, dx, dp) for every dx and dp, in (dx, dp) order."""
+        displaced = self._displaced(np.array([r]), dps)
+        phases = np.exp(-1j * dxs[:, None] * self.peig.values)
+        return self._scores((phases[:, None, :] * displaced[None, :, :]).reshape(-1, displaced.shape[1]))
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """The objective at each (r, dx, dp) row; `_nelder_mead` asks only for points in the box."""
+        r, dx, dp = points.T
+        return self._scores(np.exp(-1j * dx[:, None] * self.peig.values) * self._displaced(r, dp))
 
 
-def _nelder_mead(fun, x0, lower, upper, xatol, fatol, maxiter):
-    """Bounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)).
+def _nelder_mead(x0, lower, upper, xatol, fatol, maxiter):
+    """Bounded Nelder-Mead (Nelder & Mead, Comput. J. 7, 308 (1965)) as an ask/tell generator.
 
-    Returns (min f, its vertex, converged). A port of scipy 1.17.1's
-    `_minimize_neldermead` for the one configuration used here: fixed
-    coefficients, no evaluation cap, the default start simplex, bounds. It
-    repeats scipy's operations in scipy's order (start clipped to the box,
-    vertices above it reflected inside, every move clipped, argsort plus
-    take), so every evaluated point and the result are bitwise scipy's.
-    Converged means the tolerances were met within maxiter iterations.
+    It yields lists of points, is sent their values and returns (min f, its
+    vertex, converged: tolerances met within maxiter iterations). A port of
+    scipy 1.17.1's `_minimize_neldermead` with fixed coefficients, no
+    evaluation cap, the default start simplex and bounds: scipy's operations
+    in scipy's order on Python floats (start clipped to the box, vertices
+    above it reflected inside, every move clipped), so every point asked for
+    and the result are bitwise scipy's. Where Python's semantics differ it
+    keeps numpy's: the clip sends -0.0 to a 0.0 bound, `np.argsort` orders
+    the vertices (it may reorder ties), a NaN fails the convergence test as
+    under `np.max`, and the minimum is `np.min`, NaN if any vertex is.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.array([fun(v) for v in sim], dtype=float)
+    box = list(zip(map(float, lower), map(float, upper)))
+
+    def clip(point):
+        return [lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in zip(point, box)]
+
+    def move(t):
+        # (1 + t) xbar - t x_worst; t = -psi is scipy's (1 - psi) xbar + psi x_worst, bitwise.
+        return clip([(1 + t) * b - t * w for b, w in zip(xbar, sim[-1])])
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
 
+    x0 = clip(map(float, x0))
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [(1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025] + x0[k + 1 :] for k in range(n)]
+    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(y, box)]) for y in sim]
     # scipy sorts twice before the loop; argsort need not be stable.
-    sim, fsim = ordered(*ordered(sim, fsim))
+    sim, fsim = ordered(*ordered(sim, (yield sim)))
     iterations = 1
     while iterations < maxiter:
-        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+        if all(abs(v - b) <= xatol for y in sim[1:] for v, b in zip(y, sim[0])) and all(
+            abs(fsim[0] - f) <= fatol for f in fsim[1:]
+        ):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
-        fxr = fun(xr)
+        # np.add.reduce over the rows adds them in row order.
+        xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+        xr = move(rho)
+        (fxr,) = yield [xr]
         if fxr < fsim[0]:
-            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
-            fxe = fun(xe)
+            xe = move(rho * chi)
+            (fxe,) = yield [xe]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
                 # Outside contraction: kept if no worse than the reflection.
-                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lower, upper)
-                fxc = fun(xc)
+                xc = move(psi * rho)
+                (fxc,) = yield [xc]
                 shrink = not fxc <= fxr
             else:
                 # Inside contraction: kept if better than the worst vertex.
-                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lower, upper)
-                fxc = fun(xc)
+                xc = move(-psi)
+                (fxc,) = yield [xc]
                 shrink = not fxc < fsim[-1]
             if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
-                    fsim[j] = fun(sim[j])
+                sim[1:] = [clip([b + sigma * (v - b) for v, b in zip(y, sim[0])]) for y in sim[1:]]
+                fsim[1:] = yield sim[1:]
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
         sim, fsim = ordered(sim, fsim)
-    return np.min(fsim), sim[0], iterations < maxiter
+    return np.min(fsim), np.array(sim[0]), iterations < maxiter
+
+
+def _lockstep(values, runs: list) -> list:
+    """The results of ask/tell runs in run order: each step scores the points of
+    every run still going in one `values` call, and a run leaves when it returns."""
+    results = [None] * len(runs)
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        scores = values(np.array([p for points in asks.values() for p in points])).tolist()
+        replies, asks = asks, {}
+        for i, points in replies.items():
+            told, scores = scores[: len(points)], scores[len(points) :]
+            try:
+                asks[i] = runs[i].send(told)
+            except StopIteration as stop:
+                results[i] = stop.value
+    return results
 
 
 def _gaussian_min(q0: np.ndarray) -> float:
     """Minimum of <Q0> over the Gaussian candidates; see `gkp_witness`.
 
     Scores the 13 x 9 x 7 start grid over (r, dx, dp) as 13 batches of 63
-    candidates, one per r (`_CandidateObjective.grid_values`), each value
-    bitwise the per-point chain; one batch per r, not all 819 at once, keeps
-    the stacked vectors small. The three lowest starts, first in grid order
-    among ties, are refined by `_nelder_mead`; it raises `OptimizerFailure`
-    when none converges.
+    candidates, one per r (`_CandidateObjective.grid_values`; not all 819
+    at once, which keeps the stacks small). The three lowest starts, first
+    in grid order among ties, are refined by `_nelder_mead` in lockstep, each
+    step one `values` batch; `OptimizerFailure` if none converges.
     """
     objective = _CandidateObjective(q0)
     rs = np.linspace(_R_BOX[0], _R_BOX[1], 13)
@@ -234,19 +254,14 @@ def _gaussian_min(q0: np.ndarray) -> float:
     dps = np.linspace(0.0, _DP_PERIOD, 7, endpoint=False)
     values = np.concatenate([objective.grid_values(r, dxs, dps) for r in rs])
     order = np.argsort(values, kind="stable")
-
-    lower = np.array([_R_BOX[0], 0.0, 0.0])
-    upper = np.array([_R_BOX[1], _DX_PERIOD, _DP_PERIOD])
+    box = (_R_BOX[0], 0.0, 0.0), (_R_BOX[1], _DX_PERIOD, _DP_PERIOD)
+    starts = zip(*np.unravel_index(order[:3], (rs.size, dxs.size, dps.size)))
+    runs = [_nelder_mead((rs[i], dxs[j], dps[k]), *box, xatol=1e-7, fatol=1e-12, maxiter=2000) for i, j, k in starts]
+    results = _lockstep(objective.values, runs)
     best = float(values[order[0]])
-    converged = False
-    for j in order[:3]:
-        i_r, i_dx, i_dp = np.unravel_index(j, (rs.size, dxs.size, dps.size))
-        start = np.array([rs[i_r], dxs[i_dx], dps[i_dp]])
-        refined, _, ok = _nelder_mead(objective, start, lower, upper, xatol=1e-7, fatol=1e-12, maxiter=2000)
-        converged = converged or ok
-        if refined < best:
-            best = float(refined)
-    if not converged:
+    for refined, _, _ in results:
+        best = float(refined) if refined < best else best
+    if not any(ok for _, _, ok in results):
         raise OptimizerFailure("no Gaussian-benchmark refinement converged from any start")
     return best
 

@@ -163,26 +163,78 @@ class TestGaussianMinimum:
         objective = breeding._CandidateObjective(q0)
         machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
         want = fock.expectation(q0, _make_candidate((r, dx, dp), dim, *machinery))
-        assert objective(np.array([r, dx, dp])) == want
+        assert objective.values(np.array([[r, dx, dp]])).tolist() == [want]
         # The grid's route at the same point.
         assert objective.grid_values(r, np.array([dx]), np.array([dp])).tolist() == [want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.sampled_from([6, 30]),
+        points=st.lists(
+            st.tuples(
+                st.floats(breeding._R_BOX[0] - 1.0, breeding._R_BOX[1] + 1.0),
+                st.floats(-1.0, breeding._DX_PERIOD + 1.0),
+                st.floats(-1.0, breeding._DP_PERIOD + 1.0),
+            ),
+            min_size=1,
+            max_size=13,
+        ),
+    )
+    def test_batch_equals_unfactored_chain_bitwise(self, dim, points):
+        # One `values` call on 1-13 points, in and out of the box, against the
+        # oracle chain one point at a time, byte for byte: a point's value
+        # does not depend on the batch it is scored in. `_gaussian_min` sends
+        # batches of up to 12 (four start-simplex points for each of three runs).
+        q0 = breeding.gkp_witness(dim).matrix
+        objective = breeding._CandidateObjective(q0)
+        machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
+        want = [fock.expectation(q0, _make_candidate(point, dim, *machinery)) for point in points]
+        assert objective.values(np.array(points)).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("dim", [6, 30])
     def test_start_grid_equals_per_point_chain_bitwise(self, dim):
         # `_gaussian_min`'s 13 x 9 x 7 start grid, scored one r at a time in
-        # (dx, dp) order, against the Nelder-Mead route, one point per call:
-        # all 819 values, byte for byte (the gaussian_min_q0 pins see only
-        # the minimum).
-        objective = breeding._CandidateObjective(breeding.gkp_witness(dim).matrix)
+        # (dx, dp) order, and the same 819 points as one `values` batch,
+        # against the oracle chain one point at a time: all 819 values, byte
+        # for byte (the gaussian_min_q0 pins see only the minimum).
+        q0 = breeding.gkp_witness(dim).matrix
+        objective = breeding._CandidateObjective(q0)
+        machinery = objective.xeig, objective.peig, objective.seig, objective.s_seed
         rs = np.linspace(breeding._R_BOX[0], breeding._R_BOX[1], 13)
         dxs = np.linspace(0.0, breeding._DX_PERIOD, 9, endpoint=False)
         dps = np.linspace(0.0, breeding._DP_PERIOD, 7, endpoint=False)
+        grid = [(r, dx, dp) for r in rs for dx in dxs for dp in dps]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = np.concatenate([objective.grid_values(r, dxs, dps) for r in rs])
-        want = [objective(np.array([r, dx, dp])) for r in rs for dx in dxs for dp in dps]
+            batch = objective.values(np.array(grid))
+        want = np.array([fock.expectation(q0, _make_candidate(point, dim, *machinery)) for point in grid])
         assert got.shape == (819,)
-        assert got.tobytes() == np.array(want).tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert batch.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [*range(2, 21), 30, 40, 60])
+    def test_lockstep_equals_each_refinement_alone(self, dim):
+        # The three refinements driven together give what each gives alone,
+        # and the benchmark is the best of the grid and those three, in hex.
+        q0 = breeding.build_q0(dim)
+        objective = breeding._CandidateObjective(q0)
+        rs = np.linspace(breeding._R_BOX[0], breeding._R_BOX[1], 13)
+        dxs = np.linspace(0.0, breeding._DX_PERIOD, 9, endpoint=False)
+        dps = np.linspace(0.0, breeding._DP_PERIOD, 7, endpoint=False)
+        grid = np.array([objective.values(np.array([[r, dx, dp]]))[0] for r in rs for dx in dxs for dp in dps])
+        order = np.argsort(grid, kind="stable")
+        starts = [(rs[j // 63], dxs[j // 7 % 9], dps[j % 7]) for j in order[:3]]
+
+        def runs():
+            return [breeding._nelder_mead(s, _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=2000) for s in starts]
+
+        together = breeding._lockstep(objective.values, runs())
+        alone = [breeding._lockstep(objective.values, [run])[0] for run in runs()]
+        for (f, x, ok), (g, y, ok_alone) in zip(together, alone):
+            assert (np.float64(f).tobytes(), x.tobytes(), ok) == (np.float64(g).tobytes(), y.tobytes(), ok_alone)
+        best = min([float(grid[order[0]])] + [float(f) for f, _, _ in alone])
+        assert breeding._gaussian_min(q0).hex() == best.hex()
 
     def test_eigensolves_shared_and_cached(self, monkeypatch):
         # Q0, its Gaussian candidates and the padded gate targets share one
@@ -249,29 +301,51 @@ def _holed_staircase(x):
 _OBJECTIVES = {"staircase": _staircase, "holed_staircase": _holed_staircase}
 
 
-def _run_both(fun, x0, maxiter):
+def _batched(fun):
+    """A plain function of one point as a `values` function of a batch."""
+    return lambda points: np.array([fun(x) for x in points], dtype=float)
+
+
+def _drive(values, x0, maxiter, points):
+    """`_nelder_mead` from x0, alone through `_lockstep`, appending a copy of
+    each point it evaluates to points."""
+
+    def recorded(batch):
+        points.extend(np.array(batch, copy=True))
+        return values(batch)
+
+    run = breeding._nelder_mead(x0, _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+    (result,) = breeding._lockstep(recorded, [run])
+    return result
+
+
+def _run_both(objective, x0, maxiter):
     """`_nelder_mead` and scipy's bounded Nelder-Mead from one start, with
-    the points each evaluated, as bytes."""
+    the points each evaluated, as bytes. A Q0 objective is scored through
+    its batch route on our side, one point per call on scipy's."""
+    if objective in _OBJECTIVES:
+        fun = _OBJECTIVES[objective]
+        values = _batched(fun)
+    else:
+        values = _q0_objective(int(objective[3:])).values
+        fun = lambda x: float(values(x[None])[0])  # noqa: E731
 
-    def recorded(points):
-        def wrapped(x):
-            points.append(np.asarray(x).tobytes())
-            return fun(x)
-
-        return wrapped
+    def recorded(x):
+        scipy_points.append(np.asarray(x).tobytes())
+        return fun(x)
 
     ours_points, scipy_points = [], []
-    ours = breeding._nelder_mead(recorded(ours_points), x0, _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+    ours = _drive(values, x0, maxiter, ours_points)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on a start outside the box
         res = minimize(
-            recorded(scipy_points),
+            recorded,
             x0=x0,
             method="Nelder-Mead",
             bounds=list(zip(_LOWER, _UPPER)),
             options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": maxiter},
         )
-    return ours, ours_points, res, scipy_points
+    return ours, [p.tobytes() for p in ours_points], res, scipy_points
 
 
 def _coordinate(lo, hi):
@@ -292,9 +366,10 @@ class TestNelderMead:
     @example(objective="staircase", x0=(2.0, -0.3, 2.0), maxiter=2000)  # ties that argsort reorders
     @example(objective="holed_staircase", x0=(-2.6, 2.5, -0.3), maxiter=2000)  # NaN outside contraction
     @example(objective="holed_staircase", x0=(1.0, 0.4, 0.5), maxiter=5)  # NaN vertex at maxiter
+    @example(objective="holed_staircase", x0=(1.0, 1.3, -0.9), maxiter=2000)  # NaN in a collapsed simplex
+    @example(objective="staircase", x0=(0.5, -0.0, 1.0), maxiter=2000)  # the clip sends -0.0 to 0.0
     def test_bitwise_scipy(self, objective, x0, maxiter):
-        fun = _OBJECTIVES.get(objective) or _q0_objective(int(objective[3:]))
-        (value, x, converged), ours_points, res, scipy_points = _run_both(fun, np.array(x0), maxiter)
+        (value, x, converged), ours_points, res, scipy_points = _run_both(objective, np.array(x0), maxiter)
         assert ours_points == scipy_points
         assert np.float64(value).tobytes() == np.float64(res.fun).tobytes()
         assert x.tobytes() == res.x.tobytes()
@@ -304,7 +379,7 @@ class TestNelderMead:
     # from (1 - sigma) sim[0] + sigma sim[j] by one rounding.
     @pytest.mark.parametrize("x0", [(0.0, 0.0, 0.0), (2.5, 1.0, 0.5), (-4.0, 5.0, 0.0), (-2.7, 1.1, 0.2)])
     def test_shrink_step_bitwise(self, x0):
-        (value, x, converged), ours_points, res, scipy_points = _run_both(_staircase, np.array(x0), 2000)
+        (value, x, converged), ours_points, res, scipy_points = _run_both("staircase", np.array(x0), 2000)
         # Iterations without a shrink evaluate at most two points, so more
         # evaluations than that prove a shrink happened.
         assert res.nfev > 4 + 2 * (res.nit - 1)
@@ -324,29 +399,25 @@ class TestNelderMead:
     )
     def test_every_evaluated_point_lies_in_the_box(self, objective, x0, centre, maxiter):
         # `_CandidateObjective` evaluates any r it is given; the search stays
-        # in the box only because `_nelder_mead` clips each point it evaluates.
+        # in the box only because `_nelder_mead` clips each point it asks for.
         # A bowl centred outside the box drives the search into its faces.
         fun = _OBJECTIVES.get(objective) or (lambda x: float(np.sum((x - np.array(centre)) ** 2)))
         points = []
-
-        def recorded(x):
-            points.append(np.array(x, copy=True))
-            return fun(x)
-
-        breeding._nelder_mead(recorded, np.array(x0), _LOWER, _UPPER, xatol=1e-7, fatol=1e-12, maxiter=maxiter)
+        _drive(_batched(fun), np.array(x0), maxiter, points)
         points = np.array(points)
         assert points.shape[0] >= 4
         assert np.all((_LOWER <= points) & (points <= _UPPER))
 
     @pytest.mark.parametrize("maxiter", [1, 3])
     def test_small_maxiter_not_converged(self, maxiter):
-        (_, _, converged), _, res, _ = _run_both(_q0_objective(6), np.array([0.4, 0.3, 0.2]), maxiter)
+        (_, _, converged), _, res, _ = _run_both("q0_6", np.array([0.4, 0.3, 0.2]), maxiter)
         assert converged is False
         assert not res.success
 
     def test_no_convergence_raises(self, monkeypatch):
-        def never_converges(fun, x0, *args, **kwargs):
-            return fun(x0), x0, False
+        def never_converges(x0, *args, **kwargs):
+            (value,) = yield [x0]
+            return value, np.array(x0), False
 
         monkeypatch.setattr(breeding, "_nelder_mead", never_converges)
         with pytest.raises(OptimizerFailure):

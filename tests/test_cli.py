@@ -203,8 +203,9 @@ def test_failed_ground_sweep_leaves_no_directory(runner, tmp_path):
 def test_unconverged_gaussian_benchmark_exits_3_and_writes_nothing(runner, tmp_path, monkeypatch):
     # The breed report needs the Gaussian benchmark; when no refinement
     # converges, neither the report nor the final state file is written.
-    def never_converges(fun, x0, *args, **kwargs):
-        return fun(x0), x0, False
+    def never_converges(x0, *args, **kwargs):
+        (value,) = yield [x0]
+        return value, np.array(x0), False
 
     state = tmp_path / "vacuum.json"
     serialize.save_state(state, fock.vacuum(6))

@@ -79,6 +79,7 @@ def test_no_knobs_without_callers():
         (witness, "_displacement_negligible"),
         (breeding._CandidateObjective, "displaced_in_p"),
         (breeding._CandidateObjective, "value"),
+        (breeding._CandidateObjective, "squeezed_in_x"),
         (states, "stellar_rank_bound"),
         (gates, "interaction_fidelity"),
         (pareto, "worst_corner"),
@@ -89,6 +90,10 @@ def test_no_knobs_without_callers():
         (cli, "_CONTRACT_ERRORS"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+    # The Gaussian candidates are scored through the start grid or a batch of
+    # points, never one point per call (a class is always callable, so the
+    # class's own namespace is what is checked).
+    assert "__call__" not in vars(breeding._CandidateObjective)
     # Frontier points carry no per-point constants: the rank of every
     # reported point is 0 and the metric is named once, on the result.
     assert {"rank", "metric_name"}.isdisjoint(pareto.ParetoPoint.__dataclass_fields__)
