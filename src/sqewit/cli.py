@@ -164,9 +164,11 @@ def _parse_dims(text: str) -> list[int]:
         dims = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise InputFormatError(f"cannot parse dims {text!r}; use LO:HI or a comma list") from exc
-    for i, dim in enumerate(dims):
-        if dim in dims[:i]:
+    seen = set()
+    for dim in dims:
+        if dim in seen:
             raise InputFormatError(f"dims {text!r} name dimension {dim} more than once")
+        seen.add(dim)
     return dims
 
 

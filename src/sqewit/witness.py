@@ -147,37 +147,22 @@ def momentum_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
     return prefactor * out
 
 
-def comb_points(u: float, j_values: np.ndarray) -> np.ndarray:
-    """Positions p_j = (2j - 1) pi / (2u) of the phi = 0 projector comb."""
-    return (2.0 * j_values - 1.0) * np.pi / (2.0 * u)
-
-
 def comb_diagonal_exact(u: float, n_max: int) -> np.ndarray:
     """Brute-force diagonal of the exact phi = 0 projector comb on Fock levels 0..n_max.
 
-    Level n sums |psi_n(p_j)|² over the comb points j in [1 - c(n), c(n)],
-    with a cut c(n) that keeps every omitted term below the 1e-12 Hermite
-    tail bound. One Hermite table on the widest cut, c(n_max), serves every
-    level: each value depends on its own point only, so level n's slice
-    holds the values a table on its own cut would.
+    Level n sums |psi_n(p_j)|² over the comb points p_j = (2j - 1) pi / (2u),
+    j in [1 - c, c]: one Hermite table, one sum per level. The cut c keeps
+    every omitted term of level n_max below the 1e-12 Hermite tail bound, and
+    lower levels decay sooner, so it serves them too.
     """
     _require("u", u, above=0)
     _require("n_max", n_max, at_least=0, integer=True)
-
-    def cut(n):
-        # Hermite functions are negligible (< 1e-12) beyond the classical
-        # turning point plus a 10-unit Gaussian tail margin.
-        p_max = math.sqrt(2.0 * n + 1.0) + 10.0
-        return int(math.ceil(2.0 * u * p_max / (2.0 * math.pi) + 0.5)) + 1
-
-    widest = cut(n_max)
-    table = fock.hermite_functions(n_max, comb_points(u, np.arange(1 - widest, widest + 1)))
-    out = np.empty(n_max + 1)
-    for n, row in enumerate(table):
-        half = cut(n)
-        row = row[widest - half : widest + half]
-        out[n] = np.sum(row * row)
-    return out
+    # Hermite functions are negligible (< 1e-12) beyond the classical
+    # turning point plus a 10-unit Gaussian tail margin.
+    p_max = math.sqrt(2.0 * n_max + 1.0) + 10.0
+    cut = int(math.ceil(2.0 * u * p_max / (2.0 * math.pi) + 0.5)) + 1
+    table = fock.hermite_functions(n_max, (2.0 * np.arange(1 - cut, cut + 1) - 1.0) * np.pi / (2.0 * u))
+    return np.sum(table * table, axis=1)
 
 
 class AccuracyRow(NamedTuple):
@@ -190,20 +175,19 @@ class AccuracyRow(NamedTuple):
 def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     """Per-level relative error of the sin^2k comb against the exact comb sum.
 
-    Both combs are taken at phi = 0. The approximate diagonal is read from
-    a build at n_max + 1 levels. Its `fock.ExactDisplacements` blocks are
+    Both combs are taken at phi = 0. The exact diagonal is one Hermite
+    table and one sum per level (`comb_diagonal_exact`), the relative
+    errors one array step. The approximate diagonal is read from a build
+    at n_max + 1 levels. Its `fock.ExactDisplacements` blocks are
     exact truncations, so a larger build adds nothing but the size-dependent
     skip rule of `momentum_comb`, which drops the strongest harmonics from
     159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it,
     and warns).
     """
     approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
-    exact = comb_diagonal_exact(u, n_max).tolist()
-    rows = []
-    for n in range(n_max + 1):
-        rel = abs(1.0 - approx[n] / exact[n])
-        rows.append(AccuracyRow(n=n, exact=exact[n], approx=float(approx[n]), rel_error=float(rel)))
-    return rows
+    exact = comb_diagonal_exact(u, n_max)
+    rel_error = np.abs(1.0 - approx / exact)
+    return list(map(AccuracyRow, range(n_max + 1), exact.tolist(), approx.tolist(), rel_error.tolist()))
 
 
 @lru_cache(maxsize=64)

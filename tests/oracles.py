@@ -15,6 +15,10 @@ Each function spells out one quantity the package computes another way:
 - `tournament`: NSGA-II's crowded binary tournament as shuffled pairings
   drawn until `picks` winners are in (`pareto._tournament` draws exactly
   two for a population of winners).
+- `comb_diagonal_per_level_cuts`: the exact comb diagonal with each level
+  summed over its own cut and its own Hermite table
+  (`witness.comb_diagonal_exact` sums every level over the cut of the
+  deepest).
 """
 
 from __future__ import annotations
@@ -108,3 +112,18 @@ def tournament(rng: np.random.Generator, ranks, crowd, picks: int) -> np.ndarray
         better_b = (ranks[b] < ranks[a]) | ((ranks[b] == ranks[a]) & (crowd[b] > crowd[a]))
         winners.extend(np.where(better_b, b, a).tolist())
     return np.array(winners[:picks], dtype=int)
+
+
+def comb_diagonal_per_level_cuts(u: float, n_max: int) -> np.ndarray:
+    """Diagonal of the phi = 0 projector comb, level n summed over j in [1 - c(n), c(n)].
+
+    c(n) keeps every omitted term of level n below the 1e-12 Hermite tail
+    bound: the turning point sqrt(2n + 1) plus a 10-unit margin.
+    """
+    out = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        cut = int(math.ceil(2.0 * u * (math.sqrt(2.0 * n + 1.0) + 10.0) / (2.0 * math.pi) + 0.5)) + 1
+        p_j = (2.0 * np.arange(1 - cut, cut + 1) - 1.0) * np.pi / (2.0 * u)
+        phi_n = fock.hermite_functions(n, p_j)[n]
+        out[n] = np.sum(phi_n * phi_n)
+    return out

@@ -48,7 +48,10 @@ problem of the pareto store. All of them read one shared computation.
   each cell on its own (`f"{value:.17g}"` for floats, `str` otherwise, one
   join per row). The two `wigner` keys were re-recorded when `fock.wigner`
   moved to Clenshaw summation, and `ground|u=3|phi=pi|dims=9:9` when the
-  odd sector's `stellar_bound` became its highest level (7, not 8). The
+  odd sector's `stellar_bound` became its highest level (7, not 8), and
+  `opaccuracy|u=3|k=100|nmax=30|acc.csv` when every level of the exact
+  comb diagonal came to sum over the deepest level's cut (3 of its 31
+  exact cells moved by 1 ulp). The
   JSON records (a ground state file, the witness, gate and breed reports,
   the bred state file and the frontier `.meta.json` files) were added once
   no output held a clock reading and each input was echoed once, under

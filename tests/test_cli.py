@@ -261,11 +261,15 @@ class TestGroundCommand:
 
     def test_repeated_dimension_exit_2(self, runner, tmp_path, monkeypatch):
         # N = 8 was solved and written twice, with two identical index rows.
+        # A 20 001-entry list repeating its first entry at the end took
+        # seconds to refuse while each entry was searched for among those before it.
         monkeypatch.setattr(states, "ground_state_sweep", None)
-        result = runner.invoke(main, ["ground", "--dims", "8,8", "--out", str(tmp_path / "d")])
-        assert result.exit_code == 2, result.output
-        assert "dimension 8" in result.stderr
-        assert _listing(tmp_path) == []
+        long_list = ",".join(map(str, [*range(1, 20_001), 1]))
+        for dims, named in (("8,8", "dimension 8 "), ("3,5,5,3", "dimension 5 "), (long_list, "dimension 1 ")):
+            result = runner.invoke(main, ["ground", "--dims", dims, "--out", str(tmp_path / "d")])
+            assert result.exit_code == 2, result.output
+            assert named in result.stderr
+            assert _listing(tmp_path) == []
 
     def test_state_files_hold_json_metadata(self, runner, tmp_path):
         # Metadata values were strings: the config JSON inside a string, the

@@ -14,6 +14,8 @@ from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
 
+import oracles
+
 
 def ladder_x4_diag(n):
     # <n|x^4|n> = (3/4)(2n² + 2n + 1), standard ladder algebra.
@@ -85,6 +87,14 @@ class TestMomentumComb:
         vals = fock.hermitian_eig(w).values
         assert vals[0] >= -1e-10 * vals[-1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.floats(1.0, 4.0), dim=st.integers(1, 118))
+    def test_positive_semidefinite(self, u, dim):
+        # A sum of projectors is PSD; the sin^2k ridge is nonnegative too. Up
+        # to 118 levels no build over u in [1, 4] drops a harmonic.
+        w = witness.momentum_comb(u, 0.0, 100, dim)
+        assert fock.hermitian_eig(w).values[0] >= -1e-12 * np.abs(w).max()
+
     def test_harmonics_sum_to_one_at_peak(self):
         ms, cs = witness._sin_power_harmonics(100)
         total = cs[0] + 2 * np.sum(cs[1:] * (-1.0) ** ms[1:])
@@ -124,41 +134,45 @@ class TestCombCutWarning:
         assert np.abs(large[:silent, :silent] - want).max() < 1e-12
 
 
+def comb_points(u, js):
+    # Positions p_j = (2j - 1) pi / (2u) of the phi = 0 projector comb.
+    return (2.0 * js - 1.0) * np.pi / (2.0 * u)
+
+
 class TestExactCombDiagonal:
     def test_vacuum_sum_is_gaussian_comb(self):
         # n=0, u=3, phi=0: sum of e^{-p_j²}/sqrt(pi) over the comb.
-        js = np.arange(-30, 31)
-        pts = witness.comb_points(3.0, js)
+        pts = comb_points(3.0, np.arange(-30, 31))
         ref = np.sum(np.exp(-pts * pts)) / math.sqrt(math.pi)
         assert witness.comb_diagonal_exact(3.0, 0)[0] == pytest.approx(ref, rel=1e-12)
 
     def test_cut_convergence(self):
         # The automatic cut agrees with a far wider sum over j in [-49, 50].
-        phi_1 = fock.hermite_functions(1, witness.comb_points(3.0, np.arange(-49, 51)))[1]
+        phi_1 = fock.hermite_functions(1, comb_points(3.0, np.arange(-49, 51)))[1]
         assert witness.comb_diagonal_exact(3.0, 1)[1] == pytest.approx(np.sum(phi_1 * phi_1), abs=1e-10)
 
     @pytest.mark.parametrize("u", [0.7, 2.0, 3.0, 4.0])
     def test_one_table_equals_per_level_cuts_bitwise(self, u):
-        # Each level's own cut and table, as the diagonal was once built level
-        # by level, with the comb offset phi = 0 that every caller passed.
-        def level(n):
-            phi = 0.0
-            j_cut = int(math.ceil((2.0 * u * (math.sqrt(2.0 * n + 1.0) + 10.0) + abs(phi)) / (2.0 * math.pi) + 0.5)) + 1
-            p_j = ((2.0 * np.arange(1 - j_cut, j_cut + 1) - 1.0) * np.pi - phi) / (2.0 * u)
-            phi_n = fock.hermite_functions(n, p_j)[n]
-            return np.sum(phi_n * phi_n)
-
+        # Every level sums its own full row of the deepest level's table, bit
+        # for bit. The terms past a level's own cut lie below its 1e-12 tail
+        # bound, so no value is more than 4 ulp from the per-level cuts.
         for n_max in (0, 5, 80):
-            want = np.array([level(n) for n in range(n_max + 1)])
-            assert witness.comb_diagonal_exact(u, n_max).tobytes() == want.tobytes()
+            cut = int(math.ceil(2.0 * u * (math.sqrt(2.0 * n_max + 1.0) + 10.0) / (2.0 * math.pi) + 0.5)) + 1
+            p_j = comb_points(u, np.arange(1 - cut, cut + 1))
+            rows = [fock.hermite_functions(n, p_j)[n] for n in range(n_max + 1)]
+            got = witness.comb_diagonal_exact(u, n_max)
+            assert got.tobytes() == np.array([np.sum(row * row) for row in rows]).tobytes()
+            ulps = np.abs(got.view(np.int64) - oracles.comb_diagonal_per_level_cuts(u, n_max).view(np.int64))
+            assert ulps.max() <= 4
 
     def test_reflection_symmetry_at_phi_zero(self):
-        # The phi=0 comb is symmetric under j -> 1-j; summing one half and
-        # mirroring must reproduce the full result.
-        js = np.arange(1, 40)
-        pts = witness.comb_points(3.0, js)
-        mirrored = witness.comb_points(3.0, 1 - js)
-        assert np.allclose(pts, -mirrored)
+        # The phi=0 comb is symmetric under j -> 1-j (p_(1-j) = -p_j), so
+        # summing one half and doubling reproduces the full diagonal.
+        pts = comb_points(3.0, np.arange(1, 40))
+        assert np.array_equal(pts, -comb_points(3.0, 1 - np.arange(1, 40)))
+        half = fock.hermite_functions(30, pts)
+        want = 2.0 * np.sum(half * half, axis=1)
+        assert np.allclose(witness.comb_diagonal_exact(3.0, 30), want, rtol=1e-13, atol=0.0)
 
 
 class TestAccuracyScan:
@@ -187,6 +201,17 @@ class TestAccuracyScan:
         want = np.real(np.diag(witness.momentum_comb(2.0, 0.0, 100, 81)))
         assert np.array_equal([row.approx for row in rows], want)
         assert max(row.rel_error for row in rows) < 0.2
+
+    @pytest.mark.parametrize("u, n_max", [(1.0, 12), (3.0, 30), (4.0, 30)])
+    def test_rows_equal_the_per_level_loop_bitwise(self, u, n_max):
+        # The errors are one array step; each equals its level's scalar
+        # abs(1 - approx / exact) bit for bit, as Python numbers.
+        approx = np.real(np.diag(witness.momentum_comb(u, 0.0, 100, n_max + 1)))
+        exact = witness.comb_diagonal_exact(u, n_max)
+        want = [(n, float(exact[n]), float(approx[n]), abs(1.0 - float(approx[n]) / float(exact[n]))) for n in range(n_max + 1)]
+        rows = witness.accuracy_scan(u, 100, n_max)
+        assert [tuple(row) for row in rows] == want
+        assert {type(x) for row in rows for x in row} == {int, float}
 
     def test_u1_n0_regression(self):
         row = witness.accuracy_scan(1.0, 100, 0)[0]
