@@ -13,7 +13,6 @@ from .fock import FockState
 from .witness import WitnessSpec
 
 TRUNCATION_LOSS_MAX = 1e-4
-DEGENERACY_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class GroundStateReport:
     eigenvalue: float
     xi_db: float
     stellar_rank_bound: int  # the sector's highest Fock level, which bounds the stellar rank
-    degenerate: bool
     sector: str  # "even", "odd", or "full"
 
 
@@ -124,25 +122,23 @@ def optimal_sqe_approximation(spec: WitnessSpec) -> GroundStateReport:
     parity (even for phi = 0, odd for phi = pi) is selected so the returned
     state approximates the requested superposition rather than whichever
     parity happens to sit lowest at small dimensions. The global phase is
-    gauged so the largest-magnitude amplitude is real positive. In a
-    degenerate sector (ground gap below DEGENERACY_GAP, flagged in the
-    report) the state is the solver's first ground eigenvector.
+    gauged so the largest-magnitude amplitude is real positive (in a
+    degenerate sector, of the solver's first ground eigenvector), and xi_db
+    is `witness.ratio_db` of the sector eigenvalue over the Gaussian bound.
     """
     sector = _sector_for_phase(spec.phi)
     idx = _sector_indices(spec.dim, sector)
     w = witness.build_witness(spec)
     block = w[np.ix_(idx, idx)]
     eig = fock.hermitian_eig(block)
-    gap = float(eig.values[1] - eig.values[0]) if eig.values.size > 1 else math.inf
     amps = np.zeros(spec.dim, dtype=complex)
     amps[idx] = _fix_gauge(eig.vectors[:, 0])
-    state = FockState(amps)
+    eigenvalue = float(eig.values[0])
     return GroundStateReport(
-        state=state,
-        eigenvalue=float(eig.values[0]),
-        xi_db=witness.sqe_squeezing_db(state, spec),
+        state=FockState(amps),
+        eigenvalue=eigenvalue,
+        xi_db=witness.ratio_db(eigenvalue, witness.gaussian_bound(spec.u, spec.c, spec.k).value),
         stellar_rank_bound=int(idx[-1]),
-        degenerate=gap < DEGENERACY_GAP,
         sector=sector,
     )
 

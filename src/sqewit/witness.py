@@ -184,6 +184,7 @@ def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it,
     and warns).
     """
+    _require("n_max", n_max, at_least=0, integer=True)
     approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
     exact = comb_diagonal_exact(u, n_max)
     rel_error = np.abs(1.0 - approx / exact)
@@ -307,16 +308,6 @@ def ratio_db(value: float, benchmark: float) -> float:
             stacklevel=3,
         )
     return 10.0 * math.log10(max(value, EXPECTATION_FLOOR) / benchmark)
-
-
-def sqe_squeezing_db(state: FockState, spec: WitnessSpec) -> float:
-    """Nonlinear squeezing of the state in decibels.
-
-    10 log10 of the witness expectation over the Gaussian benchmark;
-    negative values certify non-Gaussianity. Expectations that round below
-    the positivity floor are clamped (with a warning) before the log.
-    """
-    return ratio_db(fock.expectation(build_witness(spec), state), gaussian_bound(spec.u, spec.c, spec.k).value)
 
 
 def witness_report(state: FockState, spec: WitnessSpec) -> dict:

@@ -51,7 +51,11 @@ problem of the pareto store. All of them read one shared computation.
   odd sector's `stellar_bound` became its highest level (7, not 8), and
   `opaccuracy|u=3|k=100|nmax=30|acc.csv` when every level of the exact
   comb diagonal came to sum over the deepest level's cut (3 of its 31
-  exact cells moved by 1 ulp). The
+  exact cells moved by 1 ulp). Both `ground` keys were re-recorded when a
+  ground record's `xi_db` came to be read from its own sector eigenvalue,
+  `ratio_db(eigenvalue, bound)`, not from a second witness product on the
+  state: only `xi_db` cells moved (index rows and the N = 8 state file's
+  metadata), by at most 7.3e-15 relative. The
   JSON records (a ground state file, the witness, gate and breed reports,
   the bred state file and the frontier `.meta.json` files) were added once
   no output held a clock reading and each input was echoed once, under

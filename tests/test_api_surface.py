@@ -51,13 +51,12 @@ API_SURFACE = {
         "AccuracyRow": ("n", "exact", "approx", "rel_error"), "accuracy_scan": ("u", "k", "n_max"),
         "build_witness": ("spec",),
         "GaussianBound": ("value", "branch", "argmin_r"), "squeezed_vacuum_expectation": ("u", "c", "r", "k"),
-        "gaussian_bound": ("u", "c", "k"), "ratio_db": ("value", "benchmark"),
-        "sqe_squeezing_db": ("state", "spec"), "witness_report": ("state", "spec"),
+        "gaussian_bound": ("u", "c", "k"), "ratio_db": ("value", "benchmark"), "witness_report": ("state", "spec"),
     },
     "sqewit.states": {
-        "TRUNCATION_LOSS_MAX": None, "DEGENERACY_GAP": None, "CatSpec": ("u", "r", "phi", "dim"),
+        "TRUNCATION_LOSS_MAX": None, "CatSpec": ("u", "r", "phi", "dim"),
         "squeezed_cat": ("spec", "max_loss"),
-        "GroundStateReport": ("state", "eigenvalue", "xi_db", "stellar_rank_bound", "degenerate", "sector"),
+        "GroundStateReport": ("state", "eigenvalue", "xi_db", "stellar_rank_bound", "sector"),
         "optimal_sqe_approximation": ("spec",), "ground_state_sweep": ("u", "phi", "c", "dims", "k"),
         "ideal_gate_target": ("kind", "u", "phi", "dim"),
     },

@@ -505,6 +505,13 @@ class TestOpaccuracyCommand:
         got = float(rows[1].split(",")[1])
         assert got == pytest.approx(lib[0].exact, rel=1e-15)
 
+    def test_negative_depth_is_refused_by_its_name(self, runner, tmp_path):
+        # This named the comb's dimension: "dim must be ... >= 1, got 0".
+        result = runner.invoke(main, ["opaccuracy", "--nmax", "-1", "--out", str(tmp_path / "acc.csv")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("error: n_max must be")
+        assert "dim" not in result.stderr
+        assert _listing(tmp_path) == []
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     def test_deep_scan_exact_column_finite(self, runner, tmp_path):

@@ -81,6 +81,10 @@ def test_no_knobs_without_callers():
         (breeding._CandidateObjective, "value"),
         (breeding._CandidateObjective, "squeezed_in_x"),
         (states, "stellar_rank_bound"),
+        # A ground report's squeezing comes from its own eigenvalue, and no
+        # output read its degeneracy flag.
+        (witness, "sqe_squeezing_db"),
+        (states, "DEGENERACY_GAP"),
         (gates, "interaction_fidelity"),
         (pareto, "worst_corner"),
         (cli, "_apply_config"),
@@ -90,6 +94,7 @@ def test_no_knobs_without_callers():
         (cli, "_CONTRACT_ERRORS"),
     ):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "degenerate" not in states.GroundStateReport.__dataclass_fields__
     # The Gaussian candidates are scored through the start grid or a batch of
     # points, never one point per call (a class is always callable, so the
     # class's own namespace is what is checked).

@@ -179,6 +179,24 @@ class TestOptimalApproximation:
         if states._sector_for_phase(phi) == ("even" if dim % 2 else "odd"):
             assert large == pytest.approx(small, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.floats(1.0, 4.0),
+        c=st.floats(-1.0, math.log10(300.0)).map(lambda e: 10.0**e),
+        phi=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.1, 3.0)),
+        dim=st.integers(2, 117),
+    )
+    @example(u=3.0, c=10.0, phi=0.0, dim=12)
+    def test_xi_is_read_from_the_recorded_eigenvalue(self, u, c, phi, dim):
+        # The record's squeezing is its own eigenvalue over the Gaussian
+        # bound, bitwise; the state's expectation agrees to rounding. Up to
+        # 117 levels no build over u in [1, 4] drops a comb harmonic.
+        spec = WitnessSpec(u=u, phi=phi, c=c, dim=dim, k=100)
+        report = states.optimal_sqe_approximation(spec)
+        assert report.xi_db == witness.ratio_db(report.eigenvalue, witness.gaussian_bound(u, c, 100).value)
+        from_state = witness.witness_report(report.state, spec)["xi_db"]
+        assert abs(from_state - report.xi_db) <= 1e-9 * max(1.0, abs(report.xi_db))
+
     def test_deterministic(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=12, k=100)
         a = states.optimal_sqe_approximation(spec)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from sqewit import fock, pareto, witness
+from sqewit import fock, pareto, states, witness
 from sqewit.errors import ContractViolationError, OptimizerFailure
 from sqewit.states import CatSpec
 from sqewit.witness import WitnessSpec
@@ -287,6 +287,8 @@ _VALID_INPUTS = {
         (witness.comb_prefactor, "u", math.nan),
         (witness.comb_diagonal_exact, "u", math.inf),
         (witness.accuracy_scan, "u", math.nan),
+        # These named the comb's dim (n_max + 1): "dim must be ... >= 1, got 0".
+        *((witness.accuracy_scan, "n_max", bad) for bad in (-1, 2.5)),
         (_displace, "s", math.nan),
         *((make, "k", 100.5) for make in (WitnessSpec, witness.gaussian_bound, witness.momentum_comb)),
         # These returned NaN, inf or a clamped dB value, or raised another error.
@@ -474,7 +476,9 @@ class TestSqueezingDb:
         vac = fock.vacuum(6)
         report = witness.witness_report(vac, spec)
         assert report["gaussian_bound"] == bound
-        assert witness.sqe_squeezing_db(vac, spec) == report["xi_db"] == witness.ratio_db(report["expectation"], bound)
+        assert report["xi_db"] == witness.ratio_db(report["expectation"], bound)
+        ground = states.optimal_sqe_approximation(spec)
+        assert ground.xi_db == witness.ratio_db(ground.eigenvalue, bound)
         front = pareto.evolve("fidelity", spec, pareto.NsgaConfig(seed=1, population=4, generations=0))
         assert front.points
         for point in front.points:
@@ -488,24 +492,25 @@ class TestSqueezingDb:
         vac = fock.vacuum(12)
         expect = fock.expectation(np.asarray(witness.build_witness(spec)), vac)
         assert witness.ratio_db(expect, expect) == pytest.approx(0.0, abs=1e-12)
-        assert witness.sqe_squeezing_db(vac, spec) == witness.ratio_db(expect, bound.value)
-        assert witness.sqe_squeezing_db(vac, spec) > 0.0
+        xi = witness.witness_report(vac, spec)["xi_db"]
+        assert xi == witness.ratio_db(expect, bound.value)
+        assert xi > 0.0
 
     def test_ground_state_is_most_negative(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=14)
         w = np.asarray(witness.build_witness(spec))
         eig = fock.hermitian_eig(w)
         ground = fock.FockState(eig.vectors[:, 0])
-        xi_ground = witness.sqe_squeezing_db(ground, spec)
+        xi_ground = witness.witness_report(ground, spec)["xi_db"]
         rng = np.random.default_rng(3)
         for _ in range(20):
             probe = fock.FockState(rng.standard_normal(14) + 1j * rng.standard_normal(14))
-            assert witness.sqe_squeezing_db(probe, spec) >= xi_ground - 1e-12
+            assert witness.witness_report(probe, spec)["xi_db"] >= xi_ground - 1e-12
 
     def test_dimension_mismatch(self):
         spec = WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=12)
         with pytest.raises(ContractViolationError):
-            witness.sqe_squeezing_db(fock.vacuum(10), spec)
+            witness.witness_report(fock.vacuum(10), spec)
 
     def test_clamp_at_positivity_floor_warns(self):
         # A PSD expectation that rounds to zero or below is read at the floor.
