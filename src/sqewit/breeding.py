@@ -295,11 +295,20 @@ def gaussian_min_q0(dim: int) -> float:
     return gkp_witness(dim).gaussian_min
 
 
+def _gkp_db(rows: np.ndarray) -> list[float]:
+    """GKP squeezing in dB of each normalized C-contiguous row against `gkp_witness`: every GKP figure.
+
+    `ratio_db` per value, not np.log10 over an array, which does not match its
+    math.log10 for every value; and it warns once per clamped value.
+    """
+    witness = gkp_witness(rows.shape[1])
+    return [ratio_db(value, witness.gaussian_min) for value in fock._quadratic_forms(witness.matrix, rows).tolist()]
+
+
 def gkp_squeezing_db(state: FockState) -> float:
     """GKP nonlinear squeezing of the state in decibels (negative is better
-    than every Gaussian), against `gkp_witness(state.dim)`."""
-    witness = gkp_witness(state.dim)
-    return ratio_db(fock.expectation(witness.matrix, state), witness.gaussian_min)
+    than every Gaussian), against `gkp_witness(state.dim)`: `_gkp_db` of one row."""
+    return _gkp_db(state.amps[None])[0]
 
 
 def breeding_report(run: BreedingRun) -> dict:
@@ -308,9 +317,10 @@ def breeding_report(run: BreedingRun) -> dict:
     Computed values only; the round count is `len(per_round_gkp_db)`, and
     the inputs are the caller's to record.
     """
+    input_db, *per_round = _gkp_db(np.array([s.amps for s in (run.input, *run.outputs_per_round)]))
     return {
-        "input_gkp_db": gkp_squeezing_db(run.input),
-        "per_round_gkp_db": [gkp_squeezing_db(s) for s in run.outputs_per_round],
+        "input_gkp_db": input_db,
+        "per_round_gkp_db": per_round,
         "success_norms": run.success_norms,
         "gaussian_min_q0": gkp_witness(run.input.dim).gaussian_min,
     }

@@ -135,11 +135,12 @@ def hermitian_eig(matrix: np.ndarray) -> EigenDecomposition:
 def matrix_function(eig: EigenDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Takes the matrix's eigendecomposition (a cached `generator_spectrum`, or
-    `hermitian_eig` of the matrix) and returns V f(L) V†. The result is
-    Hermitian whenever f is real-valued; complex-valued f (e.g.
-    lam -> exp(i*lam)) yields the corresponding operator function of the
-    same eigenbasis. Raises if f is undefined (NaN/inf) at an eigenvalue.
+    Takes the matrix's eigendecomposition (a cached `generator_spectrum`, a
+    product of them, or `hermitian_eig` of the matrix) and returns V f(L) V†,
+    the package's one such product. The result is Hermitian whenever f is
+    real-valued; complex-valued f (e.g. lam -> exp(i*lam)) yields the
+    corresponding operator function of the same eigenbasis. Raises if f is
+    undefined (NaN/inf) at an eigenvalue.
     """
     fvals = np.asarray(f(eig.values))
     if fvals.shape != eig.values.shape:
@@ -345,8 +346,7 @@ def _bs_sector_blocks(dim: int):
         n1 = np.arange(max(0, s - dim + 1), min(s, dim - 1) + 1)
         a, b = np.ix_(n1, n1), np.ix_(s - n1, s - n1)
         block = (np.pi / 4.0) * (p[a] * x[b] - x[a] * p[b])
-        lam, z = hermitian_eig(block)
-        yield s, n1, (z * np.exp(1j * lam)) @ z.conj().T
+        yield s, n1, matrix_function(hermitian_eig(block), lambda lam: np.exp(1j * lam))
 
 
 def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
@@ -359,9 +359,8 @@ def two_mode_coupler(kind: str, dim: int) -> np.ndarray:
     _check_coupler_args(kind, dim)
     if kind == "QND":
         (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
-        k = np.kron(w, v)
-        phases = np.exp(-1j * np.outer(mu, lam).ravel())
-        return (k * phases) @ k.conj().T
+        x1_p2 = EigenDecomposition(values=np.outer(mu, lam).ravel(), vectors=np.kron(w, v))
+        return matrix_function(x1_p2, lambda t: np.exp(-1j * t))
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for s, n1, block in _bs_sector_blocks(dim):
         idx = n1 * dim + (s - n1)
@@ -510,26 +509,19 @@ def vacuum(dim: int) -> FockState:
 
 
 def expectation(op: np.ndarray, state: FockState) -> float:
-    """<psi|op|psi> (real part; intended for Hermitian observables)."""
+    """<psi|op|psi> (real part; intended for Hermitian observables): `_quadratic_forms` of one row."""
     if op.shape != (state.dim, state.dim):
         raise ContractViolationError(
             f"operator shape {op.shape} does not match state dimension {state.dim}"
         )
-    return float(np.real(np.vdot(state.amps, op @ state.amps)))
+    return float(_quadratic_forms(op, state.amps[None])[0])
 
 
 def overlap_fidelity(psi: FockState, phi: FockState) -> float:
-    """|<psi|phi>|² for pure states of equal dimension."""
+    """|<psi|phi>|² for pure states of equal dimension: `_fidelities` of one row."""
     if psi.dim != phi.dim:
         raise ContractViolationError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return float(min(1.0, abs(np.vdot(psi.amps, phi.amps)) ** 2))
-
-
-# The batch helpers below are bitwise the per-state arithmetic they replace:
-# a stacked np.matmul over C-contiguous rows calls, per row, the same BLAS
-# gemv or dot as the 1-D product. Other strides fall back to numpy's no-BLAS
-# loop, and a single zgemm (``rows @ op.T``) sums in another order; either
-# changes the rounding.
+    return _fidelities(psi.amps, phi.amps[None])[0]
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -547,14 +539,27 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_forms(op: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Re <a|op|a> for each row a, bitwise ``np.real(np.vdot(a, op @ a))``.
+    """Re <a|op|a> for each C-contiguous row a: every witness and Q0 expectation.
 
-    The stacked row-by-column matmul takes one complex dot of conj(a) per
-    row; conjugation negates the imaginary products exactly, so the real
-    part sums the same products as ``np.vdot``'s.
+    A stacked np.matmul over such rows calls, per row, the BLAS gemv and dot
+    of the 1-D products, so a row's value does not depend on its batch.
+    Other strides fall back to numpy's no-BLAS loop, and one zgemm
+    (``rows @ op.T``) sums in another order; either changes the rounding.
     """
     op_rows = np.matmul(op, rows[:, :, None])
     return np.matmul(rows.conj()[:, None, :], op_rows)[:, 0, 0].real
+
+
+def _fidelities(target: np.ndarray, rows: np.ndarray) -> list[float]:
+    """|<target|a>|², clamped at 1, for each C-contiguous row a: every gate fidelity.
+
+    One stacked dot of conj(target) per row, then a scalar abs (hypot) and
+    ** 2 (pow) per value: np.abs over a complex array rounds differently, and
+    numpy's array ** 2 is x * x (an ulp from pow at x = 0.043889346331312105).
+    Swapping target and row leaves every value bitwise.
+    """
+    overlaps = np.matmul(target.conj(), rows[:, :, None])[:, 0]
+    return [min(1.0, abs(z) ** 2) for z in overlaps.tolist()]
 
 
 # ---------------------------------------------------------------------------

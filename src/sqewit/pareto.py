@@ -24,7 +24,9 @@ of them (``crowding_distance``). The survivors carry their ranks and
 crowding into the next tournament, so no generation re-sorts its parents. The n offspring
 are scored in one batched pass (``_evaluate``): decoding, the witness
 form, the coupler, the <p = 0| conditioning and every breeding round act
-on all n states at once, bitwise as they would on each state alone.
+on all n states at once, bitwise as they would on each state alone. The
+figures are the records' own builders (``fock._quadratic_forms``,
+``fock._fidelities``, ``breeding._gkp_db``), each called for all n rows.
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ class NsgaConfig:
 # ---------------------------------------------------------------------------
 
 
-# Every batched step below is bitwise the per-state arithmetic it replaces;
-# `fock._row_norms` and `fock._quadratic_forms` say why.
-
-
 def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized mode-2 states after <p = 0| on mode 1 of each joint row.
 
@@ -111,13 +109,7 @@ class _FidelityObjectives:
         out[:, 0] = fock._quadratic_forms(self.w, amps)
         outputs, alive = _condition_p0(self.bra, np.matmul(self.coupler_cols, amps[:, :, None]))
         out[:, 1] = math.inf
-        # The overlaps are one stacked dot of conj(target) per row, bitwise
-        # np.vdot's; the scalar abs (hypot) and the scalar ** 2 (pow) are a
-        # bitwise requirement: np.abs over a complex array rounds differently,
-        # and numpy's array ** 2 is x * x (an ulp from pow at
-        # x = 0.043889346331312105).
-        overlaps = np.matmul(self.target.conj(), outputs[:, :, None])[:, 0]
-        out[alive, 1] = [abs(z) ** 2 for z in overlaps.tolist()]
+        out[alive, 1] = fock._fidelities(self.target, outputs)
         return out
 
     def metric_value(self, objective_2: float) -> float:
@@ -134,7 +126,6 @@ class _GkpObjectives:
         self.w = witness.build_witness(spec)
         self.coupler = fock.two_mode_coupler("BS", spec.dim)
         self.bra = fock.momentum_eigenbra(spec.dim)
-        self.gkp = breeding.gkp_witness(spec.dim)
 
     def batch(self, amps: np.ndarray) -> np.ndarray:
         """(n, 2) objectives of n normalized states, one per row of ``amps``.
@@ -152,13 +143,7 @@ class _GkpObjectives:
             current, alive = _condition_p0(self.bra, np.matmul(self.coupler, pairs))
             rows = rows[alive]
         out[:, 1] = math.inf
-        # ratio_db per row, a bitwise requirement: it takes math.log10, which
-        # np.log10 over an array does not match for every value, and warns
-        # once per clamped value.
-        out[rows, 1] = [
-            -witness.ratio_db(float(value), self.gkp.gaussian_min)
-            for value in fock._quadratic_forms(self.gkp.matrix, current)
-        ]
+        out[rows, 1] = [-db for db in breeding._gkp_db(current)]
         return out
 
     def metric_value(self, objective_2: float) -> float:
@@ -446,11 +431,10 @@ def evolve(
 def hypervolume(objectives: np.ndarray, reference: np.ndarray) -> float:
     """Dominated 2-D hypervolume against a reference (worst) corner."""
     objs = np.asarray(objectives, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    keep = (objs[:, 0] < ref[0]) & (objs[:, 1] < ref[1])
-    objs = objs[keep]
-    if objs.shape[0] == 0:
+    if objs.size == 0:  # [] as well as an empty (0, 2) array
         return 0.0
+    ref = np.asarray(reference, dtype=float)
+    objs = objs[(objs[:, 0] < ref[0]) & (objs[:, 1] < ref[1])]
     order = np.lexsort((objs[:, 1], objs[:, 0]))
     hv = 0.0
     best_y = ref[1]

@@ -294,13 +294,14 @@ def ratio_db(value: float, benchmark: float) -> float:
 
     Witness expectations are nonnegative, but rounding can leave them at or
     below zero, where the log is undefined; such a clamp warns. A
-    non-finite value or benchmark is refused by name.
+    non-finite value, or a benchmark that is not finite and positive, is
+    refused by name.
     """
     # Inline, not `_require`: the gkp frontier calls this once per row.
     if not math.isfinite(value):
         raise ContractViolationError(f"value must be finite, got {value}")
-    if not math.isfinite(benchmark):
-        raise ContractViolationError(f"benchmark must be finite, got {benchmark}")
+    if not 0.0 < benchmark < math.inf:
+        raise ContractViolationError(f"benchmark must be finite and > 0, got {benchmark}")
     if value <= EXPECTATION_FLOOR:
         warnings.warn(
             f"witness expectation {value:.3e} at or below the positivity floor; clamped",

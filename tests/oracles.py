@@ -6,6 +6,9 @@ Each function spells out one quantity the package computes another way:
   Kronecker product (the package exponentiates it by photon sector or in
   the x and p eigenbases).
 - `position_wavefunction`: <x|psi> on a grid, from the Hermite functions.
+- `bs_vacuum_p0_output`: the beam splitter's p = 0 conditioning of a state
+  and the vacuum as one momentum-space integral, with no Fock truncation
+  (the package contracts a cached N x N x N kernel built by photon sector).
 - `even_cat_expectation_closed_form`: the k -> infinity witness expectation
   on the ideal even squeezed cat.
 - `decode`: one genome to one state (`pareto._evaluate` decodes a whole
@@ -49,6 +52,24 @@ def position_wavefunction(state: FockState, xs: np.ndarray) -> np.ndarray:
     """<x|psi> on a grid (real Hermite-function expansion)."""
     phi = fock.hermite_functions(state.dim - 1, xs)
     return state.amps @ phi.astype(complex)
+
+
+def bs_vacuum_p0_output(state: FockState) -> np.ndarray:
+    """Unnormalized mode-2 amplitudes of <p = 0|_1 U_BS (|a> ⊗ |0>), with no Fock truncation.
+
+    The balanced beam splitter rotates (p1, p2) by 45 degrees, so fixing
+    p1 = 0 leaves psihat_a(q/sqrt(2)) psihat_0(q/sqrt(2)) in mode 2, where
+    psihat_n(p) = (-i)^n phi_n(p) is level n's momentum wavefunction:
+    <k|out> = int conj psihat_k(q) psihat_a(q/sqrt(2)) psihat_0(q/sqrt(2)) dq.
+    The integrands are smooth and Gaussian-damped well inside |q| < 30 for
+    N <= 40, so the uniform-grid sum is exact to rounding.
+    """
+    h = 0.025
+    q = np.arange(-1200, 1201) * h
+    phase = (-1j) ** np.arange(state.dim)
+    half = fock.hermite_functions(state.dim - 1, q / math.sqrt(2.0))
+    out = ((state.amps * phase) @ half) * half[0]
+    return (phase[:, None] * fock.hermite_functions(state.dim - 1, q)).conj() @ out * h
 
 
 def even_cat_expectation_closed_form(u: float, r: float) -> float:

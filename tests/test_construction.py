@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sqewit
 from sqewit import breeding, cli, fock, gates, pareto, serialize, states, witness
@@ -105,27 +107,34 @@ def test_no_knobs_without_callers():
     assert "metric_name" in pareto.EvolveResult.__dataclass_fields__
 
 
-def _file_calls(node, owner, found):
-    """Append (enclosing function, called name) for each file call under node."""
-    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in file_calls:
-                found.append((owner, name))
-        _file_calls(child, child.name if isinstance(child, ast.FunctionDef) else owner, found)
+def _owned_nodes(path):
+    """(enclosing function, node) for every node of a source file."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            found.append((owner, child))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(Path(path).read_text()), None)
+    return found
+
+
+def _called_name(call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
 
 
 def test_only_serialize_touches_files():
     # One boundary maps read and write failures to InputFormatError (exit 2),
     # and one writer, `serialize._write`, opens every file that is written,
     # so that every write deletes its partial file when it fails.
-    calls = []
-    for path in sorted(Path(sqewit.__file__).parent.glob("*.py")):
-        found = []
-        _file_calls(ast.parse(path.read_text()), None, found)
-        calls += [(path.stem, owner, name) for owner, name in found]
+    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
+    calls = [
+        (path.stem, owner, _called_name(node))
+        for path in sorted(Path(sqewit.__file__).parent.glob("*.py"))
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.Call) and _called_name(node) in file_calls
+    ]
     assert {module for module, _, _ in calls} == {"serialize"}, calls
     assert [call for call in calls if call[2] == "open"] == [("serialize", "_write", "open")], calls
     assert not [call for call in calls if call[2] in ("write_text", "write_bytes")], calls
@@ -143,6 +152,60 @@ def test_gates_reads_no_coupler_layout():
     layout = {"generator_spectrum", "vectors", "momentum_eigenbra", "two_mode_coupler", "coupler_generator", "kron", "reshape"}
     assert {name for name in names if name in layout or "kernel" in name or "factor" in name} == set()
     assert "_p0_output" in names
+
+
+def test_each_figure_has_one_builder():
+    # The frontier scores ⟨W⟩, the gate fidelity and the GKP dB with the
+    # records' own builders, so it computes no dB, overlap or modulus itself;
+    # its one `ratio_db` is each front point's ξ, through the witness's own
+    # dB builder.
+    calls = [
+        (owner, _called_name(node), node.func)
+        for owner, node in _owned_nodes(pareto.__file__)
+        if isinstance(node, ast.Call)
+    ]
+    inline = [
+        (owner, name) for owner, name, func in calls
+        if name in ("ratio_db", "vdot") or (name == "abs" and isinstance(func, ast.Name))
+    ]
+    assert inline == [("evolve", "ratio_db")]
+    assert {"_quadratic_forms", "_fidelities", "_gkp_db"} <= {name for _, name, _ in calls}
+
+    # `matrix_function` is fock's one V f(L) V† product, (V * f) @ V.conj().T.
+    def conj_transpose(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "T"
+            and isinstance(node.value, ast.Call) and getattr(node.value.func, "attr", None) == "conj"
+        )
+
+    products = [
+        owner for owner, node in _owned_nodes(fock.__file__)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult) and conj_transpose(node.right)
+    ]
+    assert products == ["matrix_function"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 64), dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), with_target=st.booleans())
+def test_batch_builders_are_their_one_row_calls(n, dim, seed, with_target):
+    # Every row of a batch builder is bitwise its public one-state call, so
+    # the frontier's batches and the records agree in any batch; a row equal
+    # to the target exercises the fidelity's clamp at 1.
+    rng = np.random.default_rng(seed)
+    states_ = [fock.FockState(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(n + 1)]
+    target, states_ = states_[0], states_[1:]
+    if with_target:
+        states_[0] = target
+    rows = np.array([state.amps for state in states_])
+    assert rows.flags.c_contiguous
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    op = op + op.conj().T
+    assert fock._quadratic_forms(op, rows).tolist() == [fock.expectation(op, state) for state in states_]
+    fidelities = fock._fidelities(target.amps, rows)
+    assert fidelities == [fock.overlap_fidelity(target, state) for state in states_]
+    assert fidelities == [fock.overlap_fidelity(state, target) for state in states_]
+    assert breeding._gkp_db(rows) == [breeding.gkp_squeezing_db(state) for state in states_]
 
 
 def test_no_module_rebinds_global_or_enclosing_names():

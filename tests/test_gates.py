@@ -190,6 +190,22 @@ class TestXRepresentationOracle:
         assert fock.overlap_fidelity(got_bs, want_bs) > 1.0 - 1e-6
 
 
+class TestBeamSplitterVacuumOracle:
+    """The BS branch of `fock._p0_output` is exact for N-level inputs with a vacuum ancilla."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_truncation_free_integral(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        a = fock.FockState(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        want = oracles.bs_vacuum_p0_output(a)
+        got = gates.couple_and_condition(a, fock.vacuum(dim), "BS")
+        assert fock.overlap_fidelity(got.output, fock.FockState(want)) >= 1.0 - 1e-12
+        # The constant factor between the success norms is 1: <p = 0| is
+        # delta-normalized and the rotation has unit Jacobian.
+        assert got.success_norm == pytest.approx(np.linalg.norm(want), rel=1e-12)
+
+
 class TestInteractionFidelity:
     def test_equality_of_couplings_on_cat_family(self):
         for u in (2.0, 3.0):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqewit import fock, gates, pareto, witness
+from sqewit import breeding, fock, gates, pareto, witness
 from sqewit.errors import ContractViolationError
 from sqewit.pareto import NsgaConfig
 from sqewit.witness import WitnessSpec
@@ -156,8 +156,9 @@ def oracle_objectives(objective, amps):
         current = oracle_condition_p0(objective.bra, objective.coupler @ np.multiply.outer(current, current).ravel())
         if current is None:
             return (z, math.inf)
-    value = float(np.real(np.vdot(current, objective.gkp.matrix @ current)))
-    return (z, -witness.ratio_db(value, objective.gkp.gaussian_min))
+    gkp = breeding.gkp_witness(current.size)
+    value = float(np.real(np.vdot(current, gkp.matrix @ current)))
+    return (z, -witness.ratio_db(value, gkp.gaussian_min))
 
 
 def oracle_evaluate(genomes, objective):
@@ -617,6 +618,10 @@ class TestHypervolume:
 
     def test_point_outside_reference(self):
         assert pareto.hypervolume(np.array([[2.0, 2.0]]), np.array([1.0, 1.0])) == 0.0
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_empty_front(self, empty):
+        assert pareto.hypervolume(empty, np.array([1.0, 1.0])) == 0.0
 
     def test_dominated_points_do_not_add(self):
         base = np.array([[0.0, 0.0]])

@@ -299,6 +299,8 @@ _VALID_INPUTS = {
         ),
         (witness.squeezed_vacuum_expectation, "k", math.nan),
         *((witness.ratio_db, field, bad) for field in ("value", "benchmark") for bad in (math.nan, math.inf, -math.inf)),
+        # These raised ZeroDivisionError and a bare "math domain error".
+        *((witness.ratio_db, "benchmark", bad) for bad in (0.0, -1.0)),
     ],
 )
 def test_unusable_inputs_are_refused_by_name(make, field, bad):
