@@ -21,7 +21,6 @@ import numpy as np
 from . import fock, gates
 from .errors import OptimizerFailure, _require
 from .fock import FockState
-from .gates import GateOutcome
 from .witness import ratio_db
 
 # Levels added above the requested dimension for Q0 and the Gaussian
@@ -39,11 +38,6 @@ _DP_PERIOD = math.sqrt(math.pi)
 # ---------------------------------------------------------------------------
 
 
-def breed_round(a: FockState, b: FockState) -> GateOutcome:
-    """One breeding step: balanced beam splitter, then p = 0 on mode 1."""
-    return gates.couple_and_condition(a, b, "BS")
-
-
 @dataclass(frozen=True)
 class BreedingRun:
     """Record of a full breeding cascade on identical copies."""
@@ -57,22 +51,33 @@ class BreedingRun:
         return self.outputs_per_round[-1] if self.outputs_per_round else self.input
 
 
+def _breed_rows(rows: np.ndarray, rounds: int, p0_outputs) -> tuple[np.ndarray, np.ndarray, list]:
+    """`rounds` breeding steps on all rows at once: each round pairs every surviving
+    row a with itself (a ⊗ a, mode 1 major), maps the pairs to their unnormalized
+    p = 0 outputs (`p0_outputs`, each row alone) and post-selects them
+    (`gates._post_select`). Returns the indices of the rows that survive every
+    round, their normalized outputs, and per round the outputs, success norms
+    and survival mask of the rows it bred."""
+    index, log = np.arange(rows.shape[0]), []
+    for _ in range(rounds):
+        out = p0_outputs((rows[:, :, None] * rows[:, None, :]).reshape(index.size, rows.shape[1] ** 2))
+        norms, kept = gates._post_select(out)
+        log.append((out, norms, kept))
+        index, rows = index[kept], out[kept] / norms[kept, None]
+    return index, rows, log
+
+
 def breed_protocol(state: FockState, rounds: int) -> BreedingRun:
     """rounds breeding steps, pairing identical copies of the previous output.
 
     The schedule is the binary tree consuming 2^rounds copies of the input;
-    rounds = 0 returns the input unchanged.
+    rounds = 0 returns the input unchanged. `_breed_rows` of the one row with
+    `fock._bs_p0_outputs`; an annihilated round raises ProjectionAnnihilatedError.
     """
     _require("rounds", rounds, at_least=0, integer=True)
-    outputs: list[FockState] = []
-    norms: list[float] = []
-    current = state
-    for _ in range(rounds):
-        outcome = breed_round(current, current)
-        current = outcome.output
-        outputs.append(current)
-        norms.append(outcome.success_norm)
-    return BreedingRun(input=state, outputs_per_round=outputs, success_norms=norms)
+    _, _, log = _breed_rows(state.amps[None], rounds, fock._bs_p0_outputs)
+    outcomes = [gates._outcome(out[0], norms[0], kept[0]) for out, norms, kept in log]
+    return BreedingRun(state, [outcome.output for outcome in outcomes], [outcome.success_norm for outcome in outcomes])
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,10 @@ infinite-dimensional operator, so an N-level block is bitwise the top-left
 N x N block of every larger build.
 Two-mode composite indices are mode-1 major: (n1, n2) -> n1 * N + n2.
 Two-mode couplers reach the gate and breeding paths only through
-`_p0_output`, the one place that couples two N-level modes and contracts
-mode 1 with <p = 0|: the beam splitter through a cached N x N x N kernel,
-exact for N-level inputs with a vacuum ancilla; the QND coupler through one
-N x N factor and the cached p eigenvectors in O(N²), never forming an N³
-array, but as the unpadded N-level exponential, whose error grows as the
-input fills the space (see `_p0_output`). The dense N² x N² unitary
-(`two_mode_coupler`) is built only by the `pareto` frontier objectives, once
-per run at their few-level N.
+`_p0_output` and its beam-splitter rows `_bs_p0_outputs`, which couple two
+N-level modes and contract mode 1 with <p = 0| (the QND route and its error:
+see `_p0_output`). The dense N² x N² unitary (`two_mode_coupler`) is built
+only by the `pareto` frontier objectives, once per run at their few-level N.
 `wigner` sums each diagonal of the density matrix against its Laguerre
 functions by Clenshaw's recurrence and the diagonals by Horner's rule, in
 O(grid) memory and exact to rounding (within 1e-12 of a quadrature oracle up
@@ -383,11 +379,18 @@ def _bs_p0_kernel(dim: int) -> np.ndarray:
     return kernel
 
 
+def _bs_p0_outputs(pairs: np.ndarray) -> np.ndarray:
+    """Unnormalized <p = 0|_1 U_BS of each C-contiguous row of dim² two-mode amplitudes
+    (mode 1 major): one gemv of the kernel above per row, whatever the batch."""
+    dim = math.isqrt(pairs.shape[1])
+    return np.matmul(_bs_p0_kernel(dim).reshape(dim, dim * dim), pairs[:, :, None])[:, :, 0]
+
+
 def _p0_output(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Unnormalized mode-2 amplitudes of <p = 0|_1 U (|a> ⊗ |b>), a and b of equal dim.
 
-    BS: the dim³ kernel above, T.reshape(dim, dim²) @ kron(a, b); exact for
-    dim-level inputs with a vacuum ancilla.
+    BS: `_bs_p0_outputs` of the one row kron(a, b); exact for dim-level
+    inputs with a vacuum ancilla.
     QND: exp(-i x1 p2) = (w ⊗ v) diag(exp(-i mu_i lam_j)) (w ⊗ v)† in the
     eigenbases w of x and v of p (`generator_spectrum`); the bra folds into
     w, leaving the dim x dim factor d[n1, j] = sum_i (bra w)_i conj(w[n1, i])
@@ -405,7 +408,7 @@ def _p0_output(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dim = a.size
     _check_coupler_args(kind, dim)
     if kind == "BS":
-        return _bs_p0_kernel(dim).reshape(dim, dim * dim) @ np.kron(a, b)
+        return _bs_p0_outputs(np.kron(a, b)[None])[0]
     (mu, w), (lam, v) = generator_spectrum("x", dim), generator_spectrum("p", dim)
     d = (w.conj() * (momentum_eigenbra(dim) @ w)) @ np.exp(-1j * np.outer(mu, lam))
     # conj(conj(b) @ v) = b @ conj(v) spares a conjugated copy of v.

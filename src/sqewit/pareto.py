@@ -25,14 +25,15 @@ crowding into the next tournament, so no generation re-sorts its parents. The n 
 are scored in one batched pass (``_evaluate``): decoding, the witness
 form, the coupler, the <p = 0| conditioning and every breeding round act
 on all n states at once, bitwise as they would on each state alone. The
-figures are the records' own builders (``fock._quadratic_forms``,
-``fock._fidelities``, ``breeding._gkp_db``), each called for all n rows.
+figures, post-selection and breeding are the records' own, each called for all
+n rows; only the dense coupler product (``_dense_p0_outputs``) is the frontier's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,18 +71,9 @@ class NsgaConfig:
 # ---------------------------------------------------------------------------
 
 
-def _condition_p0(bra: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized mode-2 states after <p = 0| on mode 1 of each joint row.
-
-    Returns the surviving states and the mask of rows that survive; rows
-    whose norm falls below the annihilation threshold are dropped before
-    the division, so none is divided by zero.
-    """
-    dim = bra.size
-    out = np.matmul(bra, joint.reshape(-1, dim, dim))
-    norms = fock._row_norms(out)
-    alive = norms >= gates.ANNIHILATION_EPS
-    return out[alive] / norms[alive, None], alive
+def _dense_p0_outputs(bra: np.ndarray, coupler: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Unnormalized <p = 0| on mode 1 of coupler @ each row of ``columns``: the frontier's own step."""
+    return np.matmul(bra, np.matmul(coupler, columns[:, :, None]).reshape(-1, bra.size, bra.size))
 
 
 class _FidelityObjectives:
@@ -107,9 +99,10 @@ class _FidelityObjectives:
         amps = np.ascontiguousarray(amps, dtype=complex)
         out = np.empty((amps.shape[0], 2))
         out[:, 0] = fock._quadratic_forms(self.w, amps)
-        outputs, alive = _condition_p0(self.bra, np.matmul(self.coupler_cols, amps[:, :, None]))
+        outputs = _dense_p0_outputs(self.bra, self.coupler_cols, amps)
+        norms, kept = gates._post_select(outputs)
         out[:, 1] = math.inf
-        out[alive, 1] = fock._fidelities(self.target, outputs)
+        out[kept, 1] = fock._fidelities(self.target, outputs[kept] / norms[kept, None])
         return out
 
     def metric_value(self, objective_2: float) -> float:
@@ -130,20 +123,15 @@ class _GkpObjectives:
     def batch(self, amps: np.ndarray) -> np.ndarray:
         """(n, 2) objectives of n normalized states, one per row of ``amps``.
 
-        Every round breeds the surviving rows at once; a row annihilated in
-        any round scores ``inf`` and takes no part in later rounds.
+        The rows breed through ``breeding._breed_rows`` with the dense
+        product; a row annihilated in any round scores ``inf``.
         """
         amps = np.ascontiguousarray(amps, dtype=complex)
         out = np.empty((amps.shape[0], 2))
         out[:, 0] = fock._quadratic_forms(self.w, amps)
-        current, rows = amps, np.arange(amps.shape[0])
-        pair_dim = self.coupler.shape[1]
-        for _ in range(self.rounds):
-            pairs = (current[:, :, None] * current[:, None, :]).reshape(rows.size, pair_dim, 1)
-            current, alive = _condition_p0(self.bra, np.matmul(self.coupler, pairs))
-            rows = rows[alive]
+        rows, bred, _ = breeding._breed_rows(amps, self.rounds, partial(_dense_p0_outputs, self.bra, self.coupler))
         out[:, 1] = math.inf
-        out[rows, 1] = [-db for db in breeding._gkp_db(current)]
+        out[rows, 1] = [-db for db in breeding._gkp_db(bred)]
         return out
 
     def metric_value(self, objective_2: float) -> float:

@@ -165,6 +165,14 @@ def comb_diagonal_exact(u: float, n_max: int) -> np.ndarray:
     return np.sum(table * table, axis=1)
 
 
+def _finite_comb(u: float, phi: float, k: int, dim: int) -> np.ndarray:
+    """`momentum_comb`, refused by name where it overflows to non-finite entries (ROADMAP item 2)."""
+    comb = momentum_comb(u, phi, k, dim)
+    if not np.isfinite(comb).all():
+        raise ContractViolationError(f"momentum comb at u = {u}, N = {dim} has non-finite entries (ROADMAP item 2)")
+    return comb
+
+
 class AccuracyRow(NamedTuple):
     n: int
     exact: float
@@ -182,10 +190,10 @@ def accuracy_scan(u: float, k: int, n_max: int) -> list[AccuracyRow]:
     exact truncations, so a larger build adds nothing but the size-dependent
     skip rule of `momentum_comb`, which drops the strongest harmonics from
     159 levels at u = 2 (ROADMAP item 2; a scan that deep still meets it,
-    and warns).
+    and warns); a non-finite build is refused (`_finite_comb`).
     """
     _require("n_max", n_max, at_least=0, integer=True)
-    approx = np.real(np.diag(momentum_comb(u, 0.0, k, n_max + 1)))
+    approx = np.real(np.diag(_finite_comb(u, 0.0, k, n_max + 1)))
     exact = comb_diagonal_exact(u, n_max)
     rel_error = np.abs(1.0 - approx / exact)
     return list(map(AccuracyRow, range(n_max + 1), exact.tolist(), approx.tolist(), rel_error.tolist()))
@@ -199,7 +207,7 @@ def build_witness(spec: WitnessSpec) -> np.ndarray:
     """
     w = position_quartic(spec.u, spec.dim)
     if spec.c != 0.0:
-        w = w + spec.c * momentum_comb(spec.u, spec.phi, spec.k, spec.dim)
+        w = w + spec.c * _finite_comb(spec.u, spec.phi, spec.k, spec.dim)
     w.flags.writeable = False
     return w
 

@@ -70,8 +70,7 @@ All stores are computed in one child process with one BLAS thread: a
 threaded BLAS sums the larger products in another order, which moves
 the `gaussian_min_q0|N=30` key by one ulp.
 
-Re-record only on purpose. From the repository root, with sqewit importable
-(`pip install -e .` or `PYTHONPATH=src`):
+Re-record only on purpose. From the repository root:
 
     python tests/pins.py [STORE ...]
 
@@ -97,12 +96,15 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-import sqewit
-from sqewit import breeding, fock, gates, pareto, states, witness
-from sqewit.cli import main
-from sqewit.pareto import NsgaConfig
-from sqewit.states import CatSpec
-from sqewit.witness import WitnessSpec
+# The checkout's own package comes first, so the recorder pins the tree it sits in.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import sqewit  # noqa: E402
+from sqewit import breeding, fock, gates, pareto, states, witness  # noqa: E402
+from sqewit.cli import main  # noqa: E402
+from sqewit.pareto import NsgaConfig  # noqa: E402
+from sqewit.states import CatSpec  # noqa: E402
+from sqewit.witness import WitnessSpec  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 

@@ -30,16 +30,15 @@ def _make_candidate(params, dim, xeig, peig, seig, s_seed) -> fock.FockState:
 class TestBreedRound:
     def test_vacuum_fixed_point(self):
         vac = fock.vacuum(16)
-        out = breeding.breed_round(vac, vac)
-        assert fock.overlap_fidelity(out.output, vac) == pytest.approx(1.0, abs=1e-10)
+        out = breeding.breed_protocol(vac, 1).final
+        assert fock.overlap_fidelity(out, vac) == pytest.approx(1.0, abs=1e-10)
 
     def test_hong_ou_mandel_oracle(self):
         # Hand computation: BS turns |1,1> into (|2,0> - |0,2>)/sqrt(2);
         # contracting <p=0| leaves psi_2(0)|0> - psi_0(0)|2> up to phases,
         # i.e. probabilities 1/3 on |0> and 2/3 on |2>.
         one = fock.basis_state(8, 1)
-        out = breeding.breed_round(one, one)
-        probs = np.abs(out.output.amps) ** 2
+        probs = np.abs(breeding.breed_protocol(one, 1).final.amps) ** 2
         assert probs[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert probs[2] == pytest.approx(2.0 / 3.0, abs=1e-10)
         assert probs[[1, 3, 4, 5, 6, 7]].max() < 1e-12

@@ -376,6 +376,17 @@ class TestBreedCommand:
         assert report["per_round_gkp_db"][-1] < report["input_gkp_db"]
         assert Path(report["final_state_file"]).exists()
 
+    def test_annihilated_round_exit_3_and_writes_nothing(self, runner, tmp_path):
+        # |1> in two levels is annihilated by its first round (the s = 2
+        # sector holds |1,1> alone and <p=0|1> = 0): neither the report nor
+        # the bred state file (by default one.bred1.json) is written.
+        serialize.save_state(tmp_path / "one.json", fock.basis_state(2, 1))
+        args = ["breed", "--state", str(tmp_path / "one.json"), "--rounds", "1", "--out", str(tmp_path / "r.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: p = 0 projection annihilated the state (norm 0.000e+00)\n"
+        assert _listing(tmp_path) == ["one.json"]
+
 
 class TestFrontierCommand:
     def test_requires_seed(self, runner, tmp_path):
@@ -515,20 +526,43 @@ class TestOpaccuracyCommand:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
     def test_deep_scan_exact_column_finite(self, runner, tmp_path):
-        # --nmax 515 builds the comb at 516 levels. The exact column stays
-        # finite at every level; the approximations are non-finite from
-        # n = 183 on, where the large-|s| harmonics overflow (ROADMAP item 2),
-        # with numpy's invalid-value warnings, and the build drops m = 1, 2.
-        # Builds past row 1030, where the largest binomials overflow, are
+        # --nmax 515 builds the comb at 516 levels, where the large-|s|
+        # harmonics overflow to non-finite approximations from n = 183 on
+        # (ROADMAP item 2), and the build drops m = 1, 2: the scan refuses it
+        # by name and writes nothing. The exact column stays finite at every
+        # level. Builds past row 1030, where the largest binomials overflow, are
         # `test_fock.py::test_displacement_exact_diagonal_past_binomial_overflow`.
         out = tmp_path / "acc.csv"
         with pytest.warns(RuntimeWarning, match=r"u = 3\.0, dim = 516 drops non-negligible harmonics m = \[1, 2\]"):
             result = runner.invoke(main, ["opaccuracy", "--nmax", "515", "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert rows.shape == (516, 4)
-        assert np.all(np.isfinite(rows[:, :2]))
-        assert np.all(np.isfinite(rows[:183]))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: momentum comb at u = 3.0, N = 516 has non-finite entries (ROADMAP item 2)\n"
+        assert _listing(tmp_path) == []
+        assert np.all(np.isfinite(witness.comb_diagonal_exact(3.0, 515)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ground", "--u", "3", "--dims", "241", "--out", "g"],
+        ["witness", "--u", "3", "--state", "v.json", "--out", "w.json"],
+        ["opaccuracy", "--u", "3", "--nmax", "240", "--out", "acc.csv"],
+    ],
+    ids=["ground", "witness", "opaccuracy"],
+)
+def test_non_finite_comb_exit_3_and_writes_nothing(runner, tmp_path, monkeypatch, args):
+    # At u = 3 the comb overflows to non-finite entries from 241 levels on
+    # (ROADMAP item 2). The ground sweep read that as "matrix is not Hermitian
+    # within tolerance (defect nan)", and the scan wrote nan cells for
+    # n = 227-240; every command that reads the comb refuses it by name.
+    monkeypatch.chdir(tmp_path)
+    serialize.save_state("v.json", fock.vacuum(241))
+    with pytest.warns(RuntimeWarning, match=r"u = 3\.0, dim = 241 drops non-negligible harmonics m = \[1\]"):
+        result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: momentum comb at u = 3.0, N = 241 has non-finite entries (ROADMAP item 2)\n"
+    assert _listing(tmp_path) == ["v.json"]
 
 
 class TestConfigMerge:

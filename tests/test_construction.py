@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sqewit
 from sqewit import breeding, cli, fock, gates, pareto, serialize, states, witness
-from sqewit.errors import ContractViolationError
+from sqewit.errors import ContractViolationError, ProjectionAnnihilatedError
 
 
 def test_no_public_padding_knobs():
@@ -206,6 +206,78 @@ def test_batch_builders_are_their_one_row_calls(n, dim, seed, with_target):
     assert fidelities == [fock.overlap_fidelity(target, state) for state in states_]
     assert fidelities == [fock.overlap_fidelity(state, target) for state in states_]
     assert breeding._gkp_db(rows) == [breeding.gkp_squeezing_db(state) for state in states_]
+
+
+def test_one_owner_per_conditioning_step():
+    # The frontier keeps only its dense coupler product. The records and the
+    # frontier post-select through `gates._post_select`, the package's one
+    # comparison with ANNIHILATION_EPS, and breed through
+    # `breeding._breed_rows`, the one place that pairs a state with itself:
+    # a product of two slices of one array, or a two-mode call given one
+    # name twice (kron(a, a), couple_and_condition(a, a, kind)).
+    owned = {path.stem: _owned_nodes(path) for path in sorted(Path(sqewit.__file__).parent.glob("*.py"))}
+
+    def names(node):
+        nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+
+    def self_pair(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = [side.value for side in (node.left, node.right) if isinstance(side, ast.Subscript)]
+            return len(sides) == 2 and all(isinstance(side, ast.Name) for side in sides) and sides[0].id == sides[1].id
+        two_mode = {"kron", "couple_and_condition", "_p0_output", "_bs_p0_outputs", "breed_round"}
+        if isinstance(node, ast.Call) and _called_name(node) in two_mode:
+            args = [arg.id for arg in node.args if isinstance(arg, ast.Name)]
+            return len(args) != len(set(args))
+        return False
+
+    assert not hasattr(pareto, "_condition_p0")
+    assert "ANNIHILATION_EPS" not in set().union(*(names(node) for _, node in owned["pareto"]))
+    calls = [(owner, _called_name(node)) for owner, node in owned["pareto"] if isinstance(node, ast.Call)]
+    assert [owner for owner, name in calls if name == "_row_norms"] == ["_evaluate"]
+    compared = [
+        (stem, owner) for stem, nodes in owned.items() for owner, node in nodes
+        if isinstance(node, ast.Compare) and "ANNIHILATION_EPS" in names(node)
+    ]
+    assert compared == [("gates", "_post_select")]
+    pairs = [(stem, owner) for stem, nodes in owned.items() for owner, node in nodes if self_pair(node)]
+    assert pairs == [("breeding", "_breed_rows")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 16), dim=st.integers(2, 40), rounds=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1), dead=st.booleans(),
+)
+@example(n=3, dim=2, rounds=2, seed=0, dead=True)
+def test_breed_rows_are_breed_protocol_per_row(n, dim, rounds, seed, dead):
+    # `breed_protocol` is `_breed_rows` of one row with the kernel product, so
+    # in any batch each row that survives every round gets its outputs and
+    # success norms bitwise, and a row it refuses drops out: |1> in two
+    # levels is annihilated in round 1.
+    rng = np.random.default_rng(seed)
+    states_ = [fock.FockState(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(n)]
+    if dead and dim == 2:
+        states_[0] = fock.basis_state(2, 1)
+    alive, bred, log = breeding._breed_rows(np.array([state.amps for state in states_]), rounds, fock._bs_p0_outputs)
+    bred_in = [np.arange(n)]  # the rows each round breeds
+    for _, _, kept in log:
+        bred_in.append(bred_in[-1][kept])
+    survivors, finals = [], []
+    for i, state in enumerate(states_):
+        try:
+            run = breeding.breed_protocol(state, rounds)
+        except ProjectionAnnihilatedError:
+            continue
+        survivors.append(i)
+        finals.append(run.final.amps)
+        rounds_ = zip(bred_in[:-1], log, run.outputs_per_round, run.success_norms, strict=True)
+        for index, (out, norms, _), output, norm in rounds_:
+            (j,) = np.flatnonzero(index == i)
+            assert fock.FockState(out[j]).amps.tobytes() == output.amps.tobytes()
+            assert float(norms[j]) == norm
+    assert alive.tolist() == survivors == bred_in[-1].tolist()
+    assert bred.tobytes() == np.array(finals, dtype=complex).reshape(-1, dim).tobytes()
 
 
 def test_no_module_rebinds_global_or_enclosing_names():

@@ -38,9 +38,12 @@ class TestConditionalOutput:
     def test_projection_annihilation(self):
         # In two levels the n1 + n2 = 2 sector is |1,1> alone, which the beam
         # splitter leaves in place; <p=0|1> = 0 (odd Hermite zero) kills it.
+        # A breeding round is the same conditioning, and refuses alike.
         one = fock.basis_state(2, 1)
-        with pytest.raises(ProjectionAnnihilatedError):
-            gates.couple_and_condition(one, one, "BS")
+        message = r"^p = 0 projection annihilated the state \(norm 0\.000e\+00\)$"
+        for call in (lambda: gates.couple_and_condition(one, one, "BS"), lambda: breeding.breed_protocol(one, 1)):
+            with pytest.raises(ProjectionAnnihilatedError, match=message):
+                call()
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractViolationError):

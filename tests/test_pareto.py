@@ -597,8 +597,8 @@ class TestBatchedEvaluation:
 
     @pytest.mark.parametrize("rounds", [1, 2])
     def test_row_dead_after_first_round_stays_inf(self, rounds):
-        # At N = 2 the beam splitter sends |1>|1> to |2>, outside the
-        # truncation, so |1> dies in round 1 while the other rows breed on.
+        # At N = 2 the s = 2 sector keeps |1,1> alone and <p=0|1> = 0, so |1>
+        # dies in round 1 while the other rows breed on.
         objective = objectives_for("gkp", rounds, dim=2)
         genomes = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.3, 0.2, 0.1, -0.5], [0.0, -1.0, 0.0, 0.0]])
         with warnings.catch_warnings():
@@ -606,6 +606,8 @@ class TestBatchedEvaluation:
             objs = pareto._evaluate(genomes, objective)
         assert objs.tobytes() == oracle_evaluate(genomes, objective).tobytes()
         assert np.isinf(objs[[0, 3], 1]).all() and np.isfinite(objs[[1, 2], 1]).all()
+        # The row `breeding.breed_protocol` refuses scores inf in the batch itself.
+        assert objective.batch(np.array([fock.basis_state(2, 1).amps, fock.vacuum(2).amps]))[0, 1] == math.inf
 
 
 class TestHypervolume:

@@ -134,6 +134,23 @@ class TestCombCutWarning:
         assert np.abs(large[:silent, :silent] - want).max() < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+def test_non_finite_comb_is_refused_where_it_is_read():
+    # From 241 levels at u = 3 the comb overflows to non-finite entries
+    # (ROADMAP item 2). `momentum_comb` still returns them (perfbench's
+    # `comb_nonfinite_dims` probe counts them at 250 and 300 levels); the
+    # witness and the accuracy scan, which read the comb, refuse it by name.
+    with pytest.warns(RuntimeWarning, match="dim = 250 drops non-negligible harmonics"):
+        assert not np.isfinite(witness.momentum_comb(3.0, 0.0, 100, 250)).all()
+    named = r"^momentum comb at u = 3\.0, N = 250 has non-finite entries \(ROADMAP item 2\)$"
+    for call in (
+        lambda: witness.build_witness(WitnessSpec(u=3.0, phi=0.0, c=10.0, dim=250)),
+        lambda: witness.accuracy_scan(3.0, 100, 249),
+    ):
+        with pytest.warns(RuntimeWarning, match="dim = 250 drops"), pytest.raises(ContractViolationError, match=named):
+            call()
+
+
 def comb_points(u, js):
     # Positions p_j = (2j - 1) pi / (2u) of the phi = 0 projector comb.
     return (2.0 * js - 1.0) * np.pi / (2.0 * u)
@@ -308,6 +325,17 @@ def test_unusable_inputs_are_refused_by_name(make, field, bad):
         make(**{**_VALID_INPUTS[make], field: bad})
 
 
+def _comb_weight_ratios(k):
+    """The sin^2k comb's c_m/c_0 = (-1)^m C(2k, k+m)/C(2k, k), m = 1, 2, ..., exact binomial ratios down to 1e-20."""
+    ratios = []
+    for m in range(1, k + 1):
+        ratio = math.comb(2 * k, k + m) / math.comb(2 * k, k)
+        if ratio < 1e-20:
+            break
+        ratios.append((-1.0) ** m * ratio)
+    return np.array(ratios)
+
+
 def _gaussian_grid_minimum(u, c, k):
     """Brute-force minimum of the witness expectation over Gaussian marginals.
 
@@ -322,16 +350,11 @@ def _gaussian_grid_minimum(u, c, k):
     its resolution, the largest rise from it to a grid neighbour; a smooth
     minimum between grid points lies less than that below the grid minimum.
     """
-    ratios = []
-    for m in range(1, k + 1):
-        ratio = math.comb(2 * k, k + m) / math.comb(2 * k, k)
-        if ratio < 1e-20:
-            break
-        ratios.append((-1.0) ** m * ratio)
-    ms = np.arange(1, len(ratios) + 1)
+    ratios = _comb_weight_ratios(k)
+    ms = np.arange(1, ratios.size + 1)
     r = np.append(np.linspace(-6.0, 12.0, 4001), np.inf)
     t = u * u * np.exp(2.0 * r)
-    comb = (u * c / math.pi) * (1.0 + 2.0 * (np.exp(-np.outer(t, ms * ms)) @ np.array(ratios)))
+    comb = (u * c / math.pi) * (1.0 + 2.0 * (np.exp(-np.outer(t, ms * ms)) @ ratios))
     v = np.exp(-2.0 * r) / 2.0
     mu2 = (u * np.arange(601 if c > 0.0 else 1) / 400.0)[:, None] ** 2
     values = mu2 * mu2 + (6.0 * v - 2.0 * u * u) * mu2 + 3.0 * v * v - 2.0 * u * u * v + u**4 + comb
@@ -417,6 +440,32 @@ class TestGaussianBound:
         # Slack for rounding: at mu = u the quartic cancels terms of size u⁴.
         assert bound <= grid_min + 1e-12 * (grid_min + u**4), (bound, grid_min)
         assert grid_min - bound <= resolution, (bound, grid_min, resolution)
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=st.floats(0.3, 6.0), c=st.floats(0.1, 300.0), k=st.integers(10, 300), seed=st.integers(0, 2**32 - 1))
+    def test_no_pure_gaussian_beats_the_bound(self, u, c, k, seed):
+        # `_gaussian_grid_minimum` scans momentum mean 0 with uncorrelated
+        # marginals only. A pure Gaussian with x mean mu, x variance v,
+        # momentum mean p0 and momentum variance s/(4v), s = 1 + 4 cov² >= 1,
+        # has E[(x² - u²)²] = mu⁴ + (6v - 2u²) mu² + 3v² - 2u²v + u⁴, and each
+        # harmonic pair c_m (e^{2imup} + e^{-2imup}) of the comb averages to
+        # 2 c_m cos(2mu p0) e^{-m²u²s/(2v)}. Half the draws sit on p0 = 0 and
+        # s = 1, where the minimum lies.
+        ratios = _comb_weight_ratios(k)
+        ms = np.arange(1, ratios.size + 1)
+        rng = np.random.default_rng(seed)
+        n = 4000
+        mu = u * rng.uniform(-1.5, 1.5, n)
+        v = np.exp(rng.uniform(math.log(1e-6), math.log(10.0), n))
+        general = np.arange(n) % 2 == 1
+        p0 = np.where(general, rng.uniform(-math.pi / (2.0 * u), math.pi / (2.0 * u), n), 0.0)
+        s = np.where(general, 1.0 + 4.0 * rng.uniform(0.0, 3.0, n) ** 2, 1.0)
+        quartic = mu**4 + (6.0 * v - 2.0 * u * u) * mu**2 + 3.0 * v * v - 2.0 * u * u * v + u**4
+        harmonics = np.cos(2.0 * u * np.outer(p0, ms)) * np.exp(-np.outer(u * u * s / (2.0 * v), ms * ms))
+        values = quartic + (u * c / math.pi) * (1.0 + 2.0 * (harmonics @ ratios))
+        bound = witness.gaussian_bound(u, c, k).value
+        # Slack for rounding: at mu = u the quartic cancels terms of size u⁴.
+        assert values.min() >= bound - 1e-12 * (bound + u**4), (values.min(), bound)
 
     # u = 0.5 ... 6 in steps of 0.5 for six comb weights.
     K_GRID = [(0.5 * i, c) for i in range(1, 13) for c in (0.0, 1.0, 5.0, 10.0, 20.0, 50.0)]
